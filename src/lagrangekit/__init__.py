@@ -5,14 +5,9 @@ primal-dual schemes descend the primal Lagrangian while multipliers ascend
 their dual signals under projection. Ships formulations (plain Lagrangian,
 augmented Lagrangian, quadratic penalty), proxy-constraint support, certified
 benchmark problems, finite-difference gradient checking, deterministic text
-checkpoints, and a CSV trace CLI.
-
-Numerical kernels are compiled with numba when available; set the environment
-variable ``LAGRANGEKIT_BACKEND`` to ``numpy`` or ``numba`` to force a backend
-(see ``lagrangekit.BACKEND`` for the active one).
+checkpoints, and a CSV trace CLI. All numerics are plain numpy.
 """
 
-from ._backend import BACKEND
 from . import checkpoint
 from .core import (
     CMPState,
@@ -90,6 +85,10 @@ from .problems import (
 )
 
 __version__ = "0.1.0"
+
+# The only backend. Kept as a name because perfbench/run.py prints it on its
+# environment line.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

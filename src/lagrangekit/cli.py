@@ -400,6 +400,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         rate = getattr(config, rate_name)
         if not rate > 0:
             raise _ConfigError(f"{rate_name} must be > 0, got {rate}")
+    seed = config.seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise _ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return config
 
 

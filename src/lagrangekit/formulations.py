@@ -30,7 +30,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _kernels as _k
 from .core import ConstraintGroup, ConstraintState, ConstraintType, EvaluationError, Formulation
 from .multipliers import Multiplier, multiplier_values_for
 
@@ -194,11 +193,8 @@ def lagrangian_contribution(
     if multiplier is None:
         raise ValueError(f"group {group.name!r}: Lagrangian formulation needs a multiplier")
     gathered = _gathered_multiplier(group, state, multiplier)
-    if gathered.size == 0:
-        primal, weights = 0.0, np.empty(0)
-    else:
-        primal, weights = _k.lagrangian_terms(gathered, state.violation)
-    return ContributionPair(group.name, float(primal), state.dual_violation, weights)
+    primal = np.dot(gathered, state.violation)
+    return ContributionPair(group.name, float(primal), state.dual_violation, gathered)
 
 
 def augmented_lagrangian_contribution(
@@ -219,14 +215,16 @@ def augmented_lagrangian_contribution(
         )
     if penalty is None:
         raise ValueError(f"group {group.name!r}: augmented Lagrangian needs a penalty")
-    gathered = _gathered_multiplier(group, state, multiplier)
+    m = _gathered_multiplier(group, state, multiplier)
     c = _gathered_penalty(group, state, penalty)
-    if gathered.size == 0:
-        primal, weights = 0.0, np.empty(0)
-    elif group.constraint_type is ConstraintType.INEQUALITY:
-        primal, weights = _k.al_inequality_terms(state.violation, gathered, c)
+    v = state.violation
+    if group.constraint_type is ConstraintType.INEQUALITY:
+        active = np.maximum(v + m / c, 0.0)
+        primal = 0.5 * np.sum(c * (active * active - (m / c) ** 2))
+        weights = np.maximum(c * v + m, 0.0)
     else:
-        primal, weights = _k.al_equality_terms(state.violation, gathered, c)
+        primal = np.dot(m, v) + 0.5 * np.sum(c * v * v)
+        weights = m + c * v
     signal = c * state.dual_violation
     return ContributionPair(group.name, float(primal), signal, weights)
 
@@ -242,13 +240,11 @@ def quadratic_penalty_contribution(
     if penalty is None:
         raise ValueError(f"group {group.name!r}: quadratic penalty needs a penalty")
     c = _gathered_penalty(group, state, penalty)
-    if state.violation.size == 0:
-        primal, weights = 0.0, np.empty(0)
-    elif group.constraint_type is ConstraintType.INEQUALITY:
-        primal, weights = _k.qp_inequality_terms(state.violation, c)
-    else:
-        primal, weights = _k.qp_equality_terms(state.violation, c)
-    return ContributionPair(group.name, float(primal), np.empty(0), weights)
+    v = state.violation
+    if group.constraint_type is ConstraintType.INEQUALITY:
+        v = np.maximum(v, 0.0)
+    primal = 0.5 * np.sum(c * v * v)
+    return ContributionPair(group.name, float(primal), np.empty(0), c * v)
 
 
 def group_contribution(

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels as _k
 from .core import EvaluationError
 
 __all__ = [
@@ -147,7 +146,7 @@ def compose_primal_gradient(grad_f: np.ndarray, constraint_grads) -> np.ndarray:
             )
         if not np.isfinite(weights).all():
             raise EvaluationError("non-finite gradient weights")
-        total = _k.add_weighted_rows(total, jacobian, weights)
+        total += np.dot(weights, jacobian)  # jacobian^T @ weights without the transpose
     return total
 
 

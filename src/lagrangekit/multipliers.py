@@ -123,8 +123,12 @@ class Multiplier:
 
     def apply_dual_delta(self, delta, indices=None) -> "Multiplier":
         """Add delta at the addressed positions, then project. Returns self."""
-        self._values = self.preview_delta(delta, indices)
+        self._store(self.preview_delta(delta, indices), indices)
         return self
+
+    def _store(self, values: np.ndarray, indices) -> None:
+        """Adopt ``preview_delta`` output computed for the same ``indices``."""
+        self._values = values
 
     def load_values(self, values) -> None:
         """Replace values wholesale (checkpoint restore); invariants still checked."""
@@ -154,14 +158,13 @@ class IndexedMultiplier(Multiplier):
     def update_count(self) -> np.ndarray:
         return self._update_count
 
-    def apply_dual_delta(self, delta, indices=None) -> "IndexedMultiplier":
-        new = self.preview_delta(delta, indices)
+    def _store(self, values, indices):
+        # preview_delta has already validated the indices
         if indices is None:
             self._update_count += 1
         else:
-            self._update_count[_check_indices(indices, self._size)] += 1
-        self._values = new
-        return self
+            self._update_count[np.asarray(indices, dtype=np.int64)] += 1
+        self._values = values
 
     def load_update_count(self, counts) -> None:
         arr = np.asarray(counts, dtype=np.int64).copy()

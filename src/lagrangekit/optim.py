@@ -24,7 +24,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels as _k
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
 from .formulations import assemble_lagrangian, group_contribution
 from .gradients import compose_primal_gradient
@@ -111,7 +110,7 @@ class GradientDescent(PrimalOptimizer):
     def step(self, x, grad):
         x = np.asarray(x, dtype=np.float64)
         grad = _check_gradient(x, grad)
-        return _k.gd_step(x, grad, self.learning_rate), None
+        return x - self.learning_rate * grad, None
 
 
 class Momentum(PrimalOptimizer):
@@ -133,8 +132,8 @@ class Momentum(PrimalOptimizer):
         velocity = self.velocity if self.velocity is not None else np.zeros_like(x)
         if velocity.shape != x.shape:
             raise ValueError(f"velocity shape {velocity.shape} != x shape {x.shape}")
-        x_new, v_new = _k.momentum_step(x, grad, velocity, self.learning_rate, self.beta)
-        return x_new, v_new
+        v_new = self.beta * velocity + grad
+        return x - self.learning_rate * v_new, v_new
 
     def commit(self, staged):
         self.velocity = staged
@@ -182,9 +181,11 @@ class AdamLike(PrimalOptimizer):
         if m.shape != x.shape or v.shape != x.shape:
             raise ValueError("adam buffers do not match x shape")
         t_new = self.t + 1
-        x_new, m_new, v_new = _k.adam_step(
-            x, grad, m, v, t_new, self.learning_rate, self.beta1, self.beta2, self.eps
-        )
+        m_new = self.beta1 * m + (1.0 - self.beta1) * grad
+        v_new = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+        m_hat = m_new / (1.0 - self.beta1 ** t_new)
+        v_hat = v_new / (1.0 - self.beta2 ** t_new)
+        x_new = x - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
         return x_new, (m_new, v_new, t_new)
 
     def commit(self, staged):
@@ -417,10 +418,7 @@ def assemble(
 
 def primal_step(optimizer: PrimalOptimizer, x, grad) -> np.ndarray:
     """One committed primal update; returns the new point."""
-    x = np.asarray(x, dtype=np.float64)
-    x_new, staged = optimizer.step(x, grad)
-    if not np.isfinite(x_new).all():
-        raise EvaluationError("primal step produced non-finite x")
+    x_new, staged = _preview_primal(optimizer, x, grad)
     optimizer.commit(staged)
     return x_new
 
@@ -430,9 +428,10 @@ def dual_step(
 ) -> Multiplier:
     """One committed dual ascent update on a multiplier; returns the multiplier.
 
-    The delta is applied through ``apply_dual_delta``, so the non-negativity
-    projection for inequality multipliers is included, and only the addressed
-    indices (when given) change values, counters, or optimizer buffers.
+    The optimizer's delta goes through the multiplier's ``preview_delta``, so
+    the non-negativity projection for inequality multipliers is included, and
+    only the addressed indices (when given) change values, counters, or
+    optimizer buffers.
     """
     signal = np.asarray(dual_signal, dtype=np.float64)
     if signal.ndim != 1:
@@ -442,9 +441,7 @@ def dual_step(
     expected = multiplier.size if indices is None else len(np.atleast_1d(indices))
     if signal.size != expected:
         raise ValueError(f"dual signal length {signal.size} != expected {expected}")
-    delta, staged = optimizer.step(signal, indices, multiplier.size)
-    multiplier.apply_dual_delta(delta, indices)
-    optimizer.commit(staged)
+    _preview_dual(multiplier, optimizer, signal, indices).commit()
     return multiplier
 
 
@@ -470,13 +467,17 @@ class RollOut:
 
 @dataclass(frozen=True)
 class _DualUpdate:
-    group_id: str
+    """A previewed dual step: the projected multiplier values and staged buffers."""
+
     multiplier: Multiplier
     optimizer: DualOptimizer
-    delta: np.ndarray
     indices: Optional[np.ndarray]
     staged: object
     preview: np.ndarray
+
+    def commit(self) -> None:
+        self.multiplier._store(self.preview, self.indices)
+        self.optimizer.commit(self.staged)
 
 
 def _resolve_evaluate(problem, evaluate):
@@ -484,35 +485,39 @@ def _resolve_evaluate(problem, evaluate):
     return problem.evaluate_with_gradients if evaluate is None else evaluate
 
 
-def _preview_primal(optimizers, x, grad):
-    x_new, staged = optimizers.primal.step(x, grad)
+def _preview_primal(optimizer, x, grad):
+    x_new, staged = optimizer.step(x, grad)
     if not np.isfinite(x_new).all():
         raise EvaluationError("primal step produced non-finite x")
     return x_new, staged
 
 
-def _preview_duals(problem, optimizers, assembled: AssembledLagrangian):
-    updates = []
+def _preview_dual(multiplier, optimizer, signal, indices) -> _DualUpdate:
+    delta, staged = optimizer.step(signal, indices, multiplier.size)
+    preview = multiplier.preview_delta(delta, indices)
+    return _DualUpdate(multiplier, optimizer, indices, staged, preview)
+
+
+def _preview_duals(problem, optimizers, assembled: AssembledLagrangian) -> dict:
+    """Previewed dual updates keyed by group id, for groups with a non-empty signal."""
+    updates = {}
     for gid, signal in assembled.dual_signals.items():
         if signal.size == 0:
             continue
-        group = problem.group(gid)
         optimizer = optimizers.duals.get(gid)
         if optimizer is None:
             raise ValueError(f"no dual optimizer bound for group {gid!r}")
-        idx = assembled.observed_indices[gid]
-        delta, staged = optimizer.step(signal, idx, group.multiplier.size)
-        preview = group.multiplier.preview_delta(delta, idx)
-        updates.append(_DualUpdate(gid, group.multiplier, optimizer, delta, idx, staged, preview))
+        updates[gid] = _preview_dual(
+            problem.group(gid).multiplier, optimizer, signal, assembled.observed_indices[gid]
+        )
     return updates
 
 
 def _commit(problem, optimizers, x_new, staged_primal, dual_updates):
     problem.set_x(x_new)
     optimizers.primal.commit(staged_primal)
-    for update in dual_updates:
-        update.multiplier.apply_dual_delta(update.delta, update.indices)
-        update.optimizer.commit(update.staged)
+    for update in dual_updates.values():
+        update.commit()
     optimizers.step += 1
 
 
@@ -526,7 +531,7 @@ def roll_simultaneous(problem, optimizers, evaluate=None) -> RollOut:
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
-    x_new, staged_primal = _preview_primal(optimizers, problem.x, asm.gradient)
+    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     dual_updates = _preview_duals(problem, optimizers, asm)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
@@ -544,7 +549,7 @@ def roll_alternating_primal_dual(
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
-    x_new, staged_primal = _preview_primal(optimizers, problem.x, asm.gradient)
+    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     if reuse_primal_evaluation:
         dual_source = asm
     else:
@@ -566,9 +571,9 @@ def roll_alternating_dual_primal(problem, optimizers, evaluate=None) -> RollOut:
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     dual_updates = _preview_duals(problem, optimizers, asm)
-    override = {u.group_id: u.preview for u in dual_updates}
+    override = {gid: u.preview for gid, u in dual_updates.items()}
     asm_updated = assemble(problem, ev, multiplier_values=override)
-    x_new, staged_primal = _preview_primal(optimizers, problem.x, asm_updated.gradient)
+    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_updated.gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
 
@@ -583,12 +588,12 @@ def roll_extragradient(problem, optimizers, evaluate=None) -> RollOut:
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
-    x_hat, _ = _preview_primal(optimizers, problem.x, asm.gradient)
+    x_hat, _ = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     half_updates = _preview_duals(problem, optimizers, asm)
-    override = {u.group_id: u.preview for u in half_updates}
+    override = {gid: u.preview for gid, u in half_updates.items()}
     ev_hat = evaluate(x_hat)
     asm_hat = assemble(problem, ev_hat, multiplier_values=override)
-    x_new, staged_primal = _preview_primal(optimizers, problem.x, asm_hat.gradient)
+    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_hat.gradient)
     dual_updates = _preview_duals(problem, optimizers, asm_hat)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)

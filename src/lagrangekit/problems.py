@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import _kernels as _k
 from .core import (
     CMPState,
     ConstrainedMinimizationProblem,
@@ -209,7 +208,7 @@ def _kkt_pieces(problem, evaluation, values_by_gid) -> KKTResidual:
             values = values[cstate.observed_indices]
         jac = np.asarray(evaluation.jacobians[gid], dtype=np.float64)
         if values.size:
-            stationarity_vec = _k.add_weighted_rows(stationarity_vec, jac, values)
+            stationarity_vec += np.dot(values, jac)
         v = cstate.violation
         if group.constraint_type is ConstraintType.INEQUALITY:
             if v.size:
@@ -265,6 +264,8 @@ def splitmix64(seed: int, n: int) -> np.ndarray:
     """First n outputs of the SplitMix64 stream for the given seed, as uint64."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     counter = np.arange(1, n + 1, dtype=np.uint64)
     z = np.uint64(seed) + counter * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -475,6 +476,20 @@ def problem_equality_qp(
     )
 
 
+def _logistic_loss_grad(features, labels, w, b):
+    # mean binary logistic loss with labels in {-1, +1}, stable via logaddexp
+    n = features.shape[0]
+    z = np.dot(features, w) + b
+    margins = labels * z
+    loss = np.sum(np.logaddexp(0.0, -margins)) / n
+    # sigma(-margin) without overflow
+    slope = np.exp(-np.logaddexp(0.0, margins))
+    gz = -(labels * slope) / n
+    grad_w = np.dot(gz, features)
+    grad_b = np.sum(gz)
+    return loss, grad_w, grad_b
+
+
 def problem_norm_constrained_logreg(
     dataset_seed: int,
     threshold: float,
@@ -503,7 +518,7 @@ def problem_norm_constrained_logreg(
 
     def obj_val_jac(x):
         w, bias = split(x)
-        loss, grad_w, grad_b = _k.logistic_loss_grad(features, labels, w, bias)
+        loss, grad_w, grad_b = _logistic_loss_grad(features, labels, w, bias)
         jac = np.empty((1, n_vars))
         jac[0, :dim] = grad_w
         jac[0, dim] = grad_b

@@ -1,4 +1,8 @@
-"""Shared fixtures: a one-time kernel warmup so timed tests measure steady state."""
+"""Shared fixtures: the import path for subprocess tests, and a one-time warm-up
+so timed tests measure steady state."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,20 @@ def _spin(problem, primal, dual_factory, scheme, steps=2):
 
 
 @pytest.fixture(scope="session", autouse=True)
+def subprocess_imports_this_package():
+    """Let `python -m lagrangekit` subprocesses import the package under test.
+
+    Needed when the suite runs from a checkout that is not installed.
+    """
+    paths = [str(Path(lk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
+
+
+@pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Touch every compiled kernel once before any timed assertions run."""
+    """Run every scheme, formulation and optimizer once before any timed assertions."""
     a = np.array([3.0, 4.0])
     for formulation in ("lagrangian", "augmented_lagrangian", "quadratic_penalty"):
         _spin(

@@ -143,6 +143,26 @@ class TestConfigFile:
     def test_missing_config_file_rejected(self, capsys):
         assert run_cli("run", "--config", "/nonexistent/run.json") == 1
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seed, code", [(-1, 1), (2**64, 1), (2**64 - 1, 0)])
+    @pytest.mark.parametrize("command", ["run", "check-grad"])
+    def test_seed_must_fit_uint64(self, command, seed, code, source, tmp_path, capsys):
+        argv = [command, "--problem", "norm_logreg"]
+        if command == "run":
+            argv += ["--steps", "1"]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(config)]
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+        else:
+            assert err == ""
+
 
 class TestCheckpointFlags:
     def test_checkpoint_out_written(self, tmp_path):

@@ -297,3 +297,8 @@ class TestCheckState:
         )
         with pytest.raises(ValueError):
             problem.check_state(state)
+
+
+def test_backend_attribute_exposed():
+    # perfbench/run.py prints lagrangekit.BACKEND on its environment line
+    assert lk.BACKEND == "numpy"

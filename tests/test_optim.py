@@ -361,6 +361,48 @@ class TestSchemes:
         # grad f at 0 = 2(0 - a) = (-0.5, 0); lam' contributes nothing
         assert problem.x.tolist() == [0.05, 0.0]
 
+    @pytest.mark.parametrize("dual", [GradientAscent, NuPI])
+    @pytest.mark.parametrize("group_kind", ["dense", "indexed"])
+    def test_direct_steps_match_simultaneous_roll(self, group_kind, dual):
+        # assemble + primal_step + dual_step on one copy must reproduce
+        # roll_simultaneous on an identical copy bit for bit; the indexed
+        # problem observes half of its multiplier per evaluation
+        def setup():
+            if group_kind == "dense":
+                problem = problem_projection_ball(np.array([3.0, 4.0]))
+            else:
+                problem = SubsetBoxProblem()
+            optimizers = PrimalDualOptimizers(
+                primal=Momentum(0.05, beta=0.9),
+                duals=make_dual_optimizers(problem, lambda: dual(0.1)),
+            )
+            return problem, optimizers
+
+        def snapshot(problem, optimizers):
+            state = [problem.x.tobytes()]
+            for group in problem.groups.values():
+                state.append(group.multiplier.values.tobytes())
+                if group_kind == "indexed":
+                    state.append(group.multiplier.update_count.tobytes())
+            for optimizer in (optimizers.primal, *optimizers.duals.values()):
+                for name, buffer in sorted(optimizer.buffer_state().items()):
+                    state.append((name, np.asarray(buffer).tobytes()))
+            return state
+
+        rolled, rolled_opt = setup()
+        direct, direct_opt = setup()
+        for _ in range(3):
+            lk.roll_simultaneous(rolled, rolled_opt)
+            asm = lk.assemble(direct, direct.evaluate_with_gradients(direct.x))
+            x_new = primal_step(direct_opt.primal, direct.x, asm.gradient)
+            for gid, signal in asm.dual_signals.items():
+                dual_step(
+                    direct_opt.duals[gid], direct.group(gid).multiplier, signal,
+                    asm.observed_indices[gid],
+                )
+            direct.set_x(x_new)
+            assert snapshot(direct, direct_opt) == snapshot(rolled, rolled_opt)
+
     def test_unknown_scheme_rejected_with_valid_names(self):
         problem, optimizers = bilinear_setup()
         with pytest.raises(ValueError) as err:

@@ -287,6 +287,11 @@ class TestSplitMix64:
     def test_streams_are_prefixes(self):
         assert splitmix64(9, 8).tolist() == splitmix64(9, 16)[:8].tolist()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            splitmix64(seed, 1)
+
 
 class TestNormalStream:
     def test_deterministic(self):
