@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
+from .core import EvaluationError
 from .formulations import PenaltyCoefficient
 from .multipliers import IndexedMultiplier
+from .optim import _BadBuffer
 
 __all__ = [
     "MAGIC",
@@ -195,32 +198,53 @@ def _signature_mismatch(expected: str, found: str) -> str:
     return "signatures differ"
 
 
-def _stage_buffers(scope: str, optimizer, values: dict, dim_hint: Optional[int]):
-    expected = optimizer.buffer_state()
-    if set(values) != set(expected):
-        raise CheckpointError(
-            f"corrupt section {scope!r}: expected buffers {sorted(expected)}, "
-            f"found {sorted(values)}"
-        )
+@contextmanager
+def _section(key: str):
+    """Report an owner's validation failure as a corrupt section named ``key``."""
+    try:
+        yield
+    except (ValueError, EvaluationError) as exc:
+        if isinstance(exc, _BadBuffer):
+            key = f"{key}.{exc.buffer}"
+        raise CheckpointError(f"corrupt section {key!r}: {exc}") from None
+
+
+def _stage_group(gid: str, group, entries: dict):
+    """Validate one group's fields through their owners; return what to adopt."""
+    mult_key, pen_key = f"groups.{gid}.multiplier", f"groups.{gid}.penalty"
+    mult = group.multiplier
+    values = penalty = counts = None
+    if mult is None:
+        if entries[mult_key] is not None:
+            raise CheckpointError(f"corrupt section {mult_key!r}: group has no multiplier")
+    else:
+        with _section(mult_key):
+            values = mult._checked(entries[mult_key])
+    if group.penalty is None:
+        if entries[pen_key] is not None:
+            raise CheckpointError(f"corrupt section {pen_key!r}: group has no penalty")
+    else:
+        with _section(pen_key):
+            penalty = PenaltyCoefficient(entries[pen_key])
+            penalty.expand(group.size)
+    if isinstance(mult, IndexedMultiplier):
+        cnt_key = f"groups.{gid}.update_count"
+        with _section(cnt_key):
+            counts = mult._checked_counts(entries[cnt_key])
+    return group, values, penalty, counts
+
+
+def _stage_buffers(scope: str, optimizer, entries: dict, size: Optional[int]):
+    """Validate one optimizer's buffers; return the staged update its ``commit`` adopts."""
+    values = {name: entries[f"{scope}.{name}"] for name in optimizer.buffer_state()}
     for name, value in values.items():
-        if value is None:
-            continue
-        if isinstance(value, np.ndarray) and dim_hint is not None and value.size != dim_hint:
+        # the one rule no owner knows: how long the problem says a buffer is
+        if isinstance(value, np.ndarray) and size is not None and value.size != size:
             raise CheckpointError(
-                f"corrupt section {scope}.{name!r}: length {value.size} != {dim_hint}"
+                f"corrupt section '{scope}.{name}': length {value.size} != {size}"
             )
-    kind = getattr(optimizer, "kind", "")
-    if kind == "adam":
-        if not isinstance(values.get("t"), int) or values["t"] < 0:
-            raise CheckpointError(f"corrupt section {scope}.t: expected integer >= 0")
-    if kind == "nupi":
-        ema, seen = values.get("ema"), values.get("seen")
-        if (ema is None) != (seen is None):
-            raise CheckpointError(
-                f"corrupt section {scope!r}: ema and seen must both be present or absent"
-            )
-        if seen is not None:
-            values["seen"] = np.asarray(seen, dtype=np.int64) != 0
+    with _section(scope):
+        return optimizer._staged_buffers(values)
 
 
 def load(path, problem, optimizers) -> int:
@@ -271,84 +295,28 @@ def load(path, problem, optimizers) -> int:
     if not isinstance(step, int) or step < 0:
         raise CheckpointError("corrupt section 'step': expected integer >= 0")
     x = entries["x"]
-    if not isinstance(x, np.ndarray) or x.dtype != np.float64 or x.size != problem.dim:
-        raise CheckpointError(f"corrupt section 'x': expected {problem.dim} floats")
-    if not np.isfinite(x).all():
-        raise CheckpointError("corrupt section 'x': non-finite entries")
-
-    staged_groups = []
-    for gid, group in problem.groups.items():
-        mult_key = f"groups.{gid}.multiplier"
-        values = entries[mult_key]
-        if group.multiplier is None:
-            if values is not None:
-                raise CheckpointError(
-                    f"corrupt section {mult_key!r}: group has no multiplier"
-                )
-        else:
-            if not isinstance(values, np.ndarray) or values.size != group.size:
-                raise CheckpointError(
-                    f"corrupt section {mult_key!r}: expected {group.size} floats"
-                )
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"corrupt section {mult_key!r}: non-finite entries")
-            if group.constraint_type.value == "inequality" and values.size and values.min() < 0:
-                raise CheckpointError(
-                    f"corrupt section {mult_key!r}: negative inequality multiplier"
-                )
-        pen_key = f"groups.{gid}.penalty"
-        pen_value = entries[pen_key]
-        if group.penalty is None:
-            if pen_value is not None:
-                raise CheckpointError(f"corrupt section {pen_key!r}: group has no penalty")
-            penalty = None
-        else:
-            if pen_value is None:
-                raise CheckpointError(f"corrupt section {pen_key!r}: missing value")
-            try:
-                penalty = PenaltyCoefficient(pen_value)
-            except ValueError as exc:
-                raise CheckpointError(f"corrupt section {pen_key!r}: {exc}") from None
-            if not penalty.is_scalar and np.asarray(pen_value).size != group.size:
-                raise CheckpointError(
-                    f"corrupt section {pen_key!r}: expected scalar or {group.size} entries"
-                )
-        counts = None
-        if isinstance(group.multiplier, IndexedMultiplier):
-            cnt_key = f"groups.{gid}.update_count"
-            counts = entries[cnt_key]
-            if (
-                not isinstance(counts, np.ndarray)
-                or counts.size != group.size
-                or counts.min(initial=0) < 0
-            ):
-                raise CheckpointError(
-                    f"corrupt section {cnt_key!r}: expected {group.size} counts >= 0"
-                )
-        staged_groups.append((group, values, penalty, counts))
-
-    staged_primal = {
-        name: entries[f"opt.primal.{name}"] for name in optimizers.primal.buffer_state()
-    }
-    _stage_buffers("opt.primal", optimizers.primal, staged_primal, problem.dim)
+    if not isinstance(x, np.ndarray) or x.dtype != np.float64:
+        raise CheckpointError("corrupt section 'x': expected a float vector")
+    with _section("x"):
+        x = problem._check_point(x)
+    staged_groups = [_stage_group(gid, group, entries) for gid, group in problem.groups.items()]
+    staged_primal = _stage_buffers("opt.primal", optimizers.primal, entries, problem.dim)
     staged_duals = []
     for gid, dual in optimizers.duals.items():
-        values = {name: entries[f"opt.dual.{gid}.{name}"] for name in dual.buffer_state()}
-        size = problem.group(gid).size if gid in problem.groups else None
-        _stage_buffers(f"opt.dual.{gid}", dual, values, size)
-        staged_duals.append((dual, values))
+        size = problem.groups[gid].size if gid in problem.groups else None
+        staged_duals.append((dual, _stage_buffers(f"opt.dual.{gid}", dual, entries, size)))
 
     # everything validated; apply
     problem.set_x(x)
     for group, values, penalty, counts in staged_groups:
-        if group.multiplier is not None:
+        if values is not None:
             group.multiplier.load_values(values)
         if penalty is not None:
             group.penalty = penalty
         if counts is not None:
             group.multiplier.load_update_count(counts)
-    optimizers.primal.load_buffer_state(staged_primal)
-    for dual, values in staged_duals:
-        dual.load_buffer_state(values)
+    optimizers.primal.commit(staged_primal)
+    for dual, staged in staged_duals:
+        dual.commit(staged)
     optimizers.step = step
     return step

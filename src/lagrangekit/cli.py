@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint as ckpt
-from .core import ConstraintType, EvaluationError, Formulation
+from .core import EvaluationError, Formulation
 from .optim import (
     SCHEMES,
     AdamLike,
@@ -169,16 +169,7 @@ def _trace_row(problem, optimizers) -> tuple[str, dict]:
     evaluation = problem.evaluate_with_gradients(problem.x)
     assembled = assemble(problem, evaluation)
     kkt = current_kkt_residual(problem, evaluation)
-    max_ineq = 0.0
-    max_eq = 0.0
-    for gid, cstate in evaluation.state.observed_constraints.items():
-        v = cstate.violation
-        if not v.size:
-            continue
-        if problem.group(gid).constraint_type is ConstraintType.INEQUALITY:
-            max_ineq = max(max_ineq, float(np.max(np.maximum(v, 0.0))))
-        else:
-            max_eq = max(max_eq, float(np.max(np.abs(v))))
+    max_ineq, max_eq = problem._violation_maxima(evaluation.state)
     mult_linf = 0.0
     for group in problem.groups.values():
         if group.multiplier is not None and group.multiplier.size:

@@ -309,10 +309,7 @@ class ConstrainedMinimizationProblem:
         return self._x
 
     def set_x(self, x) -> None:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.shape != (self._dim,):
-            raise ValueError(f"x must have shape ({self._dim},), got {arr.shape}")
-        self._x = arr.copy()
+        self._x = self._check_point(x)
 
     def _check_point(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -401,12 +398,18 @@ class ConstrainedMinimizationProblem:
         tol = float(tol)
         if tol < 0:
             raise ValueError(f"tol must be >= 0, got {tol}")
+        return max(self._violation_maxima(state)) <= tol
+
+    def _violation_maxima(self, state: CMPState) -> tuple[float, float]:
+        """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none."""
+        max_ineq = 0.0
+        max_eq = 0.0
         for gid, cstate in state.observed_constraints.items():
-            group = self.group(gid)
-            if group.constraint_type is ConstraintType.INEQUALITY:
-                if cstate.violation.size and cstate.violation.max() > tol:
-                    return False
+            v = cstate.violation
+            if not v.size:
+                continue
+            if self.group(gid).constraint_type is ConstraintType.INEQUALITY:
+                max_ineq = max(max_ineq, float(np.max(np.maximum(v, 0.0))))
             else:
-                if cstate.violation.size and np.abs(cstate.violation).max() > tol:
-                    return False
-        return True
+                max_eq = max(max_eq, float(np.max(np.abs(v))))
+        return max_ineq, max_eq

@@ -48,16 +48,7 @@ class Multiplier:
             raise ValueError("constraint_type must be a ConstraintType")
         self._size = size
         self._constraint_type = constraint_type
-        if values is None:
-            initial = np.zeros(size, dtype=np.float64)
-        else:
-            initial = np.asarray(values, dtype=np.float64).copy()
-            if initial.shape != (size,):
-                raise ValueError(
-                    f"initial values shape {initial.shape} != ({size},)"
-                )
-        self._validate_values(initial)
-        self._values = initial
+        self._values = np.zeros(size) if values is None else self._checked(values)
 
     @property
     def size(self) -> int:
@@ -75,12 +66,16 @@ class Multiplier:
     def copy_values(self) -> np.ndarray:
         return self._values.copy()
 
-    def _validate_values(self, values: np.ndarray) -> None:
-        if not np.isfinite(values).all():
+    def _checked(self, values) -> np.ndarray:
+        """A validated float copy of ``values``; the multiplier is not touched."""
+        arr = np.asarray(values, dtype=np.float64).copy()
+        if arr.shape != (self._size,):
+            raise ValueError(f"values shape {arr.shape} != ({self._size},)")
+        if not np.isfinite(arr).all():
             raise EvaluationError("non-finite multiplier values")
-        if self._constraint_type is ConstraintType.INEQUALITY and values.size:
-            if values.min() < 0.0:
-                raise ValueError("inequality multiplier values must be >= 0")
+        if self._constraint_type is ConstraintType.INEQUALITY and arr.min() < 0.0:
+            raise ValueError("inequality multiplier values must be >= 0")
+        return arr
 
     def project(self) -> "Multiplier":
         """Clamp inequality multipliers at zero element-wise; equality is a no-op."""
@@ -132,11 +127,7 @@ class Multiplier:
 
     def load_values(self, values) -> None:
         """Replace values wholesale (checkpoint restore); invariants still checked."""
-        arr = np.asarray(values, dtype=np.float64).copy()
-        if arr.shape != (self._size,):
-            raise ValueError(f"values shape {arr.shape} != ({self._size},)")
-        self._validate_values(arr)
-        self._values = arr
+        self._values = self._checked(values)
 
 
 class DenseMultiplier(Multiplier):
@@ -166,13 +157,17 @@ class IndexedMultiplier(Multiplier):
             self._update_count[np.asarray(indices, dtype=np.int64)] += 1
         self._values = values
 
-    def load_update_count(self, counts) -> None:
-        arr = np.asarray(counts, dtype=np.int64).copy()
-        if arr.shape != (self._size,):
-            raise ValueError(f"update_count shape {arr.shape} != ({self._size},)")
-        if arr.size and arr.min() < 0:
+    def _checked_counts(self, counts) -> np.ndarray:
+        """A validated int64 copy of ``counts``; the multiplier is not touched."""
+        arr = np.asarray(counts)
+        if arr.shape != (self._size,) or not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"update_count must be {self._size} integers")
+        if arr.min() < 0:
             raise ValueError("update counts must be >= 0")
-        self._update_count = arr
+        return arr.astype(np.int64)
+
+    def load_update_count(self, counts) -> None:
+        self._update_count = self._checked_counts(counts)
 
 
 def multiplier_values_for(state, multiplier: Multiplier) -> np.ndarray:
@@ -183,5 +178,8 @@ def multiplier_values_for(state, multiplier: Multiplier) -> np.ndarray:
     """
     if state.observed_indices is None:
         return multiplier.copy_values()
-    idx = _check_indices(state.observed_indices, multiplier.size)
+    # ConstraintState already made the indices a distinct, nonnegative int64 list
+    idx = state.observed_indices
+    if idx.size and idx.max() >= multiplier.size:
+        raise ValueError(f"index out of range for multiplier of size {multiplier.size}")
     return multiplier.values[idx]

@@ -25,9 +25,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
-from .formulations import assemble_lagrangian, group_contribution
+from .formulations import _gathered_multiplier, assemble_lagrangian, group_contribution
 from .gradients import compose_primal_gradient
-from .multipliers import Multiplier, multiplier_values_for
+# multiplier_values_for stays importable here: perfbench/tracing.py wraps it
+from .multipliers import Multiplier, multiplier_values_for  # noqa: F401
 
 __all__ = [
     "PrimalOptimizer",
@@ -71,16 +72,30 @@ def _check_gradient(x: np.ndarray, grad) -> np.ndarray:
     return grad
 
 
-# ---------------------------------------------------------------------------
-# primal optimizers
+class _BadBuffer(ValueError):
+    """A buffer rejected by ``_staged_buffers``; ``buffer`` names it."""
+
+    def __init__(self, buffer: str, message: str):
+        super().__init__(message)
+        self.buffer = buffer
 
 
-class PrimalOptimizer:
-    """Descending first-order optimizer with preview/commit semantics.
+def _staged_vector(state: dict, name: str) -> Optional[np.ndarray]:
+    value = state[name]
+    if value is None:
+        return None
+    if np.ndim(value) != 1:
+        raise _BadBuffer(name, f"{name} must be a 1-d vector, got shape {np.shape(value)}")
+    return np.array(value, dtype=np.float64)
 
-    ``step`` is pure: it returns the new point and the staged buffer update
-    without touching the optimizer. ``commit`` persists a staged update.
-    Buffers are created lazily at the first committed step.
+
+class _Optimizer:
+    """Learning rate plus the buffer protocol shared by primal and dual optimizers.
+
+    ``commit`` persists a staged update. ``_staged_buffers`` validates a
+    dict with the ``buffer_state`` keys without touching the optimizer and
+    returns what ``commit`` adopts, so a rejected ``load_buffer_state``
+    changes nothing. Buffers are created lazily at the first committed step.
     """
 
     kind = ""
@@ -88,18 +103,35 @@ class PrimalOptimizer:
     def __init__(self, learning_rate: float):
         self.learning_rate = _check_learning_rate(learning_rate)
 
-    def step(self, x: np.ndarray, grad) -> tuple[np.ndarray, object]:
-        raise NotImplementedError
-
     def commit(self, staged) -> None:
         pass
 
     def buffer_state(self) -> dict:
         return {}
 
+    def _staged_buffers(self, state: dict):
+        return None
+
     def load_buffer_state(self, state: dict) -> None:
-        if state:
-            raise ValueError(f"{self.kind}: unexpected buffers {sorted(state)}")
+        expected = sorted(self.buffer_state())
+        if sorted(state) != expected:
+            raise ValueError(f"{self.kind}: expected buffers {expected}, got {sorted(state)}")
+        self.commit(self._staged_buffers(state))
+
+
+# ---------------------------------------------------------------------------
+# primal optimizers
+
+
+class PrimalOptimizer(_Optimizer):
+    """Descending first-order optimizer with preview/commit semantics.
+
+    ``step`` is pure: it returns the new point and the staged buffer update
+    without touching the optimizer.
+    """
+
+    def step(self, x: np.ndarray, grad) -> tuple[np.ndarray, object]:
+        raise NotImplementedError
 
 
 class GradientDescent(PrimalOptimizer):
@@ -141,12 +173,8 @@ class Momentum(PrimalOptimizer):
     def buffer_state(self):
         return {"velocity": self.velocity}
 
-    def load_buffer_state(self, state):
-        if set(state) != {"velocity"}:
-            raise ValueError(f"momentum: expected buffer 'velocity', got {sorted(state)}")
-        self.velocity = None if state["velocity"] is None else np.asarray(
-            state["velocity"], dtype=np.float64
-        ).copy()
+    def _staged_buffers(self, state):
+        return _staged_vector(state, "velocity")
 
 
 class AdamLike(PrimalOptimizer):
@@ -194,15 +222,11 @@ class AdamLike(PrimalOptimizer):
     def buffer_state(self):
         return {"m": self.m, "v": self.v, "t": self.t}
 
-    def load_buffer_state(self, state):
-        if set(state) != {"m", "v", "t"}:
-            raise ValueError(f"adam: expected buffers m, v, t, got {sorted(state)}")
-        self.m = None if state["m"] is None else np.asarray(state["m"], dtype=np.float64).copy()
-        self.v = None if state["v"] is None else np.asarray(state["v"], dtype=np.float64).copy()
-        t = int(state["t"])
-        if t < 0:
-            raise ValueError(f"adam step count must be >= 0, got {t}")
-        self.t = t
+    def _staged_buffers(self, state):
+        t = state["t"]
+        if not isinstance(t, (int, np.integer)) or t < 0:
+            raise _BadBuffer("t", f"adam step count must be an integer >= 0, got {t!r}")
+        return _staged_vector(state, "m"), _staged_vector(state, "v"), int(t)
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +242,11 @@ def _check_dual_indices(indices, size: int) -> np.ndarray:
     return idx
 
 
-class DualOptimizer:
+class DualOptimizer(_Optimizer):
     """Ascending optimizer producing multiplier deltas, with preview/commit."""
-
-    kind = ""
-
-    def __init__(self, learning_rate: float):
-        self.learning_rate = _check_learning_rate(learning_rate)
 
     def step(self, signal: np.ndarray, indices, size: int) -> tuple[np.ndarray, object]:
         raise NotImplementedError
-
-    def commit(self, staged) -> None:
-        pass
-
-    def buffer_state(self) -> dict:
-        return {}
-
-    def load_buffer_state(self, state: dict) -> None:
-        if state:
-            raise ValueError(f"{self.kind}: unexpected buffers {sorted(state)}")
 
 
 class GradientAscent(DualOptimizer):
@@ -284,12 +293,7 @@ class NuPI(DualOptimizer):
             ema = self.ema.copy()
             seen = self.seen.copy()
         e = signal
-        if indices is None:
-            prev = np.where(seen, ema, e)
-            new = self.nu * prev + (1.0 - self.nu) * e
-            delta = self.learning_rate * (e + self.kappa_p * (new - prev))
-            return delta, (new, np.ones(size, dtype=bool))
-        idx = _check_dual_indices(indices, size)
+        idx = slice(None) if indices is None else _check_dual_indices(indices, size)
         prev = np.where(seen[idx], ema[idx], e)
         new = self.nu * prev + (1.0 - self.nu) * e
         delta = self.learning_rate * (e + self.kappa_p * (new - prev))
@@ -303,20 +307,16 @@ class NuPI(DualOptimizer):
     def buffer_state(self):
         return {"ema": self.ema, "seen": self.seen}
 
-    def load_buffer_state(self, state):
-        if set(state) != {"ema", "seen"}:
-            raise ValueError(f"nupi: expected buffers ema, seen, got {sorted(state)}")
-        ema, seen = state["ema"], state["seen"]
-        if (ema is None) != (seen is None):
+    def _staged_buffers(self, state):
+        if (state["ema"] is None) != (state["seen"] is None):
             raise ValueError("nupi: ema and seen must both be present or both absent")
+        ema = _staged_vector(state, "ema")
         if ema is None:
-            self.ema = None
-            self.seen = None
-        else:
-            self.ema = np.asarray(ema, dtype=np.float64).copy()
-            self.seen = np.asarray(seen, dtype=bool).copy()
-            if self.ema.shape != self.seen.shape:
-                raise ValueError("nupi: ema and seen shapes differ")
+            return None, None
+        seen = np.asarray(state["seen"], dtype=bool).copy()
+        if ema.shape != seen.shape:
+            raise ValueError("nupi: ema and seen shapes differ")
+        return ema, seen
 
 
 @dataclass
@@ -394,15 +394,8 @@ def assemble(
             raise EvaluationError(f"non-finite Jacobian for group {gid!r}", group_id=gid)
         jac_terms.append((pair.primal_weights, jacobian))
         if group.multiplier is not None:
-            if override is None:
-                gathered = multiplier_values_for(cstate, group.multiplier)
-            else:
-                full = np.asarray(override, dtype=np.float64)
-                gathered = (
-                    full.copy()
-                    if cstate.observed_indices is None
-                    else full[cstate.observed_indices]
-                )
+            values = group.multiplier if override is None else override
+            gathered = _gathered_multiplier(group, cstate, values)
             dual_lagrangian += float(np.dot(gathered, pair.dual_signal))
             signals[gid] = pair.dual_signal
             indices[gid] = cstate.observed_indices

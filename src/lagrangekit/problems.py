@@ -199,7 +199,6 @@ def _split_concat(problem, vector, ctype, what):
 def _kkt_pieces(problem, evaluation, values_by_gid) -> KKTResidual:
     state = evaluation.state
     stationarity_vec = np.asarray(evaluation.grad_f, dtype=np.float64).copy()
-    feasibility = 0.0
     complementarity = 0.0
     for gid, cstate in state.observed_constraints.items():
         group = problem.group(gid)
@@ -210,13 +209,9 @@ def _kkt_pieces(problem, evaluation, values_by_gid) -> KKTResidual:
         if values.size:
             stationarity_vec += np.dot(values, jac)
         v = cstate.violation
-        if group.constraint_type is ConstraintType.INEQUALITY:
-            if v.size:
-                feasibility = max(feasibility, float(np.max(np.maximum(v, 0.0))))
-                complementarity = max(complementarity, float(np.max(np.abs(values * v))))
-        else:
-            if v.size:
-                feasibility = max(feasibility, float(np.max(np.abs(v))))
+        if group.constraint_type is ConstraintType.INEQUALITY and v.size:
+            complementarity = max(complementarity, float(np.max(np.abs(values * v))))
+    feasibility = max(problem._violation_maxima(state))
     stationarity = float(np.max(np.abs(stationarity_vec))) if stationarity_vec.size else 0.0
     return KKTResidual(stationarity, feasibility, complementarity)
 

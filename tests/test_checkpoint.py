@@ -309,3 +309,83 @@ class TestValidation:
         problem, optimizers = ball_setup()
         checkpoint.save(problem, optimizers, path)
         assert sorted(os.listdir(tmp_path)) == ["clean.ckpt"]
+
+
+def _state_bytes(problem, optimizers):
+    """Every piece of state a load may touch, as bytes, for bitwise comparison."""
+    mult = problem.group("ball").multiplier
+    snapshot = {
+        "x": problem.x.tobytes(),
+        "multiplier": mult.values.tobytes(),
+        "update_count": mult.update_count.tobytes(),
+        "penalty": np.asarray(problem.group("ball").penalty.value).tobytes(),
+        "step": optimizers.step,
+    }
+    for name, value in optimizers.primal.buffer_state().items():
+        snapshot[f"primal.{name}"] = np.asarray(value).tobytes()
+    for gid, dual in optimizers.duals.items():
+        for name, value in dual.buffer_state().items():
+            snapshot[f"dual.{gid}.{name}"] = np.asarray(value).tobytes()
+    return snapshot
+
+
+# (primal optimizer, key as written in the file, corrupt payload, key the error names)
+CORRUPTIONS = [
+    ("momentum", "x", "v 2 nan 0x0p+0", "x"),
+    ("momentum", "x", "v 1 0x1p+0", "x"),
+    ("momentum", "x", "iv 2 1 2", "x"),
+    ("momentum", "groups.ball.multiplier", "v 1 nan", "groups.ball.multiplier"),
+    ("momentum", "groups.ball.multiplier", "v 1 -0x1p+0", "groups.ball.multiplier"),
+    ("momentum", "groups.ball.multiplier", "v 2 0x0p+0 0x0p+0", "groups.ball.multiplier"),
+    ("momentum", "groups.ball.penalty", "f 0x0p+0", "groups.ball.penalty"),
+    ("momentum", "groups.ball.penalty", "v 2 0x1p+0 0x1p+0", "groups.ball.penalty"),
+    ("momentum", "groups.ball.update_count", "iv 1 -1", "groups.ball.update_count"),
+    ("momentum", "groups.ball.update_count", "iv 2 1 1", "groups.ball.update_count"),
+    ("momentum", "opt.primal.velocity", "v 1 0x1p+0", "opt.primal.velocity"),
+    ("momentum", "opt.primal.velocity", "f 0x1p+0", "opt.primal.velocity"),
+    ("adam", "opt.primal.t", "i -1", "opt.primal.t"),
+    ("adam", "opt.primal.t", f"f {2.7.hex()}", "opt.primal.t"),
+    ("momentum", "opt.dual.ball.ema", "absent", "opt.dual.ball"),
+]
+
+
+@pytest.mark.parametrize(
+    "primal, key, payload, named",
+    CORRUPTIONS,
+    ids=[f"{key}={payload}" for _, key, payload, _ in CORRUPTIONS],
+)
+def test_corrupt_field_names_key_and_leaves_state_untouched(
+    tmp_path, primal, key, payload, named
+):
+    def setup():
+        problem = problem_projection_ball(
+            np.array([3.0, 4.0]),
+            formulation="augmented_lagrangian",
+            penalty=PenaltyCoefficient(2.0),
+            indexed=True,
+        )
+        optimizer = Momentum(0.05, beta=0.9) if primal == "momentum" else AdamLike(0.05)
+        optimizers = PrimalDualOptimizers(
+            primal=optimizer, duals=make_dual_optimizers(problem, lambda: NuPI(0.05))
+        )
+        return problem, optimizers
+
+    path = tmp_path / "state.ckpt"
+    source, source_optimizers = setup()
+    for _ in range(2):
+        roll(source, source_optimizers)
+    checkpoint.save(source, source_optimizers, path)
+    lines = path.read_text().splitlines()
+    matching = [i for i, line in enumerate(lines) if line.startswith(key + "=")]
+    assert len(matching) == 1
+    lines[matching[0]] = f"{key}={payload}"
+    path.write_text("\n".join(lines) + "\n")
+
+    # the target has committed state of its own, distinct from the file's
+    target, target_optimizers = setup()
+    roll(target, target_optimizers)
+    before = _state_bytes(target, target_optimizers)
+    with pytest.raises(CheckpointError) as info:
+        checkpoint.load(path, target, target_optimizers)
+    assert repr(named) in str(info.value)
+    assert _state_bytes(target, target_optimizers) == before

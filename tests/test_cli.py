@@ -93,6 +93,7 @@ class TestRun:
         assert run_cli("run", "--lr-primal", "0") == 1
         assert "lr_primal" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_failure_exits_two(self, capsys):
         # a huge quadratic penalty with a huge step size diverges to overflow
         code = run_cli(

@@ -175,6 +175,13 @@ class TestComputeCmpState:
         with pytest.raises(EvaluationError):
             problem.compute_cmp_state(np.array([np.nan, 0.0]))
 
+    def test_set_x_rejects_non_finite_point_and_keeps_x(self):
+        problem = lk.problem_projection_ball(np.array([3.0, 4.0]))
+        problem.set_x(np.array([0.5, 0.25]))
+        with pytest.raises(EvaluationError):
+            problem.set_x(np.array([np.nan, 0.0]))
+        assert problem.x.tolist() == [0.5, 0.25]
+
     def test_purity_bitwise(self):
         problem = lk.problem_norm_constrained_logreg(0, 1.0)
         rng = np.random.default_rng(7)

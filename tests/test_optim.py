@@ -147,6 +147,15 @@ class TestAdamLike:
         primal_step(opt, np.array([1.0]), np.array([1.0]))
         assert opt.buffer_state()["t"] == 1
 
+    @pytest.mark.parametrize("t", [2.7, -1])
+    def test_load_rejects_step_count_that_is_not_a_nonnegative_integer(self, t):
+        opt = AdamLike(0.1)
+        primal_step(opt, np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="step count"):
+            opt.load_buffer_state({"m": None, "v": None, "t": t})
+        assert opt.buffer_state()["t"] == 1
+        assert opt.m is not None
+
     def test_hyperparameters_validated(self):
         with pytest.raises(ValueError):
             AdamLike(0.1, beta1=1.0)
