@@ -225,7 +225,6 @@ def cmd_run(config: RunConfig) -> int:
         if config.trace is not None:
             trace_handle = open(config.trace, "w", newline="\n")
             trace_handle.write(TRACE_HEADER + "\n")
-        figures = None
         for _ in range(config.steps):
             roll(
                 problem,
@@ -233,14 +232,18 @@ def cmd_run(config: RunConfig) -> int:
                 scheme=config.scheme,
                 reuse_primal_evaluation=config.reuse_primal_eval,
             )
-            row, figures = _trace_row(problem, optimizers)
             if trace_handle is not None:
+                row, figures = _trace_row(problem, optimizers)
                 trace_handle.write(row + "\n")
             if (
                 config.checkpoint_every is not None
                 and optimizers.step % config.checkpoint_every == 0
             ):
                 ckpt.save(problem, optimizers, config.checkpoint_out)
+        if trace_handle is None:
+            # without a trace only the summary needs a row; a failure at x_{t+1}
+            # shows here or in the next roll's evaluation
+            _, figures = _trace_row(problem, optimizers)
         if config.checkpoint_out is not None:
             ckpt.save(problem, optimizers, config.checkpoint_out)
     except EvaluationError as exc:

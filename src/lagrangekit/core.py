@@ -10,6 +10,7 @@ treatment across groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -253,7 +254,7 @@ class CMPState:
 
     def __post_init__(self):
         loss = float(self.loss)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise EvaluationError(f"non-finite loss {loss}")
         object.__setattr__(self, "loss", loss)
         constraints = dict(self.observed_constraints)
@@ -297,7 +298,7 @@ class ConstrainedMinimizationProblem:
         if x0 is None:
             self._x = np.zeros(dim, dtype=np.float64)
         else:
-            self._x = self._check_point(x0)
+            self._x = self._check_point(x0).copy()
 
     @property
     def dim(self) -> int:
@@ -309,15 +310,16 @@ class ConstrainedMinimizationProblem:
         return self._x
 
     def set_x(self, x) -> None:
-        self._x = self._check_point(x)
+        self._x = self._check_point(x).copy()
 
     def _check_point(self, x) -> np.ndarray:
+        """``x`` as a checked float vector of shape (dim,); may share memory with x."""
         arr = np.asarray(x, dtype=np.float64)
         if arr.shape != (self._dim,):
             raise ValueError(f"x must have shape ({self._dim},), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise EvaluationError("non-finite primal point")
-        return arr.copy()
+        return arr
 
     # -- group registry -----------------------------------------------------
 

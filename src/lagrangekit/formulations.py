@@ -49,8 +49,8 @@ __all__ = [
 class PenaltyCoefficient:
     """Strictly positive penalty strength c, scalar or per-constraint vector.
 
-    Immutable; scheduling returns a new coefficient. Scalars broadcast over
-    the group size.
+    Immutable (a vector value is stored read-only); scheduling returns a new
+    coefficient. Scalars broadcast over the group size.
     """
 
     def __init__(self, value: Union[float, np.ndarray]):
@@ -65,8 +65,10 @@ class PenaltyCoefficient:
             if not np.isfinite(arr).all() or arr.min() <= 0.0:
                 raise ValueError("penalty entries must be finite and > 0")
             self._value = arr.copy()
+            self._value.flags.writeable = False
         else:
             raise ValueError(f"penalty must be scalar or 1-d, got shape {arr.shape}")
+        self._full_cache: dict = {}
 
     @property
     def value(self) -> Union[float, np.ndarray]:
@@ -77,14 +79,18 @@ class PenaltyCoefficient:
         return isinstance(self._value, float)
 
     def expand(self, size: int) -> np.ndarray:
-        """Full per-constraint vector of length ``size``."""
-        if self.is_scalar:
-            return np.full(size, self._value, dtype=np.float64)
-        if self._value.size != size:
-            raise ValueError(
-                f"vector penalty length {self._value.size} != group size {size}"
-            )
-        return self._value.copy()
+        """Full per-constraint vector of length ``size`` (a fresh copy)."""
+        return self._full(size).copy()
+
+    def _full(self, size: int) -> np.ndarray:
+        """The read-only full vector of length ``size``, built once per size."""
+        if size not in self._full_cache:
+            full = np.full(size, self._value) if self.is_scalar else self._value
+            if full.size != size:
+                raise ValueError(f"vector penalty length {full.size} != group size {size}")
+            full.flags.writeable = False
+            self._full_cache[size] = full
+        return self._full_cache[size]
 
     def __repr__(self):
         return f"PenaltyCoefficient({self._value!r})"
@@ -104,15 +110,15 @@ class PenaltyScheduler:
     max_value: float = 1e8
 
     def __post_init__(self):
-        if not (self.growth_factor > 1.0):
-            raise ValueError(f"growth_factor must be > 1, got {self.growth_factor}")
+        if not (1.0 < self.growth_factor < np.inf):
+            raise ValueError(f"growth_factor must be finite and > 1, got {self.growth_factor}")
         if not (0.0 < self.required_decrease_ratio < 1.0):
             raise ValueError(
                 f"required_decrease_ratio must be in (0, 1), got "
                 f"{self.required_decrease_ratio}"
             )
-        if not (self.max_value > 0.0):
-            raise ValueError(f"max_value must be > 0, got {self.max_value}")
+        if not (0.0 < self.max_value < np.inf):
+            raise ValueError(f"max_value must be finite and > 0, got {self.max_value}")
 
 
 @dataclass(frozen=True)
@@ -173,12 +179,54 @@ def _gathered_multiplier(
 def _gathered_penalty(
     group: ConstraintGroup, state: ConstraintState, penalty: PenaltyCoefficient
 ) -> np.ndarray:
+    if penalty is None:
+        raise ValueError(f"group {group.name!r}: this formulation needs a penalty")
     if not isinstance(penalty, PenaltyCoefficient):
         penalty = PenaltyCoefficient(penalty)
-    full = penalty.expand(group.size)
+    full = penalty._full(group.size)
     if state.observed_indices is None:
         return full
     return full[state.observed_indices]
+
+
+def _terms(
+    group: ConstraintGroup, state: ConstraintState, values, penalty, formulation: Formulation
+):
+    """Unchecked (primal term, dual signal, primal weights, gathered multiplier).
+
+    The one copy of each formula. The gathered multiplier is None for
+    quadratic penalty. ``assemble`` checks what these derive once per step;
+    the public ``*_contribution`` functions check it through ``ContributionPair``.
+    """
+    v = state.violation
+    if formulation is Formulation.QUADRATIC_PENALTY:
+        if group.multiplier is not None:
+            raise ValueError(
+                f"group {group.name!r}: quadratic penalty groups have no multiplier"
+            )
+        c = _gathered_penalty(group, state, penalty)
+        if group.constraint_type is ConstraintType.INEQUALITY:
+            v = np.maximum(v, 0.0)
+        return 0.5 * np.sum(c * v * v), np.empty(0), c * v, None
+    if values is None:
+        raise ValueError(f"group {group.name!r}: {formulation.value} needs a multiplier")
+    m = _gathered_multiplier(group, state, values)
+    if formulation is Formulation.LAGRANGIAN:
+        return np.dot(m, v), state.dual_violation, m, m
+    c = _gathered_penalty(group, state, penalty)
+    if group.constraint_type is ConstraintType.INEQUALITY:
+        active = np.maximum(v + m / c, 0.0)
+        primal = 0.5 * np.sum(c * (active * active - (m / c) ** 2))
+        weights = np.maximum(c * v + m, 0.0)
+    else:
+        primal = np.dot(m, v) + 0.5 * np.sum(c * v * v)
+        weights = m + c * v
+    return primal, c * state.dual_violation, weights, m
+
+
+def _pair(group: ConstraintGroup, state, values, penalty, formulation) -> ContributionPair:
+    primal, signal, weights, _ = _terms(group, state, values, penalty, formulation)
+    return ContributionPair(group.name, float(primal), signal, weights)
 
 
 def lagrangian_contribution(
@@ -190,11 +238,7 @@ def lagrangian_contribution(
     weights are the multiplier values themselves. The dual signal is the
     strict violation when present (proxy rule), else the violation.
     """
-    if multiplier is None:
-        raise ValueError(f"group {group.name!r}: Lagrangian formulation needs a multiplier")
-    gathered = _gathered_multiplier(group, state, multiplier)
-    primal = np.dot(gathered, state.violation)
-    return ContributionPair(group.name, float(primal), state.dual_violation, gathered)
+    return _pair(group, state, multiplier, None, Formulation.LAGRANGIAN)
 
 
 def augmented_lagrangian_contribution(
@@ -209,42 +253,14 @@ def augmented_lagrangian_contribution(
     standard projection this makes a unit-learning-rate dual step the
     classical multiplier update.
     """
-    if multiplier is None:
-        raise ValueError(
-            f"group {group.name!r}: augmented Lagrangian needs a multiplier"
-        )
-    if penalty is None:
-        raise ValueError(f"group {group.name!r}: augmented Lagrangian needs a penalty")
-    m = _gathered_multiplier(group, state, multiplier)
-    c = _gathered_penalty(group, state, penalty)
-    v = state.violation
-    if group.constraint_type is ConstraintType.INEQUALITY:
-        active = np.maximum(v + m / c, 0.0)
-        primal = 0.5 * np.sum(c * (active * active - (m / c) ** 2))
-        weights = np.maximum(c * v + m, 0.0)
-    else:
-        primal = np.dot(m, v) + 0.5 * np.sum(c * v * v)
-        weights = m + c * v
-    signal = c * state.dual_violation
-    return ContributionPair(group.name, float(primal), signal, weights)
+    return _pair(group, state, multiplier, penalty, Formulation.AUGMENTED_LAGRANGIAN)
 
 
 def quadratic_penalty_contribution(
     group: ConstraintGroup, state: ConstraintState, penalty: PenaltyCoefficient
 ) -> ContributionPair:
     """Multiplier-free quadratic penalty term; the dual signal is empty."""
-    if group.multiplier is not None:
-        raise ValueError(
-            f"group {group.name!r}: quadratic penalty groups have no multiplier"
-        )
-    if penalty is None:
-        raise ValueError(f"group {group.name!r}: quadratic penalty needs a penalty")
-    c = _gathered_penalty(group, state, penalty)
-    v = state.violation
-    if group.constraint_type is ConstraintType.INEQUALITY:
-        v = np.maximum(v, 0.0)
-    primal = 0.5 * np.sum(c * v * v)
-    return ContributionPair(group.name, float(primal), np.empty(0), c * v)
+    return _pair(group, state, None, penalty, Formulation.QUADRATIC_PENALTY)
 
 
 def group_contribution(
@@ -260,12 +276,8 @@ def group_contribution(
     ``penalty`` overrides the group's penalty.
     """
     penalty = penalty if penalty is not None else group.penalty
-    if group.formulation is Formulation.QUADRATIC_PENALTY:
-        return quadratic_penalty_contribution(group, state, penalty)
     values = multiplier_values if multiplier_values is not None else group.multiplier
-    if group.formulation is Formulation.LAGRANGIAN:
-        return lagrangian_contribution(group, state, values)
-    return augmented_lagrangian_contribution(group, state, values, penalty)
+    return _pair(group, state, values, penalty, group.formulation)
 
 
 def schedule_penalty(

@@ -136,18 +136,23 @@ def compose_primal_gradient(grad_f: np.ndarray, constraint_grads) -> np.ndarray:
     total = grad_f.copy()
     for weights, jacobian in constraint_grads:
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.size == 0:
-            continue
-        jacobian = np.ascontiguousarray(jacobian, dtype=np.float64)
-        if jacobian.shape != (weights.size, grad_f.size):
-            raise ValueError(
-                f"jacobian shape {jacobian.shape} does not match "
-                f"{weights.size} weights and dim {grad_f.size}"
-            )
         if not np.isfinite(weights).all():
             raise EvaluationError("non-finite gradient weights")
-        total += np.dot(weights, jacobian)  # jacobian^T @ weights without the transpose
+        _add_weighted_rows(total, weights, jacobian)
     return total
+
+
+def _add_weighted_rows(total: np.ndarray, weights: np.ndarray, jacobian) -> None:
+    """total += jacobian^T @ weights, in place; ``assemble`` sums its groups with it."""
+    if weights.size == 0:
+        return
+    jacobian = np.ascontiguousarray(jacobian, dtype=np.float64)
+    if jacobian.shape != (weights.size, total.size):
+        raise ValueError(
+            f"jacobian shape {jacobian.shape} does not match "
+            f"{weights.size} weights and dim {total.size}"
+        )
+    total += np.dot(weights, jacobian)  # jacobian^T @ weights without the transpose
 
 
 def finite_difference_gradient(

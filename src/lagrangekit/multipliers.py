@@ -98,22 +98,28 @@ class Multiplier:
                 raise ValueError(
                     f"delta length {delta.size} != multiplier size {self._size}"
                 )
-            new = self._values + delta
-            if self._constraint_type is ConstraintType.INEQUALITY:
-                new = np.maximum(new, 0.0)
         else:
-            idx = _check_indices(indices, self._size)
-            if delta.size != idx.size:
+            indices = _check_indices(indices, self._size)
+            if delta.size != indices.size:
                 raise ValueError(
-                    f"delta length {delta.size} != indices length {idx.size}"
+                    f"delta length {delta.size} != indices length {indices.size}"
                 )
-            updated = self._values[idx] + delta
-            if self._constraint_type is ConstraintType.INEQUALITY:
-                updated = np.maximum(updated, 0.0)
-            new = self._values.copy()
-            new[idx] = updated
-        if not np.isfinite(new).all():
+        return self._preview(delta, indices)
+
+    def _preview(self, delta: np.ndarray, indices: Optional[np.ndarray]) -> np.ndarray:
+        """``preview_delta`` of a fitting delta at distinct in-range indices.
+
+        Checks only the addressed entries: the stored values are finite.
+        """
+        updated = (self._values if indices is None else self._values[indices]) + delta
+        if self._constraint_type is ConstraintType.INEQUALITY:
+            updated = np.maximum(updated, 0.0)
+        if not np.isfinite(updated).all():
             raise EvaluationError("dual update produced non-finite multiplier values")
+        if indices is None:
+            return updated
+        new = self._values.copy()
+        new[indices] = updated
         return new
 
     def apply_dual_delta(self, delta, indices=None) -> "Multiplier":

@@ -15,20 +15,32 @@ Multiplier timing of the primal gradient per scheme:
   preview, then commit x_{t+1} = x_t - eta * grad(x_hat, m_hat) and
   m_{t+1} = project(m_t + eta * signals(x_hat)); stateful optimizer buffers
   advance only on the commit step.
+
+Finiteness is checked once per value on a roll, then trusted:
+
+- oracle output where it enters: x, loss and violations with the
+  evaluation, each Jacobian in ``assemble``;
+- what ``assemble`` derives: the primal Lagrangian, a dual signal c * v,
+  and the composed gradient (which covers grad_f);
+- proposals before commit: x_new and each multiplier preview.
+
+Public entry points (``primal_step``, ``dual_step``, ``*.step``,
+``preview_delta``, ``set_x``, ``*_contribution``) keep their own checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
-from .formulations import _gathered_multiplier, assemble_lagrangian, group_contribution
-from .gradients import compose_primal_gradient
-# multiplier_values_for stays importable here: perfbench/tracing.py wraps it
-from .multipliers import Multiplier, multiplier_values_for  # noqa: F401
+# the public checked functions stay importable here: perfbench/tracing.py wraps them
+from .formulations import _terms, assemble_lagrangian, group_contribution  # noqa: F401
+from .gradients import _add_weighted_rows, compose_primal_gradient  # noqa: F401
+from .multipliers import Multiplier, _check_indices, multiplier_values_for  # noqa: F401
 
 __all__ = [
     "PrimalOptimizer",
@@ -127,11 +139,19 @@ class PrimalOptimizer(_Optimizer):
     """Descending first-order optimizer with preview/commit semantics.
 
     ``step`` is pure: it returns the new point and the staged buffer update
-    without touching the optimizer.
+    without touching the optimizer. It checks the gradient, then runs
+    ``_step``, which the rolls call directly. Subclasses implement either.
     """
 
     def step(self, x: np.ndarray, grad) -> tuple[np.ndarray, object]:
-        raise NotImplementedError
+        x = np.asarray(x, dtype=np.float64)
+        return self._step(x, _check_gradient(x, grad))
+
+    def _step(self, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, object]:
+        if type(self).step is PrimalOptimizer.step:
+            raise NotImplementedError
+        x_new, staged = self.step(x, grad)  # a subclass that overrides only step
+        return np.array(x_new, dtype=np.float64).reshape(x.shape), staged
 
 
 class GradientDescent(PrimalOptimizer):
@@ -139,9 +159,7 @@ class GradientDescent(PrimalOptimizer):
 
     kind = "gd"
 
-    def step(self, x, grad):
-        x = np.asarray(x, dtype=np.float64)
-        grad = _check_gradient(x, grad)
+    def _step(self, x, grad):
         return x - self.learning_rate * grad, None
 
 
@@ -158,9 +176,7 @@ class Momentum(PrimalOptimizer):
         self.beta = beta
         self.velocity: Optional[np.ndarray] = None
 
-    def step(self, x, grad):
-        x = np.asarray(x, dtype=np.float64)
-        grad = _check_gradient(x, grad)
+    def _step(self, x, grad):
         velocity = self.velocity if self.velocity is not None else np.zeros_like(x)
         if velocity.shape != x.shape:
             raise ValueError(f"velocity shape {velocity.shape} != x shape {x.shape}")
@@ -192,8 +208,8 @@ class AdamLike(PrimalOptimizer):
         super().__init__(learning_rate)
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"adam betas must be in [0, 1), got {beta1}, {beta2}")
-        if not (eps > 0):
-            raise ValueError(f"adam eps must be > 0, got {eps}")
+        if not (0 < eps < np.inf):
+            raise ValueError(f"adam eps must be finite and > 0, got {eps}")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
@@ -201,9 +217,7 @@ class AdamLike(PrimalOptimizer):
         self.v: Optional[np.ndarray] = None
         self.t = 0
 
-    def step(self, x, grad):
-        x = np.asarray(x, dtype=np.float64)
-        grad = _check_gradient(x, grad)
+    def _step(self, x, grad):
         m = self.m if self.m is not None else np.zeros_like(x)
         v = self.v if self.v is not None else np.zeros_like(x)
         if m.shape != x.shape or v.shape != x.shape:
@@ -233,20 +247,21 @@ class AdamLike(PrimalOptimizer):
 # dual optimizers
 
 
-def _check_dual_indices(indices, size: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("indices must be a 1-d index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ValueError(f"index out of range for multiplier of size {size}")
-    return idx
-
-
 class DualOptimizer(_Optimizer):
-    """Ascending optimizer producing multiplier deltas, with preview/commit."""
+    """Ascending optimizer producing multiplier deltas, with preview/commit.
+
+    ``step`` checks the indices, then runs ``_step``, which the rolls call
+    directly. Subclasses implement either.
+    """
 
     def step(self, signal: np.ndarray, indices, size: int) -> tuple[np.ndarray, object]:
-        raise NotImplementedError
+        idx = None if indices is None else _check_indices(indices, size)
+        return self._step(signal, idx, size)
+
+    def _step(self, signal, indices, size):
+        if type(self).step is DualOptimizer.step:
+            raise NotImplementedError
+        return self.step(signal, indices, size)  # a subclass that overrides only step
 
 
 class GradientAscent(DualOptimizer):
@@ -254,7 +269,7 @@ class GradientAscent(DualOptimizer):
 
     kind = "gradient_ascent"
 
-    def step(self, signal, indices, size):
+    def _step(self, signal, indices, size):
         return self.learning_rate * signal, None
 
 
@@ -274,8 +289,8 @@ class NuPI(DualOptimizer):
         super().__init__(learning_rate)
         kappa_p = float(kappa_p)
         nu = float(nu)
-        if kappa_p < 0:
-            raise ValueError(f"kappa_p must be >= 0, got {kappa_p}")
+        if not (0.0 <= kappa_p < np.inf):
+            raise ValueError(f"kappa_p must be finite and >= 0, got {kappa_p}")
         if not (0.0 <= nu < 1.0):
             raise ValueError(f"nu must be in [0, 1), got {nu}")
         self.kappa_p = kappa_p
@@ -283,7 +298,7 @@ class NuPI(DualOptimizer):
         self.ema: Optional[np.ndarray] = None
         self.seen: Optional[np.ndarray] = None
 
-    def step(self, signal, indices, size):
+    def _step(self, signal, indices, size):
         if self.ema is None:
             ema = np.zeros(size, dtype=np.float64)
             seen = np.zeros(size, dtype=bool)
@@ -293,7 +308,7 @@ class NuPI(DualOptimizer):
             ema = self.ema.copy()
             seen = self.seen.copy()
         e = signal
-        idx = slice(None) if indices is None else _check_dual_indices(indices, size)
+        idx = slice(None) if indices is None else indices
         prev = np.where(seen[idx], ema[idx], e)
         new = self.nu * prev + (1.0 - self.nu) * e
         delta = self.learning_rate * (e + self.kappa_p * (new - prev))
@@ -372,36 +387,46 @@ def assemble(
     """
     state = evaluation.state
     problem.check_state(state)
-    grad_f = np.asarray(evaluation.grad_f, dtype=np.float64)
-    if not np.isfinite(grad_f).all():
-        raise EvaluationError("non-finite objective gradient")
+    gradient = np.array(evaluation.grad_f, dtype=np.float64)
+    if gradient.shape != (problem.dim,):
+        raise ValueError(f"grad_f shape {gradient.shape} != ({problem.dim},)")
 
-    contributions = []
-    jac_terms = []
+    primal_lagrangian = state.loss
     dual_lagrangian = 0.0
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
     for gid, cstate in state.observed_constraints.items():
         group = problem.group(gid)
         override = None if multiplier_values is None else multiplier_values.get(gid)
-        pair = group_contribution(group, cstate, multiplier_values=override)
-        contributions.append(pair)
+        values = group.multiplier if override is None else override
+        term, signal, weights, gathered = _terms(
+            group, cstate, values, group.penalty, group.formulation
+        )
         jacobian = evaluation.jacobians.get(gid)
         if jacobian is None:
             raise ValueError(f"evaluation has no Jacobian for group {gid!r}")
         jacobian = np.asarray(jacobian, dtype=np.float64)
         if not np.isfinite(jacobian).all():
             raise EvaluationError(f"non-finite Jacobian for group {gid!r}", group_id=gid)
-        jac_terms.append((pair.primal_weights, jacobian))
-        if group.multiplier is not None:
-            values = group.multiplier if override is None else override
-            gathered = _gathered_multiplier(group, cstate, values)
-            dual_lagrangian += float(np.dot(gathered, pair.dual_signal))
-            signals[gid] = pair.dual_signal
+        primal_lagrangian += term
+        _add_weighted_rows(gradient, weights, jacobian)
+        if gathered is not None:
+            # a derived signal (c * v) can overflow to -inf, which the projection
+            # would clamp to 0; the plain signal is the checked violation itself
+            if signal is not cstate.dual_violation and not np.isfinite(signal).all():
+                raise EvaluationError(f"non-finite dual signal for group {gid!r}", group_id=gid)
+            dual_lagrangian += float(np.dot(gathered, signal))
+            signals[gid] = signal
             indices[gid] = cstate.observed_indices
 
-    primal_lagrangian, _ = assemble_lagrangian(state.loss, contributions)
-    gradient = compose_primal_gradient(grad_f, jac_terms)
+    primal_lagrangian = float(primal_lagrangian)
+    if not math.isfinite(primal_lagrangian):
+        raise EvaluationError(f"non-finite primal Lagrangian {primal_lagrangian}")
+    # also the check of grad_f: a non-finite entry stays non-finite in the sum
+    if not np.isfinite(gradient).all():
+        if not np.isfinite(evaluation.grad_f).all():
+            raise EvaluationError("non-finite objective gradient")
+        raise EvaluationError("non-finite primal gradient")
     return AssembledLagrangian(primal_lagrangian, dual_lagrangian, gradient, signals, indices)
 
 
@@ -411,7 +436,8 @@ def assemble(
 
 def primal_step(optimizer: PrimalOptimizer, x, grad) -> np.ndarray:
     """One committed primal update; returns the new point."""
-    x_new, staged = _preview_primal(optimizer, x, grad)
+    x = np.asarray(x, dtype=np.float64)
+    x_new, staged = _preview_primal(optimizer, x, _check_gradient(x, grad))
     optimizer.commit(staged)
     return x_new
 
@@ -431,7 +457,8 @@ def dual_step(
         raise ValueError("dual signal must be a 1-d vector")
     if not np.isfinite(signal).all():
         raise EvaluationError("non-finite dual signal")
-    expected = multiplier.size if indices is None else len(np.atleast_1d(indices))
+    indices = None if indices is None else _check_indices(indices, multiplier.size)
+    expected = multiplier.size if indices is None else indices.size
     if signal.size != expected:
         raise ValueError(f"dual signal length {signal.size} != expected {expected}")
     _preview_dual(multiplier, optimizer, signal, indices).commit()
@@ -479,15 +506,15 @@ def _resolve_evaluate(problem, evaluate):
 
 
 def _preview_primal(optimizer, x, grad):
-    x_new, staged = optimizer.step(x, grad)
+    x_new, staged = optimizer._step(x, grad)
     if not np.isfinite(x_new).all():
         raise EvaluationError("primal step produced non-finite x")
     return x_new, staged
 
 
 def _preview_dual(multiplier, optimizer, signal, indices) -> _DualUpdate:
-    delta, staged = optimizer.step(signal, indices, multiplier.size)
-    preview = multiplier.preview_delta(delta, indices)
+    delta, staged = optimizer._step(signal, indices, multiplier.size)
+    preview = multiplier._preview(delta, indices)
     return _DualUpdate(multiplier, optimizer, indices, staged, preview)
 
 
@@ -507,7 +534,7 @@ def _preview_duals(problem, optimizers, assembled: AssembledLagrangian) -> dict:
 
 
 def _commit(problem, optimizers, x_new, staged_primal, dual_updates):
-    problem.set_x(x_new)
+    problem._x = x_new  # a fresh point that _preview_primal has checked
     optimizers.primal.commit(staged_primal)
     for update in dual_updates.values():
         update.commit()

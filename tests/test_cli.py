@@ -93,6 +93,33 @@ class TestRun:
         assert run_cli("run", "--lr-primal", "0") == 1
         assert "lr_primal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--dual-optimizer", "nupi", "--kappa-p", "nan"),
+            ("--dual-optimizer", "nupi", "--kappa-p", "inf"),
+            ("--primal-optimizer", "adam", "--eps", "inf"),
+            ("--primal-optimizer", "adam", "--eps", "nan"),
+        ],
+    )
+    def test_non_finite_hyperparameter_exits_one(self, flags, capsys):
+        assert run_cli("run", "--steps", "3", *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_trace_rows_built_only_when_written(self, trace, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = cli._trace_row
+        monkeypatch.setattr(
+            cli, "_trace_row", lambda *args: calls.append(1) or original(*args)
+        )
+        flags = ["--trace", str(tmp_path / "t.csv")] if trace else []
+        assert run_cli("run", "--steps", "5", *flags) == 0
+        assert len(calls) == (5 if trace else 1)
+        assert capsys.readouterr().out.startswith("final: ")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_failure_exits_two(self, capsys):
         # a huge quadratic penalty with a huge step size diverges to overflow

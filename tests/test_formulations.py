@@ -126,6 +126,10 @@ class TestPenaltyScheduler:
         with pytest.raises(ValueError):
             PenaltyScheduler(required_decrease_ratio=1.5)
         with pytest.raises(ValueError):
+            PenaltyScheduler(growth_factor=np.inf)
+        with pytest.raises(ValueError):
+            PenaltyScheduler(max_value=np.inf)
+        with pytest.raises(ValueError):
             schedule_penalty(
                 PenaltyCoefficient(1.0), PenaltyScheduler(),
                 violation_norm_now=-1.0, violation_norm_prev=0.0,

@@ -163,6 +163,9 @@ class TestAdamLike:
             AdamLike(0.1, beta2=-0.1)
         with pytest.raises(ValueError):
             AdamLike(0.1, eps=0.0)
+        for eps in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                AdamLike(0.1, eps=eps)
 
 
 class TestGradientAscent:
@@ -237,6 +240,9 @@ class TestNuPI:
             NuPI(0.1, kappa_p=-1.0)
         with pytest.raises(ValueError):
             NuPI(0.1, nu=1.0)
+        for kappa_p in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                NuPI(0.1, kappa_p=kappa_p)
 
 
 class TestMakeDualOptimizers:
@@ -412,6 +418,33 @@ class TestSchemes:
             direct.set_x(x_new)
             assert snapshot(direct, direct_opt) == snapshot(rolled, rolled_opt)
 
+    def test_subclasses_overriding_only_step_roll_like_builtins(self):
+        # the rolls call _step; the base _step must route to an overridden step
+        class ListDescent(lk.PrimalOptimizer):
+            def step(self, x, grad):
+                return list(x - self.learning_rate * grad), None
+
+        class PlainAscent(lk.DualOptimizer):
+            def step(self, signal, indices, size):
+                return self.learning_rate * signal, None
+
+        def trajectory(primal, dual):
+            problem = SubsetBoxProblem()
+            optimizers = PrimalDualOptimizers(
+                primal=primal, duals=make_dual_optimizers(problem, dual)
+            )
+            for scheme in SCHEMES:
+                roll(problem, optimizers, scheme=scheme)
+            mult = problem.group("box").multiplier
+            return problem.x.tobytes(), mult.values.tobytes(), mult.update_count.tobytes()
+
+        custom = trajectory(ListDescent(0.1), lambda: PlainAscent(0.2))
+        assert custom == trajectory(GradientDescent(0.1), lambda: GradientAscent(0.2))
+        with pytest.raises(NotImplementedError):
+            lk.PrimalOptimizer(0.1).step(np.zeros(1), np.zeros(1))
+        with pytest.raises(NotImplementedError):
+            lk.DualOptimizer(0.1).step(np.zeros(1), None, 1)
+
     def test_unknown_scheme_rejected_with_valid_names(self):
         problem, optimizers = bilinear_setup()
         with pytest.raises(ValueError) as err:
@@ -487,6 +520,122 @@ class TestRollAtomicity:
         )
         assert optimizers.step == 0
         assert optimizers.primal.buffer_state()["velocity"] is None
+
+    # every fault site of one roll, after two clean rolls have filled the
+    # buffers; clean oracle values are constants, so every scheme reaches
+    # the faulty evaluation with the same multipliers
+    CLEAN = {
+        "loss": 1.0,
+        "grad_f": [0.1, -0.1],
+        "ineq": [-0.5],
+        "ineq_strict": [-0.4],
+        "ineq_jac": [[0.0, 1.0]],
+        "eq": [0.0],
+        "eq_jac": [[1.0, 0.0]],
+        "al": [-0.5, -0.5, -0.5],
+        "al_jac": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    }
+    # site -> (oracle overrides, group_id the raised EvaluationError carries,
+    # a word of its message naming what was found non-finite)
+    FAULTS = {
+        "loss": ({"loss": np.nan}, None, "loss"),
+        "violation": ({"eq": [np.inf]}, "eq", "violation"),
+        "strict_violation": ({"ineq_strict": [np.nan]}, "ineq", "strict violation"),
+        "grad_f": ({"grad_f": [np.nan, 0.0]}, None, "objective gradient"),
+        "jacobian": ({"eq_jac": [[np.inf, 0.0]]}, "eq", "Jacobian"),
+        # c * v = 1e10 * -1e300 overflows; the projection would clamp -inf to 0
+        "al_signal_overflow": ({"al": [-0.5, -1e300, -0.5]}, "al", "dual signal"),
+        # grad_f + 1.0 * J_eq with both finite overflows
+        "gradient_overflow": (
+            {"grad_f": [1e308, 0.0], "eq_jac": [[1e308, 0.0]]}, None, "gradient"
+        ),
+        # the gradient is finite, x - 2.0 * velocity is not
+        "x_new_overflow": ({"grad_f": [1e308, 0.0]}, None, "non-finite x"),
+        # the ineq multiplier is 0, so the primal side stays finite
+        "multiplier_overflow": (
+            {"ineq": [1e308], "ineq_strict": [1e308]}, None, "multiplier values"
+        ),
+    }
+
+    @classmethod
+    def fault_problem(cls, parts):
+        def oracle(key, size):
+            return DifferentiableFunction(
+                eval=lambda x: np.array(parts[key], dtype=np.float64),
+                grad_row=lambda x, i: np.array(parts[key + "_jac"][i], dtype=np.float64),
+                output_size=size,
+                name=key,
+                val_jac=lambda x: (np.array(parts[key]), np.array(parts[key + "_jac"])),
+            )
+
+        objective = DifferentiableFunction(
+            eval=lambda x: np.array([parts["loss"]]),
+            grad_row=lambda x, i: np.array(parts["grad_f"]),
+            output_size=1,
+            val_jac=lambda x: (np.array([parts["loss"]]), np.array([parts["grad_f"]])),
+        )
+        blocks = (
+            ConstraintBlock(
+                group=ConstraintGroup(
+                    name="ineq", constraint_type=INEQ, size=1, initial_multiplier=[1.0]
+                ),
+                function=oracle("ineq", 1),
+                strict_function=lambda x: np.array(parts["ineq_strict"]),
+            ),
+            ConstraintBlock(
+                group=ConstraintGroup(
+                    name="eq",
+                    constraint_type=ConstraintType.EQUALITY,
+                    size=1,
+                    initial_multiplier=[1.0],
+                ),
+                function=oracle("eq", 1),
+            ),
+            ConstraintBlock(
+                group=ConstraintGroup(
+                    name="al",
+                    constraint_type=INEQ,
+                    size=3,
+                    formulation=lk.Formulation.AUGMENTED_LAGRANGIAN,
+                    penalty=1e10,
+                    indexed=True,
+                ),
+                function=oracle("al", 3),
+            ),
+        )
+        return BenchmarkProblem("faults", 2, objective, blocks=blocks)
+
+    @staticmethod
+    def snapshot(problem, optimizers):
+        state = [problem.x.tobytes(), optimizers.step]
+        for gid, group in problem.groups.items():
+            state.append(group.multiplier.values.tobytes())
+            if gid == "al":
+                state.append(group.multiplier.update_count.tobytes())
+        for opt in [optimizers.primal, *optimizers.duals.values()]:
+            for name, buffer in sorted(opt.buffer_state().items()):
+                state.append((name, np.asarray(buffer).tobytes()))
+        return state
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("site", sorted(FAULTS))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_fault_leaves_state_untouched(self, scheme, site):
+        parts = dict(self.CLEAN)
+        problem = self.fault_problem(parts)
+        optimizers = PrimalDualOptimizers(
+            primal=Momentum(2.0, beta=0.9),
+            duals=make_dual_optimizers(problem, lambda: NuPI(2.0)),
+        )
+        for _ in range(2):
+            roll(problem, optimizers, scheme=scheme)
+        before = self.snapshot(problem, optimizers)
+        overrides, group_id, what = self.FAULTS[site]
+        parts.update(overrides)
+        with pytest.raises(EvaluationError, match=what) as info:
+            roll(problem, optimizers, scheme=scheme)
+        assert info.value.group_id == group_id
+        assert self.snapshot(problem, optimizers) == before
 
 
 class SubsetBoxProblem(lk.ConstrainedMinimizationProblem):
