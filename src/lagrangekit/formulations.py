@@ -31,6 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import ConstraintGroup, ConstraintState, ConstraintType, EvaluationError, Formulation
+from .core import _all_finite
 from .multipliers import Multiplier, multiplier_values_for
 
 __all__ = [
@@ -62,7 +63,7 @@ class PenaltyCoefficient:
         elif arr.ndim == 1:
             if arr.size == 0:
                 raise ValueError("vector penalty must be non-empty")
-            if not np.isfinite(arr).all() or arr.min() <= 0.0:
+            if not _all_finite(arr) or arr.min() <= 0.0:
                 raise ValueError("penalty entries must be finite and > 0")
             self._value = arr.copy()
             self._value.flags.writeable = False
@@ -140,12 +141,12 @@ class ContributionPair:
                 f"non-finite primal term for group {self.group_id!r}",
                 group_id=self.group_id,
             )
-        if not np.isfinite(self.dual_signal).all():
+        if not _all_finite(np.asarray(self.dual_signal)):
             raise EvaluationError(
                 f"non-finite dual signal for group {self.group_id!r}",
                 group_id=self.group_id,
             )
-        if not np.isfinite(self.primal_weights).all():
+        if not _all_finite(np.asarray(self.primal_weights)):
             raise EvaluationError(
                 f"non-finite primal weights for group {self.group_id!r}",
                 group_id=self.group_id,

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import EvaluationError
+from .core import EvaluationError, _all_finite
 
 __all__ = [
     "DifferentiableFunction",
@@ -136,7 +136,7 @@ def compose_primal_gradient(grad_f: np.ndarray, constraint_grads) -> np.ndarray:
     total = grad_f.copy()
     for weights, jacobian in constraint_grads:
         weights = np.asarray(weights, dtype=np.float64)
-        if not np.isfinite(weights).all():
+        if not _all_finite(weights):
             raise EvaluationError("non-finite gradient weights")
         _add_weighted_rows(total, weights, jacobian)
     return total

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintType, EvaluationError
+from .core import ConstraintType, EvaluationError, _all_finite, _as_indices
 
 __all__ = [
     "Multiplier",
@@ -26,9 +26,7 @@ __all__ = [
 
 
 def _check_indices(indices, size: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("indices must be a 1-d index list")
+    idx = _as_indices(indices, "indices")
     if idx.size:
         if idx.min() < 0 or idx.max() >= size:
             raise ValueError(f"index out of range for multiplier of size {size}")
@@ -71,7 +69,7 @@ class Multiplier:
         arr = np.asarray(values, dtype=np.float64).copy()
         if arr.shape != (self._size,):
             raise ValueError(f"values shape {arr.shape} != ({self._size},)")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise EvaluationError("non-finite multiplier values")
         if self._constraint_type is ConstraintType.INEQUALITY and arr.min() < 0.0:
             raise ValueError("inequality multiplier values must be >= 0")
@@ -114,7 +112,7 @@ class Multiplier:
         updated = (self._values if indices is None else self._values[indices]) + delta
         if self._constraint_type is ConstraintType.INEQUALITY:
             updated = np.maximum(updated, 0.0)
-        if not np.isfinite(updated).all():
+        if not _all_finite(updated):
             raise EvaluationError("dual update produced non-finite multiplier values")
         if indices is None:
             return updated

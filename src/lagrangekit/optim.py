@@ -24,8 +24,13 @@ Finiteness is checked once per value on a roll, then trusted:
   and the composed gradient (which covers grad_f);
 - proposals before commit: x_new and each multiplier preview.
 
-Public entry points (``primal_step``, ``dual_step``, ``*.step``,
-``preview_delta``, ``set_x``, ``*_contribution``) keep their own checks.
+The committed x is read-only and trusted: it was checked as x_new. States
+the library builds go through ``ConstraintState._trusted`` and
+``CMPState._trusted`` (checks of oracle output, no re-conversion), and
+``assemble`` checks each group's size or index range once. User-built
+states and the public entry points (``check_state``, ``primal_step``,
+``dual_step``, ``*.step``, ``preview_delta``, ``set_x``, ``*_contribution``)
+keep every check.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
+from .core import _all_finite
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
 from .formulations import _terms, assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, compose_primal_gradient  # noqa: F401
@@ -79,7 +85,7 @@ def _check_gradient(x: np.ndarray, grad) -> np.ndarray:
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != x.shape:
         raise ValueError(f"gradient shape {grad.shape} != x shape {x.shape}")
-    if not np.isfinite(grad).all():
+    if not _all_finite(grad):
         raise EvaluationError("non-finite gradient")
     return grad
 
@@ -386,7 +392,6 @@ def assemble(
     multipliers.
     """
     state = evaluation.state
-    problem.check_state(state)
     gradient = np.array(evaluation.grad_f, dtype=np.float64)
     if gradient.shape != (problem.dim,):
         raise ValueError(f"grad_f shape {gradient.shape} != ({problem.dim},)")
@@ -396,9 +401,11 @@ def assemble(
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
     for gid, cstate in state.observed_constraints.items():
-        group = problem.group(gid)
-        override = None if multiplier_values is None else multiplier_values.get(gid)
-        values = group.multiplier if override is None else override
+        group = problem._checked_group(gid, cstate)
+        values = None if multiplier_values is None else multiplier_values.get(gid)
+        if values is None and group.multiplier is not None:
+            # the indices are in range for the group: gather without the public check
+            values = group.multiplier.values
         term, signal, weights, gathered = _terms(
             group, cstate, values, group.penalty, group.formulation
         )
@@ -406,14 +413,14 @@ def assemble(
         if jacobian is None:
             raise ValueError(f"evaluation has no Jacobian for group {gid!r}")
         jacobian = np.asarray(jacobian, dtype=np.float64)
-        if not np.isfinite(jacobian).all():
+        if not _all_finite(jacobian):
             raise EvaluationError(f"non-finite Jacobian for group {gid!r}", group_id=gid)
         primal_lagrangian += term
         _add_weighted_rows(gradient, weights, jacobian)
         if gathered is not None:
             # a derived signal (c * v) can overflow to -inf, which the projection
             # would clamp to 0; the plain signal is the checked violation itself
-            if signal is not cstate.dual_violation and not np.isfinite(signal).all():
+            if signal is not cstate.dual_violation and not _all_finite(signal):
                 raise EvaluationError(f"non-finite dual signal for group {gid!r}", group_id=gid)
             dual_lagrangian += float(np.dot(gathered, signal))
             signals[gid] = signal
@@ -423,8 +430,8 @@ def assemble(
     if not math.isfinite(primal_lagrangian):
         raise EvaluationError(f"non-finite primal Lagrangian {primal_lagrangian}")
     # also the check of grad_f: a non-finite entry stays non-finite in the sum
-    if not np.isfinite(gradient).all():
-        if not np.isfinite(evaluation.grad_f).all():
+    if not _all_finite(gradient):
+        if not _all_finite(np.asarray(evaluation.grad_f, dtype=np.float64)):
             raise EvaluationError("non-finite objective gradient")
         raise EvaluationError("non-finite primal gradient")
     return AssembledLagrangian(primal_lagrangian, dual_lagrangian, gradient, signals, indices)
@@ -455,7 +462,7 @@ def dual_step(
     signal = np.asarray(dual_signal, dtype=np.float64)
     if signal.ndim != 1:
         raise ValueError("dual signal must be a 1-d vector")
-    if not np.isfinite(signal).all():
+    if not _all_finite(signal):
         raise EvaluationError("non-finite dual signal")
     indices = None if indices is None else _check_indices(indices, multiplier.size)
     expected = multiplier.size if indices is None else indices.size
@@ -485,15 +492,14 @@ class RollOut:
     cmp_state: CMPState
 
 
-@dataclass(frozen=True)
 class _DualUpdate:
     """A previewed dual step: the projected multiplier values and staged buffers."""
 
-    multiplier: Multiplier
-    optimizer: DualOptimizer
-    indices: Optional[np.ndarray]
-    staged: object
-    preview: np.ndarray
+    __slots__ = ("multiplier", "optimizer", "indices", "staged", "preview")
+
+    def __init__(self, multiplier: Multiplier, optimizer: DualOptimizer, indices, staged, preview):
+        self.multiplier, self.optimizer, self.indices = multiplier, optimizer, indices
+        self.staged, self.preview = staged, preview
 
     def commit(self) -> None:
         self.multiplier._store(self.preview, self.indices)
@@ -507,7 +513,7 @@ def _resolve_evaluate(problem, evaluate):
 
 def _preview_primal(optimizer, x, grad):
     x_new, staged = optimizer._step(x, grad)
-    if not np.isfinite(x_new).all():
+    if not _all_finite(x_new):
         raise EvaluationError("primal step produced non-finite x")
     return x_new, staged
 
@@ -534,7 +540,7 @@ def _preview_duals(problem, optimizers, assembled: AssembledLagrangian) -> dict:
 
 
 def _commit(problem, optimizers, x_new, staged_primal, dual_updates):
-    problem._x = x_new  # a fresh point that _preview_primal has checked
+    problem._adopt(x_new)  # a fresh point that _preview_primal has checked
     optimizers.primal.commit(staged_primal)
     for update in dual_updates.values():
         update.commit()

@@ -27,6 +27,7 @@ from .core import (
     Evaluation,
     EvaluationError,
     Formulation,
+    _all_finite,
 )
 from .formulations import PenaltyCoefficient
 from .gradients import DifferentiableFunction
@@ -110,9 +111,13 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
         self.objective = objective
         self.blocks = tuple(blocks)
         self._block_by_gid = {}
+        self._all_rows = {}  # per indexed group: its full, read-only observed_indices
         for block in self.blocks:
             gid = self.register_group(block.group)
             self._block_by_gid[gid] = block
+            if block.group.indexed:
+                self._all_rows[gid] = np.arange(block.group.size, dtype=np.int64)
+                self._all_rows[gid].flags.writeable = False
         self.freeze_registration()
         if feasible_start is None:
             feasible_start = np.zeros(dim, dtype=np.float64)
@@ -137,26 +142,22 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
         strict = None
         if block.strict_function is not None:
             strict = np.asarray(block.strict_function(x), dtype=np.float64)
-        indices = np.arange(group.size, dtype=np.int64) if group.indexed else None
         try:
-            return ConstraintState(
-                violation=violation, strict_violation=strict, observed_indices=indices
-            )
+            return ConstraintState._trusted(violation, strict, self._all_rows.get(group.name))
         except EvaluationError as exc:
             raise EvaluationError(str(exc), group_id=group.name) from None
 
     def compute_cmp_state(self, x) -> CMPState:
-        x = np.asarray(x, dtype=np.float64)
-        self._check_point(x)
+        x = self._check_point(x)
         loss = float(self.objective.values(x)[0])
         observed = {}
         for gid, block in self._block_by_gid.items():
             observed[gid] = self._observed(block, block.function.values(x), x)
-        return CMPState(loss=loss, observed_constraints=observed)
+        return CMPState._trusted(loss, observed)
 
     def evaluate_with_gradients(self, x) -> Evaluation:
-        x = np.asarray(x, dtype=np.float64)
-        self._check_point(x)
+        if x is not self._x:  # the committed x is read-only and was checked when stored
+            x = self._check_point(x)
         obj_values, obj_jac = self.objective.value_and_jacobian(x)
         observed = {}
         jacobians = {}
@@ -164,7 +165,7 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
             values, jac = block.function.value_and_jacobian(x)
             observed[gid] = self._observed(block, values, x)
             jacobians[gid] = jac
-        state = CMPState(loss=float(obj_values[0]), observed_constraints=observed)
+        state = CMPState._trusted(float(obj_values[0]), observed)
         return Evaluation(state=state, grad_f=obj_jac[0], jacobians=jacobians)
 
     def oracle_functions(self) -> dict:
@@ -325,7 +326,7 @@ def problem_projection_ball(
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("a must be a 1-d vector with dim >= 1")
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise ValueError("a must be finite")
     formulation = _as_formulation(formulation)
     dim = a.size

@@ -13,6 +13,7 @@ from lagrangekit import (
     EvaluationError,
     Formulation,
     PenaltyCoefficient,
+    checkpoint,
 )
 
 INEQ = ConstraintType.INEQUALITY
@@ -47,6 +48,25 @@ class TestConstraintState:
     def test_observed_indices_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ConstraintState(violation=[1.0], observed_indices=[-1])
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[0.7, 1.9], [True, False], np.array([1.0, 0.0])],
+        ids=["fractional", "bool-mask", "integral-floats"],
+    )
+    def test_observed_indices_must_be_integers(self, indices):
+        with pytest.raises(ValueError, match="integers"):
+            ConstraintState(violation=[1.0, 2.0], observed_indices=indices)
+
+    def test_integer_indices_of_any_width_and_empty_list_accepted(self):
+        narrow = ConstraintState(
+            violation=[1.0, 2.0], observed_indices=np.array([1, 0], dtype=np.uint8)
+        )
+        assert narrow.observed_indices.dtype == np.int64
+        assert narrow.observed_indices.tolist() == [1, 0]
+        empty = ConstraintState(violation=[], observed_indices=[])
+        assert empty.observed_indices.dtype == np.int64
+        assert empty.observed_indices.size == 0
 
     def test_strict_length_matches_violation(self):
         with pytest.raises(ValueError):
@@ -304,6 +324,70 @@ class TestCheckState:
         )
         with pytest.raises(ValueError):
             problem.check_state(state)
+
+
+def _assert_read_only(x):
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+
+
+def _ball():
+    return lk.problem_projection_ball(np.array([3.0, 4.0]))
+
+
+def _ball_optimizers(problem):
+    return lk.PrimalDualOptimizers(
+        primal=lk.Momentum(0.05),
+        duals=lk.make_dual_optimizers(problem, lambda: lk.NuPI(0.05)),
+    )
+
+
+class TestReadOnlyX:
+    """The committed x is read-only, which is why evaluations may trust it."""
+
+    def test_after_construction(self):
+        _assert_read_only(_problem().x)
+        x0 = np.array([1.0, 2.0])
+        problem = ConstrainedMinimizationProblem(2, x0=x0)
+        _assert_read_only(problem.x)
+        assert x0.flags.writeable  # the caller's array is copied, not frozen
+        _assert_read_only(_ball().x)
+
+    def test_after_set_x(self):
+        problem = _ball()
+        point = np.array([0.5, 0.25])
+        problem.set_x(point)
+        _assert_read_only(problem.x)
+        assert point.flags.writeable
+        assert problem.x.tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("scheme", lk.SCHEMES)
+    def test_after_roll(self, scheme):
+        problem = _ball()
+        lk.roll(problem, _ball_optimizers(problem), scheme=scheme)
+        assert problem.x.tolist() != [0.0, 0.0]
+        _assert_read_only(problem.x)
+
+    def test_after_checkpoint_load(self, tmp_path):
+        problem = _ball()
+        optimizers = _ball_optimizers(problem)
+        lk.roll(problem, optimizers)
+        checkpoint.save(problem, optimizers, tmp_path / "state.ckpt")
+        restored = _ball()
+        checkpoint.load(tmp_path / "state.ckpt", restored, _ball_optimizers(restored))
+        assert restored.x.tobytes() == problem.x.tobytes()
+        _assert_read_only(restored.x)
+
+    def test_any_other_point_is_still_checked(self):
+        problem = _ball()
+        with pytest.raises(EvaluationError, match="non-finite primal point"):
+            problem.evaluate_with_gradients(np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError):
+            problem.evaluate_with_gradients(np.zeros(3))
+        # a writable copy of the committed x is a different array: checked too
+        copy = problem.x.copy()
+        assert problem.evaluate_with_gradients(copy).state.loss == 25.0
 
 
 def test_backend_attribute_exposed():

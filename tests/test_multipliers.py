@@ -8,8 +8,10 @@ from lagrangekit import (
     ConstraintType,
     DenseMultiplier,
     EvaluationError,
+    GradientAscent,
     IndexedMultiplier,
     Multiplier,
+    dual_step,
     multiplier_values_for,
 )
 
@@ -68,6 +70,25 @@ class TestApplyDualDelta:
         m = IndexedMultiplier(3, INEQ)
         with pytest.raises(ValueError):
             m.apply_dual_delta(np.array([1.0]), indices=np.array([3]))
+
+    @pytest.mark.parametrize(
+        "indices", [[1.5], [True], np.array([2.9])], ids=["fractional", "bool", "array"]
+    )
+    def test_non_integer_indices_rejected(self, indices):
+        m = DenseMultiplier(3, INEQ)
+        with pytest.raises(ValueError, match="integers"):
+            m.preview_delta(np.array([1.0]), indices=indices)
+        with pytest.raises(ValueError, match="integers"):
+            dual_step(GradientAscent(1.0), m, [1.0], indices=indices)
+        assert m.values.tolist() == [0.0, 0.0, 0.0]
+
+    def test_empty_index_list_accepted(self):
+        m = IndexedMultiplier(3, INEQ)
+        m.load_values([1.0, 2.0, 3.0])
+        assert m.preview_delta(np.array([]), indices=[]).tolist() == [1.0, 2.0, 3.0]
+        dual_step(GradientAscent(1.0), m, [], indices=[])
+        assert m.values.tolist() == [1.0, 2.0, 3.0]
+        assert m.update_count.tolist() == [0, 0, 0]
 
     def test_duplicate_index_rejected(self):
         m = IndexedMultiplier(3, INEQ)

@@ -638,6 +638,53 @@ class TestRollAtomicity:
         assert self.snapshot(problem, optimizers) == before
 
 
+class TestGroupFitCheck:
+    """The public per-group path and every roll reject a state that does not fit its group."""
+
+    @staticmethod
+    def problem():
+        problem = lk.ConstrainedMinimizationProblem(1)
+        problem.register_group(
+            ConstraintGroup(name="g", constraint_type=INEQ, size=3, indexed=True)
+        )
+        return problem
+
+    def test_public_contributions_keep_the_range_check(self):
+        group = self.problem().group("g")
+        state = ConstraintState(violation=[0.5], observed_indices=[3])
+        with pytest.raises(ValueError):
+            lk.group_contribution(group, state)
+        with pytest.raises(ValueError):
+            lk.lagrangian_contribution(group, state, group.multiplier)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize(
+        "gid, cstate",
+        [
+            ("g", ConstraintState(violation=[0.5], observed_indices=[3])),
+            ("g", ConstraintState(violation=[0.5, 0.5])),
+            ("other", ConstraintState(violation=[0.5])),
+        ],
+        ids=["index-out-of-range", "wrong-length", "unregistered"],
+    )
+    def test_roll_raises_the_check_state_message(self, scheme, gid, cstate):
+        problem = self.problem()
+        state = lk.CMPState(loss=0.0, observed_constraints={gid: cstate})
+        with pytest.raises(ValueError) as expected:
+            problem.check_state(state)
+        evaluation = lk.Evaluation(
+            state=state, grad_f=np.zeros(1), jacobians={gid: np.ones((cstate.violation.size, 1))}
+        )
+        optimizers = PrimalDualOptimizers(
+            primal=GradientDescent(0.1),
+            duals=make_dual_optimizers(problem, lambda: GradientAscent(0.1)),
+        )
+        with pytest.raises(ValueError) as got:
+            roll(problem, optimizers, scheme=scheme, evaluate=lambda x: evaluation)
+        assert str(got.value) == str(expected.value)
+        assert problem.x.tolist() == [0.0] and optimizers.step == 0
+
+
 class SubsetBoxProblem(lk.ConstrainedMinimizationProblem):
     """Four box constraints x_i <= 1 reported two at a time.
 
