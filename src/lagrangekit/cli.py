@@ -164,9 +164,29 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _trace_row(problem, optimizers) -> tuple[str, dict]:
+def _evaluator(problem):
+    """An ``evaluate`` that serves the committed x's evaluation from one slot.
+
+    A hit needs the very array last evaluated to be the committed x: a roll
+    replaces that read-only array and never mutates it, and the CLI's
+    oracles are pure, so its evaluation stays valid while it is committed.
+    """
+    last_x = last = None
+
+    def evaluate(x):
+        nonlocal last_x, last
+        if x is last_x and x is problem.x:
+            return last
+        last = problem.evaluate_with_gradients(x)
+        last_x = x
+        return last
+
+    return evaluate
+
+
+def _trace_row(problem, optimizers, evaluate) -> tuple[str, dict]:
     """One post-update trace row plus the summary figures it was built from."""
-    evaluation = problem.evaluate_with_gradients(problem.x)
+    evaluation = evaluate(problem.x)
     assembled = assemble(problem, evaluation)
     kkt = current_kkt_residual(problem, evaluation)
     max_ineq, max_eq = problem._violation_maxima(evaluation.state)
@@ -199,7 +219,13 @@ def _trace_row(problem, optimizers) -> tuple[str, dict]:
 
 
 def cmd_run(config: RunConfig) -> int:
-    """Execute rolls per config, writing a trace and a final summary line."""
+    """Execute rolls per config, writing a trace and a final summary line.
+
+    Each post-update point is evaluated once: the rolls, the trace rows and
+    the summary share one ``_evaluator``, so the evaluation a roll makes at
+    x_{t+1} (alt-pd) or a trace row makes there is the next roll's
+    evaluation of x_t. A resumed run evaluates its loaded point afresh.
+    """
     try:
         if config.steps < 1:
             raise _ConfigError(f"steps must be >= 1, got {config.steps}")
@@ -220,6 +246,7 @@ def cmd_run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    evaluate = _evaluator(problem)
     trace_handle = None
     try:
         if config.trace is not None:
@@ -230,10 +257,11 @@ def cmd_run(config: RunConfig) -> int:
                 problem,
                 optimizers,
                 scheme=config.scheme,
+                evaluate=evaluate,
                 reuse_primal_evaluation=config.reuse_primal_eval,
             )
             if trace_handle is not None:
-                row, figures = _trace_row(problem, optimizers)
+                row, figures = _trace_row(problem, optimizers, evaluate)
                 trace_handle.write(row + "\n")
             if (
                 config.checkpoint_every is not None
@@ -243,7 +271,7 @@ def cmd_run(config: RunConfig) -> int:
         if trace_handle is None:
             # without a trace only the summary needs a row; a failure at x_{t+1}
             # shows here or in the next roll's evaluation
-            _, figures = _trace_row(problem, optimizers)
+            _, figures = _trace_row(problem, optimizers, evaluate)
         if config.checkpoint_out is not None:
             ckpt.save(problem, optimizers, config.checkpoint_out)
     except EvaluationError as exc:

@@ -60,18 +60,12 @@ class DifferentiableFunction:
         object.__setattr__(self, "output_size", int(self.output_size))
 
     def values(self, x) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self.eval(np.asarray(x, dtype=np.float64)), dtype=np.float64))
-        if out.shape != (self.output_size,):
-            raise ValueError(
-                f"{self.name or 'function'}: eval returned shape {out.shape}, "
-                f"expected ({self.output_size},)"
-            )
-        return out
+        return self._checked_values(self.eval(np.asarray(x, dtype=np.float64)))
 
     def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.jac is not None:
-            J = np.asarray(self.jac(x), dtype=np.float64)
+            J = self.jac(x)
         else:
             J = np.stack(
                 [
@@ -79,21 +73,32 @@ class DifferentiableFunction:
                     for i in range(self.output_size)
                 ]
             )
-        if J.shape != (self.output_size, x.size):
-            raise ValueError(
-                f"{self.name or 'function'}: Jacobian shape {J.shape}, "
-                f"expected ({self.output_size}, {x.size})"
-            )
-        return J
+        return self._checked_jacobian(J, x.size)
 
     def value_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
         if self.val_jac is not None:
-            vals, J = self.val_jac(np.asarray(x, dtype=np.float64))
-            return (
-                np.atleast_1d(np.asarray(vals, dtype=np.float64)),
-                np.asarray(J, dtype=np.float64),
-            )
+            x = np.asarray(x, dtype=np.float64)
+            vals, J = self.val_jac(x)
+            return self._checked_values(vals), self._checked_jacobian(J, x.size)
         return self.values(x), self.jacobian(x)
+
+    def _checked_values(self, vals) -> np.ndarray:
+        out = np.atleast_1d(np.asarray(vals, dtype=np.float64))
+        if out.shape != (self.output_size,):
+            raise ValueError(
+                f"{self.name or 'function'}: eval returned shape {out.shape}, "
+                f"expected ({self.output_size},)"
+            )
+        return out
+
+    def _checked_jacobian(self, J, dim: int) -> np.ndarray:
+        J = np.asarray(J, dtype=np.float64)
+        if J.shape != (self.output_size, dim):
+            raise ValueError(
+                f"{self.name or 'function'}: Jacobian shape {J.shape}, "
+                f"expected ({self.output_size}, {dim})"
+            )
+        return J
 
 
 def with_finite_difference_gradient(

@@ -7,7 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from lagrangekit import cli
+from lagrangekit import (
+    BenchmarkProblem,
+    ConstraintBlock,
+    ConstraintGroup,
+    ConstraintType,
+    DifferentiableFunction,
+    EvaluationError,
+    cli,
+)
+
+INEQ = ConstraintType.INEQUALITY
 
 TRACE_HEADER = (
     "step,loss,primal_lagrangian,dual_lagrangian,max_ineq_violation,"
@@ -246,6 +256,105 @@ class TestCheckpointFlags:
 
     def test_missing_checkpoint_in_exits_one(self, capsys):
         assert run_cli("run", "--checkpoint-in", "/nonexistent.ckpt") == 1
+
+
+class TestEvaluateOnce:
+    """`run` evaluates each committed point once (pure oracles, read-only x)."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize(
+        "scheme, flags",
+        [
+            ("simultaneous", ()),
+            ("alt-pd", ()),
+            ("alt-pd", ("--reuse-primal-eval",)),
+            ("alt-dp", ()),
+            ("extragradient", ()),
+        ],
+        ids=["simultaneous", "alt-pd", "alt-pd-reuse", "alt-dp", "extragradient"],
+    )
+    def test_evaluations_per_run(self, scheme, flags, trace, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = BenchmarkProblem.evaluate_with_gradients
+        monkeypatch.setattr(
+            BenchmarkProblem,
+            "evaluate_with_gradients",
+            lambda self, x: calls.append(1) or original(self, x),
+        )
+        steps = 10
+        trace_flags = ["--trace", str(tmp_path / "t.csv")] if trace else []
+        code = run_cli(
+            "run", "--problem", "norm_logreg", "--steps", str(steps),
+            "--scheme", scheme, *flags, *trace_flags,
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("final: ")
+        # x_0 once, then each committed x_{t+1} once; extragradient adds its half-point
+        per_step = 2 if scheme == "extragradient" else 1
+        assert len(calls) == per_step * steps + 1
+
+    @staticmethod
+    def _counted_problem():
+        # feasible below x = 1; the oracle reports a non-finite violation above it
+        block = ConstraintBlock(
+            group=ConstraintGroup(name="cap", constraint_type=INEQ, size=1),
+            function=DifferentiableFunction(
+                eval=lambda x: np.array([np.inf if x[0] > 1.0 else x[0] - 1.0]),
+                grad_row=lambda x, i: np.ones(1),
+                output_size=1,
+                name="cap",
+            ),
+        )
+        objective = DifferentiableFunction(
+            eval=lambda x: np.array([0.5 * x[0] ** 2]),
+            grad_row=lambda x, i: np.array([x[0]]),
+            output_size=1,
+            name="objective",
+        )
+        problem = BenchmarkProblem("capped", 1, objective, blocks=(block,))
+        calls = []
+        original = problem.evaluate_with_gradients
+        problem.evaluate_with_gradients = lambda x: calls.append(1) or original(x)
+        return problem, calls
+
+    def test_committed_array_served_once(self):
+        problem, calls = self._counted_problem()
+        evaluate = cli._evaluator(problem)
+        first = evaluate(problem.x)
+        assert evaluate(problem.x) is first and len(calls) == 1
+
+    def test_uncommitted_array_evaluated_each_time(self):
+        problem, calls = self._counted_problem()
+        evaluate = cli._evaluator(problem)
+        x = np.array([0.5])
+        first = evaluate(x)
+        second = evaluate(x)
+        assert second is not first and len(calls) == 2
+
+    def test_set_x_copy_evaluated_again(self):
+        problem, calls = self._counted_problem()
+        evaluate = cli._evaluator(problem)
+        first = evaluate(problem.x)
+        problem.set_x(problem.x)  # stores a copy: a new committed object
+        again = evaluate(problem.x)
+        assert again is not first and len(calls) == 2
+        assert again.state.loss == first.state.loss
+
+    def test_failed_evaluation_not_stored(self):
+        problem, calls = self._counted_problem()
+        evaluate = cli._evaluator(problem)
+        committed = evaluate(problem.x)
+        x_next = np.array([2.0])
+        with pytest.raises(EvaluationError):
+            evaluate(x_next)
+        assert len(calls) == 2
+        # the failure left the slot as it was ...
+        assert evaluate(problem.x) is committed and len(calls) == 2
+        # ... and holds nothing for the failed point, even once it is committed
+        problem._adopt(x_next)
+        with pytest.raises(EvaluationError):
+            evaluate(problem.x)
+        assert len(calls) == 3
 
 
 class TestCheckGrad:

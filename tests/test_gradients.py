@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lagrangekit import (
+    BenchmarkProblem,
     DifferentiableFunction,
     EvaluationError,
     check_gradients,
@@ -182,6 +183,32 @@ class TestDifferentiableFunction:
         )
         vals, J = fun.value_and_jacobian(np.array([2.0]))
         assert calls and vals.tolist() == [2.0] and J.tolist() == [[1.0]]
+
+    @staticmethod
+    def _fused(values, jacobian):
+        return DifferentiableFunction(
+            eval=lambda x: np.array([0.0]),
+            grad_row=lambda x, i: np.zeros(x.size),
+            output_size=1,
+            name="fused",
+            val_jac=lambda x: (np.array(values), np.array(jacobian)),
+        )
+
+    def test_fused_value_shape_enforced(self):
+        fun = self._fused([1.0, 2.0], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"fused: eval returned shape \(2,\), expected \(1,\)"):
+            fun.value_and_jacobian(np.zeros(2))
+
+    def test_fused_jacobian_shape_enforced(self):
+        fun = self._fused([1.0], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"fused: Jacobian shape \(3, 2\), expected \(1, 2\)"):
+            fun.value_and_jacobian(np.zeros(2))
+
+    def test_fused_shapes_enforced_through_benchmark_problem(self):
+        # two values for a scalar objective used to be read as the loss [0]
+        problem = BenchmarkProblem("fused", 2, self._fused([1.0, 2.0], np.zeros((3, 2))))
+        with pytest.raises(ValueError, match="eval returned shape"):
+            problem.evaluate_with_gradients(np.zeros(2))
 
 
 class TestCheckGradients:
