@@ -86,6 +86,13 @@ def _as_indices(indices, what: str) -> np.ndarray:
     return idx
 
 
+def _index_scan(idx: np.ndarray) -> tuple[bool, int, int]:
+    """(any duplicate, lowest, highest) of a non-empty int64 index list, from one sort."""
+    ordered = idx.copy()
+    ordered.sort()
+    return bool((ordered[1:] == ordered[:-1]).any()), int(ordered[0]), int(ordered[-1])
+
+
 @dataclass(frozen=True)
 class ConstraintState:
     """One measurement of a constraint group.
@@ -114,9 +121,10 @@ class ConstraintState:
         idx = None if idx is None else _as_indices(idx, "observed_indices")
         self._set_fields(np.asarray(self.violation, dtype=np.float64), strict, idx)
         if idx is not None and idx.size:
-            if np.unique(idx).size != idx.size:
+            duplicates, lowest, _ = _index_scan(idx)
+            if duplicates:
                 raise ValueError("observed_indices contains duplicates")
-            if idx.min() < 0:
+            if lowest < 0:
                 raise ValueError("observed_indices contains negative indices")
 
     @classmethod

@@ -216,8 +216,9 @@ def _terms(
         return np.dot(m, v), state.dual_violation, m, m
     c = _gathered_penalty(group, state, penalty)
     if group.constraint_type is ConstraintType.INEQUALITY:
-        active = np.maximum(v + m / c, 0.0)
-        primal = 0.5 * np.sum(c * (active * active - (m / c) ** 2))
+        ratio = m / c
+        active = np.maximum(v + ratio, 0.0)
+        primal = 0.5 * np.sum(c * (active * active - ratio * ratio))
         weights = np.maximum(c * v + m, 0.0)
     else:
         primal = np.dot(m, v) + 0.5 * np.sum(c * v * v)

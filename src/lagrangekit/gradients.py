@@ -143,21 +143,25 @@ def compose_primal_gradient(grad_f: np.ndarray, constraint_grads) -> np.ndarray:
         weights = np.asarray(weights, dtype=np.float64)
         if not _all_finite(weights):
             raise EvaluationError("non-finite gradient weights")
-        _add_weighted_rows(total, weights, jacobian)
+        if weights.size:
+            jacobian = np.ascontiguousarray(jacobian, dtype=np.float64)
+            _check_rows(jacobian, weights.size, total.size)
+            _add_weighted_rows(total, weights, jacobian)
     return total
 
 
-def _add_weighted_rows(total: np.ndarray, weights: np.ndarray, jacobian) -> None:
-    """total += jacobian^T @ weights, in place; ``assemble`` sums its groups with it."""
-    if weights.size == 0:
-        return
-    jacobian = np.ascontiguousarray(jacobian, dtype=np.float64)
-    if jacobian.shape != (weights.size, total.size):
+def _check_rows(jacobian: np.ndarray, k: int, dim: int) -> None:
+    """Raise unless ``jacobian`` has the (k, dim) shape that k weights combine."""
+    if jacobian.shape != (k, dim):
         raise ValueError(
-            f"jacobian shape {jacobian.shape} does not match "
-            f"{weights.size} weights and dim {total.size}"
+            f"jacobian shape {jacobian.shape} does not match {k} weights and dim {dim}"
         )
-    total += np.dot(weights, jacobian)  # jacobian^T @ weights without the transpose
+
+
+def _add_weighted_rows(total: np.ndarray, weights: np.ndarray, jacobian: np.ndarray) -> None:
+    """total += jacobian^T @ weights, in place, for a checked C-contiguous float64 jacobian."""
+    if weights.size:
+        total += np.dot(weights, jacobian)  # jacobian^T @ weights without the transpose
 
 
 def finite_difference_gradient(

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintType, EvaluationError, _all_finite, _as_indices
+from .core import ConstraintType, EvaluationError, _all_finite, _as_indices, _index_scan
 
 __all__ = [
     "Multiplier",
@@ -28,9 +28,10 @@ __all__ = [
 def _check_indices(indices, size: int) -> np.ndarray:
     idx = _as_indices(indices, "indices")
     if idx.size:
-        if idx.min() < 0 or idx.max() >= size:
+        duplicates, lowest, highest = _index_scan(idx)
+        if lowest < 0 or highest >= size:
             raise ValueError(f"index out of range for multiplier of size {size}")
-        if np.unique(idx).size != idx.size:
+        if duplicates:
             raise ValueError("duplicate indices in dual update")
     return idx
 

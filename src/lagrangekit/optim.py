@@ -16,21 +16,25 @@ Multiplier timing of the primal gradient per scheme:
   m_{t+1} = project(m_t + eta * signals(x_hat)); stateful optimizer buffers
   advance only on the commit step.
 
-Finiteness is checked once per value on a roll, then trusted:
+Each value is checked once, then trusted:
 
-- oracle output where it enters: x, loss and violations with the
-  evaluation, each Jacobian in ``assemble``;
-- what ``assemble`` derives: the primal Lagrangian, a dual signal c * v,
-  and the composed gradient (which covers grad_f);
+- oracle output once per evaluation: x, loss and violations with the
+  evaluation; then ``_checked_blocks``, one pass before any formula, checks
+  each group's size or index range and each Jacobian (present, finite,
+  (k, dim) unless k = 0);
+- what ``_lagrangian`` derives from the blocks at given multipliers: the
+  primal Lagrangian, a dual signal c * v, and the composed gradient (which
+  covers grad_f; its shape is compared on the copy each pass makes).
+  ``assemble`` is the two in turn; alt-dp runs ``_lagrangian`` twice over
+  one ``_checked_blocks``;
 - proposals before commit: x_new and each multiplier preview.
 
 The committed x is read-only and trusted: it was checked as x_new. States
 the library builds go through ``ConstraintState._trusted`` and
-``CMPState._trusted`` (checks of oracle output, no re-conversion), and
-``assemble`` checks each group's size or index range once. User-built
+``CMPState._trusted`` (checks of oracle output, no re-conversion). User-built
 states and the public entry points (``check_state``, ``primal_step``,
 ``dual_step``, ``*.step``, ``preview_delta``, ``set_x``, ``*_contribution``)
-keep every check.
+keep every check; a user's index list costs one sort.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, Evaluati
 from .core import _all_finite
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
 from .formulations import _terms, assemble_lagrangian, group_contribution  # noqa: F401
-from .gradients import _add_weighted_rows, compose_primal_gradient  # noqa: F401
+from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
 from .multipliers import Multiplier, _check_indices, multiplier_values_for  # noqa: F401
 
 __all__ = [
@@ -391,6 +395,44 @@ def assemble(
     per group id; schemes use it to take gradients at not-yet-committed
     multipliers.
     """
+    blocks = _checked_blocks(problem, evaluation)
+    return _lagrangian(problem, evaluation, blocks, multiplier_values)
+
+
+def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluation) -> list:
+    """``(gid, state, group, jacobian)`` per observed group, once the oracle output checks out.
+
+    The checks that do not depend on multipliers, made once per evaluation:
+    each group's fit, and its Jacobian's presence, finiteness and (k, dim)
+    shape (none for an empty observation), as C-contiguous float64.
+    """
+    blocks = []
+    for gid, cstate in evaluation.state.observed_constraints.items():
+        group = problem._checked_group(gid, cstate)
+        jacobian = evaluation.jacobians.get(gid)
+        if jacobian is None:
+            raise ValueError(f"evaluation has no Jacobian for group {gid!r}")
+        jacobian = np.ascontiguousarray(jacobian, dtype=np.float64)
+        if not _all_finite(jacobian):
+            raise EvaluationError(f"non-finite Jacobian for group {gid!r}", group_id=gid)
+        if cstate.violation.size:
+            _check_rows(jacobian, cstate.violation.size, problem.dim)
+        blocks.append((gid, cstate, group, jacobian))
+    return blocks
+
+
+def _lagrangian(
+    problem: ConstrainedMinimizationProblem,
+    evaluation: Evaluation,
+    blocks: list,
+    multiplier_values: Optional[dict],
+) -> AssembledLagrangian:
+    """``assemble`` over ``_checked_blocks(problem, evaluation)``.
+
+    Applies the formulas and checks what they derive: the primal Lagrangian,
+    a dual signal c * v, and the composed gradient (which covers grad_f),
+    built on a copy of grad_f whose shape is checked.
+    """
     state = evaluation.state
     gradient = np.array(evaluation.grad_f, dtype=np.float64)
     if gradient.shape != (problem.dim,):
@@ -400,8 +442,7 @@ def assemble(
     dual_lagrangian = 0.0
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
-    for gid, cstate in state.observed_constraints.items():
-        group = problem._checked_group(gid, cstate)
+    for gid, cstate, group, jacobian in blocks:
         values = None if multiplier_values is None else multiplier_values.get(gid)
         if values is None and group.multiplier is not None:
             # the indices are in range for the group: gather without the public check
@@ -409,12 +450,6 @@ def assemble(
         term, signal, weights, gathered = _terms(
             group, cstate, values, group.penalty, group.formulation
         )
-        jacobian = evaluation.jacobians.get(gid)
-        if jacobian is None:
-            raise ValueError(f"evaluation has no Jacobian for group {gid!r}")
-        jacobian = np.asarray(jacobian, dtype=np.float64)
-        if not _all_finite(jacobian):
-            raise EvaluationError(f"non-finite Jacobian for group {gid!r}", group_id=gid)
         primal_lagrangian += term
         _add_weighted_rows(gradient, weights, jacobian)
         if gathered is not None:
@@ -595,10 +630,11 @@ def roll_alternating_dual_primal(problem, optimizers, evaluate=None) -> RollOut:
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
-    asm = assemble(problem, ev)
+    blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both passes
+    asm = _lagrangian(problem, ev, blocks, None)
     dual_updates = _preview_duals(problem, optimizers, asm)
     override = {gid: u.preview for gid, u in dual_updates.items()}
-    asm_updated = assemble(problem, ev, multiplier_values=override)
+    asm_updated = _lagrangian(problem, ev, blocks, override)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_updated.gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)

@@ -761,3 +761,96 @@ class TestUnobservedGroupFreeze:
         roll(problem, optimizers)  # addresses the complementary pair
         assert mult.values[0] == after_first[0]
         assert mult.values[2] == after_first[2]
+
+
+class TestJacobianShapeCheck:
+    """A Jacobian that does not fit its observed rows is rejected once, before any formula."""
+
+    @staticmethod
+    def problem():
+        problem = lk.ConstrainedMinimizationProblem(2)
+        problem.register_group(
+            ConstraintGroup(name="g", constraint_type=INEQ, size=3, indexed=True)
+        )
+        return problem
+
+    @staticmethod
+    def evaluation(jacobian, indices=(0, 2)):
+        cstate = ConstraintState(violation=[0.5] * len(indices), observed_indices=list(indices))
+        state = lk.CMPState(loss=0.0, observed_constraints={"g": cstate})
+        return lk.Evaluation(state=state, grad_f=np.zeros(2), jacobians={"g": jacobian})
+
+    @staticmethod
+    def snapshot(problem, optimizers):
+        mult = problem.group("g").multiplier
+        state = [problem.x.tobytes(), mult.values.tobytes(), mult.update_count.tobytes()]
+        for opt in [optimizers.primal, *optimizers.duals.values()]:
+            for name, buffer in sorted(opt.buffer_state().items()):
+                state.append((name, np.asarray(buffer).tobytes()))
+        return state + [optimizers.step]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 3), "jacobian shape (2, 3) does not match 2 weights and dim 2"),
+            ((3, 2), "jacobian shape (3, 2) does not match 2 weights and dim 2"),
+        ],
+        ids=["extra-column", "extra-row"],
+    )
+    def test_wrong_shape_raises_and_commits_nothing(self, scheme, shape, message):
+        problem = self.problem()
+        optimizers = PrimalDualOptimizers(
+            primal=Momentum(0.1, beta=0.9),
+            duals=make_dual_optimizers(problem, lambda: NuPI(0.1)),
+        )
+        clean = self.evaluation(np.ones((2, 2)))
+        for _ in range(2):
+            roll(problem, optimizers, scheme=scheme, evaluate=lambda x: clean)
+        before = self.snapshot(problem, optimizers)
+        bad = self.evaluation(np.ones(shape))
+        with pytest.raises(ValueError) as info:
+            roll(problem, optimizers, scheme=scheme, evaluate=lambda x: bad)
+        assert str(info.value) == message
+        assert self.snapshot(problem, optimizers) == before
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_empty_observation_takes_any_jacobian(self, scheme):
+        problem = self.problem()
+        optimizers = PrimalDualOptimizers(
+            primal=GradientDescent(0.1),
+            duals=make_dual_optimizers(problem, lambda: GradientAscent(0.1)),
+        )
+        empty = self.evaluation(np.ones((1, 5)), indices=())
+        roll(problem, optimizers, scheme=scheme, evaluate=lambda x: empty)
+        assert optimizers.step == 1
+        assert problem.group("g").multiplier.update_count.tolist() == [0, 0, 0]
+
+
+class TestAltDpChecksOracleOutputOnce:
+    def test_one_fit_check_and_one_jacobian_scan_per_group(self, monkeypatch):
+        problem = SubsetBoxProblem()
+        optimizers = PrimalDualOptimizers(
+            primal=GradientDescent(0.01),
+            duals=make_dual_optimizers(problem, lambda: NuPI(0.1)),
+        )
+        counts = {"fit": 0, "jacobian": 0}
+        checked_group = lk.ConstrainedMinimizationProblem._checked_group
+        all_finite = lk.optim._all_finite
+
+        def counting_checked_group(self, gid, cstate):
+            counts["fit"] += 1
+            return checked_group(self, gid, cstate)
+
+        def counting_all_finite(arr):
+            # the only 2-d arrays the roll checks are Jacobians
+            counts["jacobian"] += np.ndim(arr) == 2
+            return all_finite(arr)
+
+        monkeypatch.setattr(
+            lk.ConstrainedMinimizationProblem, "_checked_group", counting_checked_group
+        )
+        monkeypatch.setattr(lk.optim, "_all_finite", counting_all_finite)
+        roll(problem, optimizers, scheme="alt-dp")
+        assert optimizers.step == 1
+        assert counts == {"fit": 1, "jacobian": 1}
