@@ -24,10 +24,7 @@ from .formulations import (
     PenaltyCoefficient,
     PenaltyScheduler,
     assemble_lagrangian,
-    augmented_lagrangian_contribution,
     group_contribution,
-    lagrangian_contribution,
-    quadratic_penalty_contribution,
     schedule_penalty,
 )
 from .gradients import (
@@ -62,10 +59,6 @@ from .optim import (
     make_dual_optimizers,
     primal_step,
     roll,
-    roll_alternating_dual_primal,
-    roll_alternating_primal_dual,
-    roll_extragradient,
-    roll_simultaneous,
 )
 from .problems import (
     PROBLEM_NAMES,
@@ -108,10 +101,7 @@ __all__ = [
     "PenaltyCoefficient",
     "PenaltyScheduler",
     "assemble_lagrangian",
-    "augmented_lagrangian_contribution",
     "group_contribution",
-    "lagrangian_contribution",
-    "quadratic_penalty_contribution",
     "schedule_penalty",
     # gradients
     "DifferentiableFunction",
@@ -143,10 +133,6 @@ __all__ = [
     "make_dual_optimizers",
     "primal_step",
     "roll",
-    "roll_alternating_dual_primal",
-    "roll_alternating_primal_dual",
-    "roll_extragradient",
-    "roll_simultaneous",
     # problems
     "PROBLEM_NAMES",
     "BenchmarkProblem",

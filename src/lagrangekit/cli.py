@@ -4,11 +4,13 @@ Subcommands: ``run`` (optimize and write a CSV trace), ``check-grad``
 (finite-difference verification of the problem oracles), ``list`` (names of
 available problems, schemes, formulations, and optimizers).
 
-Exit codes: 0 success, 1 configuration error (unknown names, bad flags,
-unreadable files), 2 numerical failure (non-finite state mid-run).
+Exit codes: 0 success (``-h`` included); 1 configuration error: an unknown
+name, a flag argparse rejects, a config value of the wrong type, or an
+unreadable file; 2 numerical failure (non-finite state mid-run). Both write
+one line to stderr; a failed ``check-grad`` exits 1 with its verdict on stdout.
 
 Flags override values from an optional JSON config file (same field names as
-RunConfig); flags win on conflict.
+RunConfig, each value of its field's type); flags win on conflict.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -82,11 +84,34 @@ class RunConfig:
     checkpoint_in: Optional[str] = None
     checkpoint_out: Optional[str] = None
     checkpoint_every: Optional[int] = None
-    reuse_primal_eval: bool = False
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
 
 
 class _ConfigError(ValueError):
     pass
+
+
+def _check_config_types(data: dict) -> None:
+    """Reject a JSON config value whose type does not fit its RunConfig field.
+
+    A bool is not an integer, an integer is a valid number, null fits only an
+    Optional field, and ``a`` also takes a list of numbers.
+    """
+    for name, value in data.items():
+        kinds = get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
+        if type(value) in kinds or (type(value) is int and float in kinds):
+            continue
+        if name == "a" and type(value) is list and all(type(v) in (int, float) for v in value):
+            continue
+        expected = [_TYPE_NAMES[kind] for kind in kinds]
+        if name == "a":
+            expected.append("a list of numbers")
+        raise _ConfigError(
+            f"config field {name!r} must be {' or '.join(expected)}, got {json.dumps(value)}"
+        )
 
 
 def _parse_vector(text) -> np.ndarray:
@@ -242,7 +267,7 @@ def cmd_run(config: RunConfig) -> int:
         optimizers = _build_optimizers(config, problem)
         if config.checkpoint_in is not None:
             ckpt.load(config.checkpoint_in, problem, optimizers)
-    except (_ConfigError, ValueError, ckpt.CheckpointError, OSError) as exc:
+    except (_ConfigError, ValueError, EvaluationError, ckpt.CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -253,13 +278,7 @@ def cmd_run(config: RunConfig) -> int:
             trace_handle = open(config.trace, "w", newline="\n")
             trace_handle.write(TRACE_HEADER + "\n")
         for _ in range(config.steps):
-            roll(
-                problem,
-                optimizers,
-                scheme=config.scheme,
-                evaluate=evaluate,
-                reuse_primal_evaluation=config.reuse_primal_eval,
-            )
+            roll(problem, optimizers, scheme=config.scheme, evaluate=evaluate)
             if trace_handle is not None:
                 row, figures = _trace_row(problem, optimizers, evaluate)
                 trace_handle.write(row + "\n")
@@ -302,7 +321,7 @@ def cmd_check_grad(config: RunConfig) -> int:
 
     try:
         problem = _build_problem(config, formulation="lagrangian")
-    except (_ConfigError, ValueError) as exc:
+    except (_ConfigError, ValueError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     oracles = problem.oracle_functions()
@@ -347,8 +366,15 @@ def _add_problem_flags(parser):
     parser.add_argument("--config", help="JSON file with RunConfig fields")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any configuration error: one line, exit 1."""
+
+    def error(self, message):
+        raise _ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagrangekit",
         description="Lagrangian-based constrained optimization runner.",
     )
@@ -381,13 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         help="save a rolling checkpoint every N steps",
     )
-    run.add_argument(
-        "--reuse-primal-eval",
-        dest="reuse_primal_eval",
-        action="store_const",
-        const=True,
-        help="alt-pd: reuse the pre-step evaluation for the dual update",
-    )
 
     check = sub.add_parser("check-grad", help="finite-difference oracle verification")
     _add_problem_flags(check)
@@ -411,6 +430,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(data) - known
         if unknown:
             raise _ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+        _check_config_types(data)
         config = replace(config, **data)
     overrides = {
         f.name: getattr(args, f.name)
@@ -422,24 +442,25 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         rate = getattr(config, rate_name)
         if not rate > 0:
             raise _ConfigError(f"{rate_name} must be > 0, got {rate}")
-    seed = config.seed
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise _ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not 0 <= config.seed < 2**64:
+        raise _ConfigError(f"seed must be an integer in [0, 2**64), got {config.seed!r}")
     return config
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list()
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "list":
+            return cmd_list()
         config = _resolve_config(args)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "run":
-        return cmd_run(config)
-    return cmd_check_grad(config)
+    # a non-finite value is reported once, as the exit-2 line, not as numpy warnings
+    with np.errstate(all="ignore"):
+        if args.command == "run":
+            return cmd_run(config)
+        return cmd_check_grad(config)
 
 
 def entry() -> None:

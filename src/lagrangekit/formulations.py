@@ -1,9 +1,11 @@
 """Turn constraint measurements into primal terms and dual signals.
 
-Each formulation produces a ContributionPair: the scalar added to the primal
-Lagrangian (differentiable in x through the violation), the per-constraint
-signal the dual optimizer ascends on, and the weights that multiply the
-constraint Jacobian rows in the primal gradient.
+``group_contribution``, the one per-group entry point, applies a group's
+formulation and returns a checked ContributionPair: the scalar added to the
+primal Lagrangian (differentiable in x through the violation), the
+per-constraint signal the dual optimizer ascends on, and the weights that
+multiply the constraint Jacobian rows in the primal gradient. ``_terms``
+holds each formula once; the rolls call it unchecked through ``assemble``.
 
 Formulas per group, with violation v, multiplier m, penalty c > 0:
 
@@ -38,9 +40,6 @@ __all__ = [
     "PenaltyCoefficient",
     "PenaltyScheduler",
     "ContributionPair",
-    "lagrangian_contribution",
-    "augmented_lagrangian_contribution",
-    "quadratic_penalty_contribution",
     "group_contribution",
     "schedule_penalty",
     "assemble_lagrangian",
@@ -197,7 +196,7 @@ def _terms(
 
     The one copy of each formula. The gathered multiplier is None for
     quadratic penalty. ``assemble`` checks what these derive once per step;
-    the public ``*_contribution`` functions check it through ``ContributionPair``.
+    ``group_contribution`` checks it through ``ContributionPair``.
     """
     v = state.violation
     if formulation is Formulation.QUADRATIC_PENALTY:
@@ -226,60 +225,23 @@ def _terms(
     return primal, c * state.dual_violation, weights, m
 
 
-def _pair(group: ConstraintGroup, state, values, penalty, formulation) -> ContributionPair:
-    primal, signal, weights, _ = _terms(group, state, values, penalty, formulation)
-    return ContributionPair(group.name, float(primal), signal, weights)
-
-
-def lagrangian_contribution(
-    group: ConstraintGroup, state: ConstraintState, multiplier
-) -> ContributionPair:
-    """Plain Lagrangian term <multiplier, violation>.
-
-    The multiplier is treated as a constant with respect to x, so the primal
-    weights are the multiplier values themselves. The dual signal is the
-    strict violation when present (proxy rule), else the violation.
-    """
-    return _pair(group, state, multiplier, None, Formulation.LAGRANGIAN)
-
-
-def augmented_lagrangian_contribution(
-    group: ConstraintGroup,
-    state: ConstraintState,
-    multiplier,
-    penalty: PenaltyCoefficient,
-) -> ContributionPair:
-    """Augmented Lagrangian term (PHR form for inequalities).
-
-    The dual signal is c * (strict violation or violation); combined with the
-    standard projection this makes a unit-learning-rate dual step the
-    classical multiplier update.
-    """
-    return _pair(group, state, multiplier, penalty, Formulation.AUGMENTED_LAGRANGIAN)
-
-
-def quadratic_penalty_contribution(
-    group: ConstraintGroup, state: ConstraintState, penalty: PenaltyCoefficient
-) -> ContributionPair:
-    """Multiplier-free quadratic penalty term; the dual signal is empty."""
-    return _pair(group, state, None, penalty, Formulation.QUADRATIC_PENALTY)
-
-
 def group_contribution(
     group: ConstraintGroup,
     state: ConstraintState,
     multiplier_values=None,
     penalty: Optional[PenaltyCoefficient] = None,
 ) -> ContributionPair:
-    """Dispatch on the group's formulation.
+    """The group's checked contribution under its own formulation.
 
-    ``multiplier_values`` overrides the group's own multiplier (used by
-    schemes that need the contribution at not-yet-committed dual values);
-    ``penalty`` overrides the group's penalty.
+    ``multiplier_values`` (an array of the group's size, or a Multiplier)
+    overrides the group's own multiplier, e.g. to take the contribution at
+    not-yet-committed dual values; ``penalty`` overrides the group's penalty.
+    A missing multiplier or penalty raises ValueError.
     """
     penalty = penalty if penalty is not None else group.penalty
     values = multiplier_values if multiplier_values is not None else group.multiplier
-    return _pair(group, state, values, penalty, group.formulation)
+    primal, signal, weights, _ = _terms(group, state, values, penalty, group.formulation)
+    return ContributionPair(group.name, float(primal), signal, weights)
 
 
 def schedule_penalty(

@@ -8,8 +8,7 @@ non-finite value leaves x, multipliers, and optimizer buffers untouched.
 Multiplier timing of the primal gradient per scheme:
 
 - simultaneous: grad at (x_t, m_t); dual signals at x_t.
-- alt-pd: grad at (x_t, m_t); dual signals re-evaluated at x_{t+1} (a reuse
-  flag feeds the x_t signals instead, matching the simultaneous dual step).
+- alt-pd: grad at (x_t, m_t); dual signals re-evaluated at x_{t+1}.
 - alt-dp: dual first from signals at x_t; grad then at (x_t, m_{t+1}).
 - extragradient: extrapolate (x_hat, m_hat) via a stateless simultaneous
   preview, then commit x_{t+1} = x_t - eta * grad(x_hat, m_hat) and
@@ -33,7 +32,7 @@ The committed x is read-only and trusted: it was checked as x_new. States
 the library builds go through ``ConstraintState._trusted`` and
 ``CMPState._trusted`` (checks of oracle output, no re-conversion). User-built
 states and the public entry points (``check_state``, ``primal_step``,
-``dual_step``, ``*.step``, ``preview_delta``, ``set_x``, ``*_contribution``)
+``dual_step``, ``*.step``, ``preview_delta``, ``set_x``, ``group_contribution``)
 keep every check; a user's index list costs one sort.
 """
 
@@ -67,16 +66,9 @@ __all__ = [
     "RollOut",
     "primal_step",
     "dual_step",
-    "roll_simultaneous",
-    "roll_alternating_primal_dual",
-    "roll_alternating_dual_primal",
-    "roll_extragradient",
     "roll",
     "SCHEMES",
 ]
-
-SCHEMES = ("simultaneous", "alt-pd", "alt-dp", "extragradient")
-
 
 def _check_learning_rate(lr: float) -> float:
     lr = float(lr)
@@ -582,7 +574,7 @@ def _commit(problem, optimizers, x_new, staged_primal, dual_updates):
     optimizers.step += 1
 
 
-def roll_simultaneous(problem, optimizers, evaluate=None) -> RollOut:
+def _roll_simultaneous(problem, optimizers, evaluate) -> RollOut:
     """Simultaneous GDA: one evaluation drives both the primal and dual step.
 
     The primal step descends grad of the Lagrangian at (x_t, m_t); the dual
@@ -598,31 +590,19 @@ def roll_simultaneous(problem, optimizers, evaluate=None) -> RollOut:
     return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
 
 
-def roll_alternating_primal_dual(
-    problem, optimizers, evaluate=None, reuse_primal_evaluation: bool = False
-) -> RollOut:
-    """Primal step first, then the dual step on signals measured at x_{t+1}.
-
-    With ``reuse_primal_evaluation`` the second evaluation is skipped and the
-    dual step sees the x_t signals instead (a documented bias that makes the
-    first step identical to the simultaneous scheme).
-    """
+def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
+    """Primal step first, then the dual step on signals measured at x_{t+1}."""
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
-    if reuse_primal_evaluation:
-        dual_source = asm
-    else:
-        dual_source = assemble(problem, evaluate(x_new))
-    dual_updates = _preview_duals(problem, optimizers, dual_source)
+    asm_new = assemble(problem, evaluate(x_new))
+    dual_updates = _preview_duals(problem, optimizers, asm_new)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return RollOut(
-        ev.state.loss, asm.primal_lagrangian, dual_source.dual_lagrangian, ev.state
-    )
+    return RollOut(ev.state.loss, asm.primal_lagrangian, asm_new.dual_lagrangian, ev.state)
 
 
-def roll_alternating_dual_primal(problem, optimizers, evaluate=None) -> RollOut:
+def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     """Dual step first on x_t signals; the primal step then uses m_{t+1}.
 
     Both updates come from the single x_t evaluation; the primal gradient is
@@ -640,7 +620,7 @@ def roll_alternating_dual_primal(problem, optimizers, evaluate=None) -> RollOut:
     return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
 
 
-def roll_extragradient(problem, optimizers, evaluate=None) -> RollOut:
+def _roll_extragradient(problem, optimizers, evaluate) -> RollOut:
     """Extrapolate with a stateless simultaneous preview, commit from gradients there.
 
     The half-point (x_hat, m_hat) comes from previews that advance no buffers;
@@ -661,22 +641,25 @@ def roll_extragradient(problem, optimizers, evaluate=None) -> RollOut:
     return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
 
 
-def roll(
-    problem,
-    optimizers,
-    scheme: str = "simultaneous",
-    evaluate=None,
-    reuse_primal_evaluation: bool = False,
-) -> RollOut:
-    """Dispatch one roll by scheme name (see SCHEMES)."""
-    if scheme == "simultaneous":
-        return roll_simultaneous(problem, optimizers, evaluate)
-    if scheme == "alt-pd":
-        return roll_alternating_primal_dual(
-            problem, optimizers, evaluate, reuse_primal_evaluation
-        )
-    if scheme == "alt-dp":
-        return roll_alternating_dual_primal(problem, optimizers, evaluate)
-    if scheme == "extragradient":
-        return roll_extragradient(problem, optimizers, evaluate)
-    raise ValueError(f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}")
+_ROLLS = {
+    "simultaneous": _roll_simultaneous,
+    "alt-pd": _roll_alternating_primal_dual,
+    "alt-dp": _roll_alternating_dual_primal,
+    "extragradient": _roll_extragradient,
+}
+SCHEMES = tuple(_ROLLS)
+
+
+def roll(problem, optimizers, scheme: str = "simultaneous", evaluate=None) -> RollOut:
+    """One step of the named scheme (see SCHEMES), the one public roll entry point.
+
+    ``evaluate`` replaces ``problem.evaluate_with_gradients`` for every
+    evaluation the step makes.
+    """
+    try:
+        step = _ROLLS[scheme]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}"
+        ) from None
+    return step(problem, optimizers, evaluate)

@@ -140,6 +140,14 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err.strip() != ""
 
+    @pytest.mark.parametrize("command", ["run", "check-grad"])
+    def test_problem_without_finite_certificate_exits_one(self, command, capsys):
+        # the ball problem certifies its solution when built; at a = 1e308 the loss overflows
+        assert run_cli(command, "--a", "1e308,1e308") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite loss inf\n"
+
     def test_equality_qp_run(self, capsys):
         code = run_cli(
             "run", "--problem", "equality_qp", "--scheme", "alt-pd",
@@ -181,6 +189,42 @@ class TestConfigFile:
     def test_missing_config_file_rejected(self, capsys):
         assert run_cli("run", "--config", "/nonexistent/run.json") == 1
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"steps": "10"},
+            {"steps": 2.5},
+            {"lr_primal": "0.1"},
+            {"lr_dual": None},  # null fits only an Optional field
+            {"checkpoint_every": "3"},
+            {"kappa_p": [1]},
+            {"steps": True},  # a bool is not an integer
+            {"trace": 2},  # a path, never a file descriptor
+        ],
+        ids=json.dumps,
+    )
+    def test_mistyped_value_names_its_field(self, data, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(data))
+        assert run_cli("run", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (field,) = data
+        assert captured.err.startswith(f"error: config field {field!r} must be ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"lr_primal": 1}, {"a": [3, 4]}, {"a": "3,4"}, {"checkpoint_every": None}],
+        ids=json.dumps,
+    )
+    def test_well_typed_values_accepted(self, data, tmp_path, capsys):
+        # an integer is a valid number; `a` takes a list of numbers or a string
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 1, **data}))
+        assert run_cli("run", "--config", str(config)) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("seed, code", [(-1, 1), (2**64, 1), (2**64 - 1, 0)])
     @pytest.mark.parametrize("command", ["run", "check-grad"])
@@ -200,6 +244,34 @@ class TestConfigFile:
             assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
         else:
             assert err == ""
+
+
+class TestUsageErrors:
+    """A flag argparse rejects is a configuration error: exit 1 and one line."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["run", "--steps", "abc"], "--steps"),
+            (["run", "--bogus", "1"], "--bogus 1"),
+            ([], "command"),
+            (["run", "--reuse-primal-eval"], "--reuse-primal-eval"),  # a removed flag
+        ],
+        ids=["bad-value", "unknown-flag", "no-command", "removed-flag"],
+    )
+    def test_exits_one_with_one_line(self, argv, fragment, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lagrangekit")
 
 
 class TestCheckpointFlags:
@@ -267,11 +339,10 @@ class TestEvaluateOnce:
         [
             ("simultaneous", ()),
             ("alt-pd", ()),
-            ("alt-pd", ("--reuse-primal-eval",)),
             ("alt-dp", ()),
             ("extragradient", ()),
         ],
-        ids=["simultaneous", "alt-pd", "alt-pd-reuse", "alt-dp", "extragradient"],
+        ids=["simultaneous", "alt-pd", "alt-dp", "extragradient"],
     )
     def test_evaluations_per_run(self, scheme, flags, trace, tmp_path, monkeypatch, capsys):
         calls = []
@@ -427,6 +498,15 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert trace.read_text().splitlines()[1].startswith("1,0,")
+
+    def test_bad_flag_exits_one(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagrangekit", "run", "--steps", "abc"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_exit_code_propagates(self):
         proc = subprocess.run(

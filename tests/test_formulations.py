@@ -17,10 +17,7 @@ from lagrangekit import (
     PenaltyCoefficient,
     PenaltyScheduler,
     assemble_lagrangian,
-    augmented_lagrangian_contribution,
     group_contribution,
-    lagrangian_contribution,
-    quadratic_penalty_contribution,
     schedule_penalty,
 )
 
@@ -138,7 +135,7 @@ class TestPenaltyScheduler:
 
 class TestLagrangianContribution:
     def test_inner_product(self):
-        pair = lagrangian_contribution(
+        pair = group_contribution(
             lag_group(), ConstraintState(violation=[3.0]), np.array([2.0])
         )
         assert pair.primal_term == 6.0
@@ -146,7 +143,7 @@ class TestLagrangianContribution:
         assert pair.dual_signal.tolist() == [3.0]
 
     def test_zero_multiplier_contributes_nothing(self):
-        pair = lagrangian_contribution(
+        pair = group_contribution(
             lag_group(), ConstraintState(violation=[5.0]), np.array([0.0])
         )
         assert pair.primal_term == 0.0
@@ -154,7 +151,7 @@ class TestLagrangianContribution:
     def test_proxy_splits_primal_and_dual(self):
         # surrogate (violation) feeds the primal term, the true measurement
         # (strict_violation) feeds the dual signal
-        pair = lagrangian_contribution(
+        pair = group_contribution(
             lag_group(),
             ConstraintState(violation=[0.5], strict_violation=[1.0]),
             np.array([1.0]),
@@ -163,7 +160,7 @@ class TestLagrangianContribution:
         assert pair.dual_signal.tolist() == [1.0]
 
     def test_equality_sign_carries_through(self):
-        pair = lagrangian_contribution(
+        pair = group_contribution(
             lag_group(ctype=EQ), ConstraintState(violation=[0.25]), np.array([-2.0])
         )
         assert pair.primal_term == -0.5
@@ -171,20 +168,21 @@ class TestLagrangianContribution:
 
     def test_missing_multiplier_rejected(self):
         with pytest.raises(ValueError):
-            lagrangian_contribution(lag_group(), ConstraintState(violation=[1.0]), None)
+            # an unregistered group has no multiplier of its own
+            group_contribution(lag_group(), ConstraintState(violation=[1.0]), None)
 
     def test_multiplier_object_is_gathered(self):
         m = DenseMultiplier(3, INEQ)
         m.load_values([1.0, 2.0, 3.0])
         state = ConstraintState(violation=[0.5, 0.5], observed_indices=[2, 0])
-        pair = lagrangian_contribution(lag_group(size=3), state, m)
+        pair = group_contribution(lag_group(size=3), state, m)
         assert pair.primal_term == pytest.approx(0.5 * 3.0 + 0.5 * 1.0)
 
 
 class TestAugmentedLagrangianContribution:
     def test_active_inequality_value(self):
         # c=1, lam=1, g=0.5: (1/2)[max(0, 0.5 + 1)^2 - 1^2] = (2.25 - 1)/2
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(), ConstraintState(violation=[0.5]),
             np.array([1.0]), PenaltyCoefficient(1.0),
         )
@@ -193,7 +191,7 @@ class TestAugmentedLagrangianContribution:
 
     def test_active_inequality_nonunit_penalty(self):
         # c=2, lam=0.5, g=1: (2/2)[(1 + 0.25)^2 - 0.25^2] = 1.5625 - 0.0625
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(c=2.0), ConstraintState(violation=[1.0]),
             np.array([0.5]), PenaltyCoefficient(2.0),
         )
@@ -202,7 +200,7 @@ class TestAugmentedLagrangianContribution:
 
     def test_active_inequality_half_shift(self):
         # c=2, lam=1, g=0.5: (2/2)[max(0, 0.5 + 0.5)^2 - 0.5^2] = 1 - 0.25
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(c=2.0), ConstraintState(violation=[0.5]),
             np.array([1.0]), PenaltyCoefficient(2.0),
         )
@@ -211,7 +209,7 @@ class TestAugmentedLagrangianContribution:
 
     def test_inactive_inequality_flat_region(self):
         # c=1, lam=1, g=-1: max(0, -1 + 1) = 0, term = -(1/2)(1)^2 = -0.5
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(), ConstraintState(violation=[-1.0]),
             np.array([1.0]), PenaltyCoefficient(1.0),
         )
@@ -220,7 +218,7 @@ class TestAugmentedLagrangianContribution:
         assert pair.primal_weights.tolist() == [0.0]
 
     def test_inactive_with_zero_multiplier_vanishes(self):
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(), ConstraintState(violation=[-1.0]),
             np.array([0.0]), PenaltyCoefficient(1.0),
         )
@@ -229,7 +227,7 @@ class TestAugmentedLagrangianContribution:
 
     def test_equality_value_and_weights(self):
         # mu=1, c=1, h=0.5: mu*h + (c/2)h^2 = 0.5 + 0.125
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(ctype=EQ), ConstraintState(violation=[0.5]),
             np.array([1.0]), PenaltyCoefficient(1.0),
         )
@@ -238,7 +236,7 @@ class TestAugmentedLagrangianContribution:
 
     def test_equality_nonunit_penalty(self):
         # mu=1, c=4, h=0.5: 0.5 + (4/2)(0.25) = 1.0 with weight 1 + 4*0.5 = 3
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(ctype=EQ, c=4.0), ConstraintState(violation=[0.5]),
             np.array([1.0]), PenaltyCoefficient(4.0),
         )
@@ -247,7 +245,7 @@ class TestAugmentedLagrangianContribution:
 
     def test_equality_zero_multiplier(self):
         # mu=0, c=2, h=1: 0 + 1 = 1 with weight mu + c*h = 2
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(ctype=EQ, c=2.0), ConstraintState(violation=[1.0]),
             np.array([0.0]), PenaltyCoefficient(2.0),
         )
@@ -255,14 +253,14 @@ class TestAugmentedLagrangianContribution:
         assert pair.primal_weights.tolist() == [2.0]
 
     def test_dual_signal_scaled_by_penalty(self):
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(c=4.0), ConstraintState(violation=[0.5]),
             np.array([0.0]), PenaltyCoefficient(4.0),
         )
         assert pair.dual_signal.tolist() == [2.0]
 
     def test_dual_signal_uses_strict_violation_when_present(self):
-        pair = augmented_lagrangian_contribution(
+        pair = group_contribution(
             al_group(c=2.0),
             ConstraintState(violation=[0.5], strict_violation=[0.25]),
             np.array([0.0]), PenaltyCoefficient(2.0),
@@ -271,65 +269,56 @@ class TestAugmentedLagrangianContribution:
 
     def test_missing_pieces_rejected(self):
         with pytest.raises(ValueError):
-            augmented_lagrangian_contribution(
+            group_contribution(
                 al_group(), ConstraintState(violation=[1.0]), None, PenaltyCoefficient(1.0)
             )
+        group = al_group()
+        group.penalty = None  # a penalty reassigned after construction
         with pytest.raises(ValueError):
-            augmented_lagrangian_contribution(
-                al_group(), ConstraintState(violation=[1.0]), np.array([0.0]), None
+            group_contribution(
+                group, ConstraintState(violation=[1.0]), np.array([0.0]), None
             )
 
 
 class TestQuadraticPenaltyContribution:
     def test_infeasible_inequality(self):
         # c=1, g=1: (1/2) max(0,1)^2 = 0.5, weight c*max(0,g) = 1
-        pair = quadratic_penalty_contribution(
-            qp_group(), ConstraintState(violation=[1.0]), PenaltyCoefficient(1.0)
+        pair = group_contribution(
+            qp_group(), ConstraintState(violation=[1.0]), penalty=PenaltyCoefficient(1.0)
         )
         assert pair.primal_term == pytest.approx(0.5)
         assert pair.primal_weights.tolist() == [1.0]
 
     def test_feasible_point_contributes_zero(self):
-        pair = quadratic_penalty_contribution(
-            qp_group(c=10.0), ConstraintState(violation=[-0.5]), PenaltyCoefficient(10.0)
+        pair = group_contribution(
+            qp_group(c=10.0), ConstraintState(violation=[-0.5]), penalty=PenaltyCoefficient(10.0)
         )
         assert pair.primal_term == 0.0
         assert pair.primal_weights.tolist() == [0.0]
 
     def test_mixed_feasibility_entries(self):
         # c=4, g=(0.5, -1): (4/2)(0.25) + 0 = 0.5, weights (2, 0)
-        pair = quadratic_penalty_contribution(
+        pair = group_contribution(
             qp_group(size=2, c=4.0),
             ConstraintState(violation=[0.5, -1.0]),
-            PenaltyCoefficient(4.0),
+            penalty=PenaltyCoefficient(4.0),
         )
         assert pair.primal_term == pytest.approx(0.5)
         assert pair.primal_weights.tolist() == [2.0, 0.0]
 
     def test_equality_value(self):
         # c=1, h=2: (1/2)*4 = 2, weight c*h = 2
-        pair = quadratic_penalty_contribution(
-            qp_group(ctype=EQ), ConstraintState(violation=[2.0]), PenaltyCoefficient(1.0)
+        pair = group_contribution(
+            qp_group(ctype=EQ), ConstraintState(violation=[2.0]), penalty=PenaltyCoefficient(1.0)
         )
         assert pair.primal_term == pytest.approx(2.0)
         assert pair.primal_weights.tolist() == [2.0]
 
     def test_dual_signal_empty(self):
-        pair = quadratic_penalty_contribution(
-            qp_group(), ConstraintState(violation=[1.0]), PenaltyCoefficient(1.0)
+        pair = group_contribution(
+            qp_group(), ConstraintState(violation=[1.0]), penalty=PenaltyCoefficient(1.0)
         )
         assert pair.dual_signal.size == 0
-
-    def test_group_with_multiplier_rejected(self):
-        group = lag_group()  # carries a default dense multiplier slot
-        group = ConstraintGroup(
-            name="g", constraint_type=INEQ, size=1,
-            multiplier=DenseMultiplier(1, INEQ),
-        )
-        with pytest.raises(ValueError):
-            quadratic_penalty_contribution(
-                group, ConstraintState(violation=[1.0]), PenaltyCoefficient(1.0)
-            )
 
 
 class TestGroupContributionDispatch:
@@ -367,10 +356,10 @@ class TestGroupContributionDispatch:
 
 class TestAssembleLagrangian:
     def test_loss_plus_terms_and_signal_collection(self):
-        a = lagrangian_contribution(
+        a = group_contribution(
             lag_group(name="a"), ConstraintState(violation=[1.0]), np.array([1.0])
         )
-        b = lagrangian_contribution(
+        b = group_contribution(
             lag_group(name="b"), ConstraintState(violation=[0.5]), np.array([0.5])
         )
         primal, signals = assemble_lagrangian(1.0, [a, b])
@@ -383,7 +372,7 @@ class TestAssembleLagrangian:
         assert primal == 3.5 and signals == {}
 
     def test_duplicate_group_rejected(self):
-        pair = lagrangian_contribution(
+        pair = group_contribution(
             lag_group(name="dup"), ConstraintState(violation=[1.0]), np.array([1.0])
         )
         with pytest.raises(ValueError):
@@ -398,7 +387,7 @@ class TestAssembleLagrangian:
         group = lag_group(size=3)
         for _ in range(100):
             state = ConstraintState(violation=rng.normal(size=3))
-            pair = lagrangian_contribution(group, state, np.zeros(3))
+            pair = group_contribution(group, state, np.zeros(3))
             primal, _ = assemble_lagrangian(2.0, [pair])
             assert primal == 2.0
 
@@ -414,8 +403,8 @@ class TestCrossFormulationInvariants:
             g = np.abs(rng.normal(size=4)) + 1e-3
             lam = np.abs(rng.normal(size=4))
             state = ConstraintState(violation=g)
-            p = lagrangian_contribution(lg, state, lam)
-            a = augmented_lagrangian_contribution(ag, state, lam, PenaltyCoefficient(1.0))
+            p = group_contribution(lg, state, lam)
+            a = group_contribution(ag, state, lam, PenaltyCoefficient(1.0))
             assert a.primal_term > p.primal_term
 
     def test_augmented_dual_signal_is_penalty_times_plain(self):
@@ -426,8 +415,8 @@ class TestCrossFormulationInvariants:
             state = ConstraintState(violation=rng.normal(size=3))
             lam = np.abs(rng.normal(size=3))
             c = np.abs(rng.normal(size=3)) + 0.5
-            p = lagrangian_contribution(lg, state, lam)
-            a = augmented_lagrangian_contribution(ag, state, lam, PenaltyCoefficient(c))
+            p = group_contribution(lg, state, lam)
+            a = group_contribution(ag, state, lam, PenaltyCoefficient(c))
             assert a.dual_signal.tobytes() == (c * p.dual_signal).tobytes()
 
     def test_quadratic_penalty_feasibility_dichotomy(self):
@@ -436,8 +425,8 @@ class TestCrossFormulationInvariants:
         pen = PenaltyCoefficient(2.0)
         for _ in range(100):
             g = rng.normal(size=4)
-            pair = quadratic_penalty_contribution(
-                group, ConstraintState(violation=g), pen
+            pair = group_contribution(
+                group, ConstraintState(violation=g), penalty=pen
             )
             if np.all(g <= 0.0):
                 assert pair.primal_term == 0.0

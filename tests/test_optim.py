@@ -283,13 +283,6 @@ class TestSchemes:
         # dual sees h(x_{t+1}) = 0.9
         assert problem.group("level").multiplier.values.tolist() == [1.09]
 
-    def test_alternating_primal_dual_with_reuse(self):
-        problem, optimizers = bilinear_setup()
-        roll(problem, optimizers, scheme="alt-pd", reuse_primal_evaluation=True)
-        assert problem.x.tolist() == [0.9]
-        # dual reuses h(x_t) = 1.0
-        assert problem.group("level").multiplier.values.tolist() == [1.1]
-
     def test_alternating_dual_primal_previews_multiplier(self):
         problem, optimizers = bilinear_setup()
         roll(problem, optimizers, scheme="alt-dp")
@@ -341,25 +334,6 @@ class TestSchemes:
             assert problem.x.tolist() == [0.0]
             assert problem.group("level").multiplier.values.tolist() == [0.0]
 
-    def test_first_step_simultaneous_equals_alt_pd_with_reuse(self):
-        a = problem_projection_ball(np.array([3.0, 4.0]))
-        b = problem_projection_ball(np.array([3.0, 4.0]))
-        oa = PrimalDualOptimizers(
-            primal=GradientDescent(0.05),
-            duals=make_dual_optimizers(a, lambda: GradientAscent(0.05)),
-        )
-        ob = PrimalDualOptimizers(
-            primal=GradientDescent(0.05),
-            duals=make_dual_optimizers(b, lambda: GradientAscent(0.05)),
-        )
-        roll(a, oa, scheme="simultaneous")
-        roll(b, ob, scheme="alt-pd", reuse_primal_evaluation=True)
-        assert a.x.tobytes() == b.x.tobytes()
-        assert (
-            a.group("ball").multiplier.values.tobytes()
-            == b.group("ball").multiplier.values.tobytes()
-        )
-
     def test_clipped_preview_multiplier_reaches_primal(self):
         # alt-dp with a feasible start: the previewed inequality multiplier
         # would go negative, gets clipped to 0, and the primal step must see
@@ -380,7 +354,7 @@ class TestSchemes:
     @pytest.mark.parametrize("group_kind", ["dense", "indexed"])
     def test_direct_steps_match_simultaneous_roll(self, group_kind, dual):
         # assemble + primal_step + dual_step on one copy must reproduce
-        # roll_simultaneous on an identical copy bit for bit; the indexed
+        # a simultaneous roll on an identical copy bit for bit; the indexed
         # problem observes half of its multiplier per evaluation
         def setup():
             if group_kind == "dense":
@@ -407,7 +381,7 @@ class TestSchemes:
         rolled, rolled_opt = setup()
         direct, direct_opt = setup()
         for _ in range(3):
-            lk.roll_simultaneous(rolled, rolled_opt)
+            roll(rolled, rolled_opt, scheme="simultaneous")
             asm = lk.assemble(direct, direct.evaluate_with_gradients(direct.x))
             x_new = primal_step(direct_opt.primal, direct.x, asm.gradient)
             for gid, signal in asm.dual_signals.items():
@@ -655,7 +629,7 @@ class TestGroupFitCheck:
         with pytest.raises(ValueError):
             lk.group_contribution(group, state)
         with pytest.raises(ValueError):
-            lk.lagrangian_contribution(group, state, group.multiplier)
+            lk.group_contribution(group, state, group.multiplier)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize(
