@@ -24,7 +24,7 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from . import checkpoint as ckpt
-from .core import EvaluationError, Formulation
+from .core import EvaluationError, Formulation, _max_abs
 from .optim import (
     SCHEMES,
     AdamLike,
@@ -140,21 +140,25 @@ def _build_problem(config: RunConfig, formulation=None):
     kwargs = {"formulation": formulation, "penalty": config.penalty}
     if formulation == "lagrangian":
         kwargs["penalty"] = None
-    if name == "projection_ball":
-        a = _parse_vector(config.a)
-        if a.size < 1:
-            raise _ConfigError("--a must contain at least one coordinate")
-        return problem_projection_ball(a, **kwargs)
-    if name == "equality_qp":
-        # canonical instance: min 0.5 ||x||^2 subject to x1 + x2 = 2
-        return problem_equality_qp(
-            np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]), **kwargs
-        )
-    if name == "norm_logreg":
-        return problem_norm_constrained_logreg(
-            config.seed, config.threshold, **kwargs
-        )
-    return problem_bilinear_game(**kwargs)
+    try:
+        if name == "projection_ball":
+            a = _parse_vector(config.a)
+            if a.size < 1:
+                raise _ConfigError("--a must contain at least one coordinate")
+            return problem_projection_ball(a, **kwargs)
+        if name == "equality_qp":
+            # canonical instance: min 0.5 ||x||^2 subject to x1 + x2 = 2
+            return problem_equality_qp(
+                np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]), **kwargs
+            )
+        if name == "norm_logreg":
+            return problem_norm_constrained_logreg(
+                config.seed, config.threshold, **kwargs
+            )
+        return problem_bilinear_game(**kwargs)
+    except EvaluationError as exc:
+        # a factory checks its certificate while it builds: the configured problem failed
+        raise _ConfigError(f"cannot build problem {name!r}: {exc}") from None
 
 
 def _build_optimizers(config: RunConfig, problem) -> PrimalDualOptimizers:
@@ -218,7 +222,7 @@ def _trace_row(problem, optimizers, evaluate) -> tuple[str, dict]:
     mult_linf = 0.0
     for group in problem.groups.values():
         if group.multiplier is not None and group.multiplier.size:
-            mult_linf = max(mult_linf, float(np.max(np.abs(group.multiplier.values))))
+            mult_linf = max(mult_linf, _max_abs(group.multiplier.values))
     figures = {
         "loss": evaluation.state.loss,
         "max_violation": max(max_ineq, max_eq),
@@ -447,7 +451,29 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _attach_vector_values(argv: list) -> list:
+    """``--a VALUE`` as ``--a=VALUE`` when VALUE starts with a negative number.
+
+    argparse reads a value such as ``-1,2`` or ``-1.5,2`` as a flag, so a
+    target whose first coordinate is negative could only be given as ``--a=``.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--a" and token.startswith("-"):
+            head = token.replace(",", " ").split()
+            try:
+                float(head[0])
+            except (IndexError, ValueError):
+                pass
+            else:
+                out[-1] = "--a=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _attach_vector_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "list":

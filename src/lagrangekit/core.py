@@ -75,6 +75,26 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr).all())
 
 
+def _max_abs(arr: np.ndarray) -> float:
+    """``float(np.max(np.abs(arr)))`` for a non-empty numeric array, cheaper when small."""
+    if arr.size < _SMALL:
+        values = arr.ravel().tolist()
+        if not math.isnan(sum(values)):  # no NaN, and no inf beside -inf
+            return float(max(map(abs, values)))
+    return float(np.max(np.abs(arr)))
+
+
+def _record(cls, fields: dict):
+    """An instance of frozen dataclass ``cls`` over ``fields``, one entry per field.
+
+    Skips the generated ``__init__``; the record takes over ``fields``, which
+    must be a fresh dict. Equality, repr and frozenness stay the dataclass's.
+    """
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
+
+
 def _as_indices(indices, what: str) -> np.ndarray:
     """``indices`` as a 1-d int64 array; a non-empty list must hold integers."""
     idx = np.asarray(indices)
@@ -461,7 +481,11 @@ class ConstrainedMinimizationProblem:
         return max(self._violation_maxima(state)) <= tol
 
     def _violation_maxima(self, state: CMPState) -> tuple[float, float]:
-        """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none."""
+        """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none.
+
+        A ConstraintState's violations are finite, so a plain ``max`` over a
+        small group agrees with numpy's clamped maximum.
+        """
         max_ineq = 0.0
         max_eq = 0.0
         for gid, cstate in state.observed_constraints.items():
@@ -469,7 +493,10 @@ class ConstrainedMinimizationProblem:
             if not v.size:
                 continue
             if self.group(gid).constraint_type is ConstraintType.INEQUALITY:
-                max_ineq = max(max_ineq, float(np.max(np.maximum(v, 0.0))))
+                if v.size < _SMALL:
+                    max_ineq = max(max_ineq, *v.tolist())
+                else:
+                    max_ineq = max(max_ineq, float(np.max(np.maximum(v, 0.0))))
             else:
-                max_eq = max(max_eq, float(np.max(np.abs(v))))
+                max_eq = max(max_eq, _max_abs(v))
         return max_ineq, max_eq

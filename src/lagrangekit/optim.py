@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
-from .core import _all_finite
+from .core import _all_finite, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
 from .formulations import _terms, assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
@@ -461,7 +461,13 @@ def _lagrangian(
         if not _all_finite(np.asarray(evaluation.grad_f, dtype=np.float64)):
             raise EvaluationError("non-finite objective gradient")
         raise EvaluationError("non-finite primal gradient")
-    return AssembledLagrangian(primal_lagrangian, dual_lagrangian, gradient, signals, indices)
+    return _record(AssembledLagrangian, {
+        "primal_lagrangian": primal_lagrangian,
+        "dual_lagrangian": dual_lagrangian,
+        "gradient": gradient,
+        "dual_signals": signals,
+        "observed_indices": indices,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +523,15 @@ class RollOut:
     primal_lagrangian: float
     dual_lagrangian: float
     cmp_state: CMPState
+
+
+def _roll_out(state: CMPState, primal_lagrangian: float, dual_lagrangian: float) -> RollOut:
+    return _record(RollOut, {
+        "loss": state.loss,
+        "primal_lagrangian": primal_lagrangian,
+        "dual_lagrangian": dual_lagrangian,
+        "cmp_state": state,
+    })
 
 
 class _DualUpdate:
@@ -587,7 +602,7 @@ def _roll_simultaneous(problem, optimizers, evaluate) -> RollOut:
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     dual_updates = _preview_duals(problem, optimizers, asm)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
+    return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
 
 
 def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
@@ -599,7 +614,7 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     asm_new = assemble(problem, evaluate(x_new))
     dual_updates = _preview_duals(problem, optimizers, asm_new)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return RollOut(ev.state.loss, asm.primal_lagrangian, asm_new.dual_lagrangian, ev.state)
+    return _roll_out(ev.state, asm.primal_lagrangian, asm_new.dual_lagrangian)
 
 
 def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
@@ -617,7 +632,7 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     asm_updated = _lagrangian(problem, ev, blocks, override)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_updated.gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
+    return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
 
 
 def _roll_extragradient(problem, optimizers, evaluate) -> RollOut:
@@ -638,7 +653,7 @@ def _roll_extragradient(problem, optimizers, evaluate) -> RollOut:
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_hat.gradient)
     dual_updates = _preview_duals(problem, optimizers, asm_hat)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return RollOut(ev.state.loss, asm.primal_lagrangian, asm.dual_lagrangian, ev.state)
+    return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
 
 
 _ROLLS = {

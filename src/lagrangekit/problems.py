@@ -28,6 +28,8 @@ from .core import (
     EvaluationError,
     Formulation,
     _all_finite,
+    _max_abs,
+    _record,
 )
 from .formulations import PenaltyCoefficient
 from .gradients import DifferentiableFunction
@@ -166,7 +168,7 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
             observed[gid] = self._observed(block, values, x)
             jacobians[gid] = jac
         state = CMPState._trusted(float(obj_values[0]), observed)
-        return Evaluation(state=state, grad_f=obj_jac[0], jacobians=jacobians)
+        return _record(Evaluation, {"state": state, "grad_f": obj_jac[0], "jacobians": jacobians})
 
     def oracle_functions(self) -> dict:
         """Named differentiable oracles for gradient checking."""
@@ -197,13 +199,20 @@ def _split_concat(problem, vector, ctype, what):
     return pieces
 
 
-def _kkt_pieces(problem, evaluation, values_by_gid) -> KKTResidual:
+def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
+    """The residual at ``evaluation``; ``values_by_gid`` None means the stored multipliers."""
     state = evaluation.state
-    stationarity_vec = np.asarray(evaluation.grad_f, dtype=np.float64).copy()
+    stationarity_vec = np.array(evaluation.grad_f, dtype=np.float64)
     complementarity = 0.0
     for gid, cstate in state.observed_constraints.items():
         group = problem.group(gid)
-        values = np.asarray(values_by_gid.get(gid, np.zeros(group.size)), dtype=np.float64)
+        if values_by_gid is None:
+            values = None if group.multiplier is None else group.multiplier.values
+        else:
+            values = values_by_gid.get(gid)
+        if values is None:
+            values = np.zeros(group.size)
+        values = np.asarray(values, dtype=np.float64)
         if cstate.observed_indices is not None:
             values = values[cstate.observed_indices]
         jac = np.asarray(evaluation.jacobians[gid], dtype=np.float64)
@@ -211,9 +220,9 @@ def _kkt_pieces(problem, evaluation, values_by_gid) -> KKTResidual:
             stationarity_vec += np.dot(values, jac)
         v = cstate.violation
         if group.constraint_type is ConstraintType.INEQUALITY and v.size:
-            complementarity = max(complementarity, float(np.max(np.abs(values * v))))
+            complementarity = max(complementarity, _max_abs(values * v))
     feasibility = max(problem._violation_maxima(state))
-    stationarity = float(np.max(np.abs(stationarity_vec))) if stationarity_vec.size else 0.0
+    stationarity = _max_abs(stationarity_vec) if stationarity_vec.size else 0.0
     return KKTResidual(stationarity, feasibility, complementarity)
 
 
@@ -244,12 +253,7 @@ def current_kkt_residual(problem, evaluation=None) -> KKTResidual:
     """
     if evaluation is None:
         evaluation = problem.evaluate_with_gradients(problem.x)
-    values = {
-        gid: group.multiplier.values
-        for gid, group in problem.groups.items()
-        if group.multiplier is not None
-    }
-    return _kkt_pieces(problem, evaluation, values)
+    return _kkt_pieces(problem, evaluation)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +481,18 @@ def _logistic_loss_grad(features, labels, w, b):
     n = features.shape[0]
     z = np.dot(features, w) + b
     margins = labels * z
-    loss = np.sum(np.logaddexp(0.0, -margins)) / n
+    softplus_neg = np.logaddexp(0.0, -margins)
+    loss = softplus_neg.sum() / n
+    # log(1 + e^m) = m + log(1 + e^-m) bit for bit when m >= 0: numpy's logaddexp
+    # makes the same exp/log1p call for both; only m < 0 needs its own pass
+    softplus = softplus_neg + margins
+    neg = margins < 0
+    softplus[neg] = np.logaddexp(0.0, margins[neg])
     # sigma(-margin) without overflow
-    slope = np.exp(-np.logaddexp(0.0, margins))
+    slope = np.exp(-softplus)
     gz = -(labels * slope) / n
     grad_w = np.dot(gz, features)
-    grad_b = np.sum(gz)
+    grad_b = gz.sum()
     return loss, grad_w, grad_b
 
 

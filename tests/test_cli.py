@@ -146,7 +146,21 @@ class TestRun:
         assert run_cli(command, "--a", "1e308,1e308") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: non-finite loss inf\n"
+        expected = "error: cannot build problem 'projection_ball': non-finite loss inf\n"
+        assert captured.err == expected
+
+    @pytest.mark.parametrize("value", ["-1,2", "-1.5,2", "-1 2", "-.5,-2"])
+    def test_negative_first_coordinate_as_separate_value(self, value, tmp_path, capsys):
+        # argparse would read "-1,2" as a flag; both spellings must run the same problem
+        outputs = []
+        for spelling in (["--a", value], ["--a=" + value]):
+            trace = tmp_path / f"{len(outputs)}.csv"
+            assert run_cli("run", *spelling, "--steps", "20", "--trace", str(trace)) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((trace.read_bytes(), captured.out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].startswith("final: ")
 
     def test_equality_qp_run(self, capsys):
         code = run_cli(
@@ -256,8 +270,12 @@ class TestUsageErrors:
             (["run", "--bogus", "1"], "--bogus 1"),
             ([], "command"),
             (["run", "--reuse-primal-eval"], "--reuse-primal-eval"),  # a removed flag
+            (["run", "--a", "--steps", "3"], "--a"),  # a flag is not a vector value
+            (["run", "--a", "-h"], "--a"),
         ],
-        ids=["bad-value", "unknown-flag", "no-command", "removed-flag"],
+        ids=[
+            "bad-value", "unknown-flag", "no-command", "removed-flag", "a-then-flag", "a-then-help"
+        ],
     )
     def test_exits_one_with_one_line(self, argv, fragment, capsys):
         assert cli.main(argv) == 1

@@ -6,6 +6,8 @@ checkable (x1, mu1) pair. The Adam trajectory values were computed with a
 scalar reference implementation of the standard bias-corrected update.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -828,3 +830,51 @@ class TestAltDpChecksOracleOutputOnce:
         roll(problem, optimizers, scheme="alt-dp")
         assert optimizers.step == 1
         assert counts == {"fit": 1, "jacobian": 1}
+
+
+class TestResultRecords:
+    """The records a roll builds without their ``__init__`` are the public frozen dataclasses."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_frozen_and_equal_to_public_construction(self, scheme):
+        problem = problem_projection_ball(np.array([3.0, 4.0]))
+        optimizers = PrimalDualOptimizers(
+            primal=GradientDescent(0.05),
+            duals=make_dual_optimizers(problem, lambda: GradientAscent(0.05)),
+        )
+        ev = problem.evaluate_with_gradients(problem.x)
+        asm = lk.assemble(problem, ev)
+        out = roll(problem, optimizers, scheme=scheme)
+        pairs = [
+            (ev, lk.Evaluation(state=ev.state, grad_f=ev.grad_f, jacobians=ev.jacobians)),
+            (
+                asm,
+                lk.AssembledLagrangian(
+                    primal_lagrangian=asm.primal_lagrangian,
+                    dual_lagrangian=asm.dual_lagrangian,
+                    gradient=asm.gradient,
+                    dual_signals=asm.dual_signals,
+                    observed_indices=asm.observed_indices,
+                ),
+            ),
+            (
+                out,
+                lk.RollOut(
+                    loss=out.loss,
+                    primal_lagrangian=out.primal_lagrangian,
+                    dual_lagrangian=out.dual_lagrangian,
+                    cmp_state=out.cmp_state,
+                ),
+            ),
+        ]
+        for record, public in pairs:
+            assert type(record) is type(public)
+            assert record == public and not record != public
+            assert repr(record) == repr(public)
+            assert vars(record) == vars(public)
+            for f in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, f.name)
+        assert out.loss == out.cmp_state.loss

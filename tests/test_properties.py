@@ -4,6 +4,7 @@ replace, and every CLI invocation ends with a contained exit."""
 import contextlib
 import io
 import json
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -12,10 +13,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lagrangekit import cli
-from lagrangekit.core import _SMALL, ConstraintState, _all_finite, _as_indices
+from lagrangekit.core import (
+    _SMALL,
+    CMPState,
+    ConstrainedMinimizationProblem,
+    ConstraintGroup,
+    ConstraintState,
+    ConstraintType,
+    _all_finite,
+    _as_indices,
+    _max_abs,
+)
 from lagrangekit.multipliers import _check_indices
 from lagrangekit.optim import SCHEMES
-from lagrangekit.problems import PROBLEM_NAMES
+from lagrangekit.problems import PROBLEM_NAMES, _logistic_loss_grad
 
 _EDGE_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0])
 _SHAPES = st.one_of(
@@ -38,6 +49,122 @@ def test_all_finite_equals_numpy(arr):
     # both sides of _SMALL; 1e308 entries make any sum overflow
     assert _all_finite(arr) == bool(np.isfinite(arr).all())
     assert _all_finite(arr.T) == bool(np.isfinite(arr.T).all())
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 2 * _SMALL),
+        elements=st.one_of(
+            st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+    )
+)
+@example(np.array([-0.0]))
+@example(np.array([np.inf, -np.inf]))  # sums to NaN without a NaN entry
+@example(np.array([1.0, np.nan, 2.0]))
+@example(np.full(_SMALL, np.nan))
+def test_max_abs_equals_numpy(arr):
+    assert _bits(_max_abs(arr)) == _bits(float(np.max(np.abs(arr))))
+    square = arr[: (arr.size // 2) * 2].reshape(2, -1)
+    if square.size:
+        assert _bits(_max_abs(square.T)) == _bits(float(np.max(np.abs(square.T))))
+
+
+def _parent_violation_maxima(problem, state):
+    """``_violation_maxima`` as it was, all numpy, kept as a reference."""
+    max_ineq = 0.0
+    max_eq = 0.0
+    for gid, cstate in state.observed_constraints.items():
+        v = cstate.violation
+        if not v.size:
+            continue
+        if problem.group(gid).constraint_type is ConstraintType.INEQUALITY:
+            max_ineq = max(max_ineq, float(np.max(np.maximum(v, 0.0))))
+        else:
+            max_eq = max(max_eq, float(np.max(np.abs(v))))
+    return max_ineq, max_eq
+
+
+_VIOLATIONS = st.lists(
+    st.one_of(
+        st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=2 * _SMALL,
+)
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), _VIOLATIONS), min_size=1, max_size=4))
+@example([(True, [-0.0]), (False, [-0.0])])
+@example([(True, [-1.0, -0.0]), (True, []), (False, [-2.0, 0.0])])
+@example([(True, [-1.0] * _SMALL + [3.0]), (False, [-5.0] * _SMALL)])
+def test_violation_maxima_equals_numpy(groups):
+    problem = ConstrainedMinimizationProblem(1)
+    observed = {}
+    for i, (inequality, values) in enumerate(groups):
+        kind = ConstraintType.INEQUALITY if inequality else ConstraintType.EQUALITY
+        problem.register_group(ConstraintGroup(f"g{i}", kind, max(1, len(values))))
+        observed[f"g{i}"] = ConstraintState(np.array(values, dtype=np.float64))
+    state = CMPState(loss=0.0, observed_constraints=observed)
+    got = problem._violation_maxima(state)
+    expected = _parent_violation_maxima(problem, state)
+    assert [_bits(v) for v in got] == [_bits(v) for v in expected]
+
+
+def _parent_logistic_loss_grad(features, labels, w, b):
+    """``problems._logistic_loss_grad`` as it was, two full logaddexp passes, as a reference."""
+    n = features.shape[0]
+    z = np.dot(features, w) + b
+    margins = labels * z
+    loss = np.sum(np.logaddexp(0.0, -margins)) / n
+    slope = np.exp(-np.logaddexp(0.0, margins))
+    gz = -(labels * slope) / n
+    grad_w = np.dot(gz, features)
+    grad_b = np.sum(gz)
+    return loss, grad_w, grad_b
+
+
+_MARGIN_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 800.0, -800.0, 1.0, -1.0, 36.0, -36.0, 745.0, -745.0]),
+    st.floats(-800.0, 800.0),
+    st.floats(-2.0, 2.0),  # where m + log(1 + e^-m) rounds differently for m < 0
+)
+
+
+@st.composite
+def _logistic_inputs(draw):
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 3))
+    features = draw(hnp.arrays(np.float64, (n, dim), elements=_MARGIN_PARTS))
+    labels = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    w = draw(hnp.arrays(np.float64, dim, elements=st.one_of(
+        st.sampled_from([1.0, -1.0, 0.0]), st.floats(-2.0, 2.0)
+    )))
+    b = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)))
+    return features, labels, w, b
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(_logistic_inputs())
+@example((np.array([[0.0], [-0.0], [800.0], [-800.0], [1.0]]),
+          np.array([1.0, -1.0, 1.0, -1.0, -1.0]), np.array([1.0]), 0.0))
+@example((np.linspace(-2.0, 2.0, 41)[:, None], np.ones(41), np.array([1.0]), 0.0))
+def test_logistic_loss_grad_equals_two_pass_formula(inputs):
+    # margins of both signs, exact zeros and |m| up to 800; equal bit for bit
+    features, labels, w, b = inputs
+    loss, grad_w, grad_b = _logistic_loss_grad(features, labels, w, b)
+    ref_loss, ref_grad_w, ref_grad_b = _parent_logistic_loss_grad(features, labels, w, b)
+    assert _bits(loss) == _bits(ref_loss)
+    assert grad_w.tobytes() == ref_grad_w.tobytes()
+    assert _bits(grad_b) == _bits(ref_grad_b)
 
 
 def _parent_state_checks(indices):
