@@ -189,16 +189,16 @@ def _gathered_penalty(
     return full[state.observed_indices]
 
 
-def _terms(
-    group: ConstraintGroup, state: ConstraintState, values, penalty, formulation: Formulation
-):
+def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
     """Unchecked (primal term, dual signal, primal weights, gathered multiplier).
 
-    The one copy of each formula. The gathered multiplier is None for
-    quadratic penalty. ``assemble`` checks what these derive once per step;
-    ``group_contribution`` checks it through ``ContributionPair``.
+    The one copy of each formula, under the group's formulation. The
+    gathered multiplier is None for quadratic penalty. ``assemble`` checks
+    what these derive once per step; ``group_contribution`` checks it
+    through ``ContributionPair``.
     """
     v = state.violation
+    formulation = group.formulation
     if formulation is Formulation.QUADRATIC_PENALTY:
         if group.multiplier is not None:
             raise ValueError(
@@ -218,11 +218,24 @@ def _terms(
         ratio = m / c
         active = np.maximum(v + ratio, 0.0)
         primal = 0.5 * np.sum(c * (active * active - ratio * ratio))
-        weights = np.maximum(c * v + m, 0.0)
     else:
         primal = np.dot(m, v) + 0.5 * np.sum(c * v * v)
-        weights = m + c * v
-    return primal, c * state.dual_violation, weights, m
+    return primal, c * state.dual_violation, _weights(group, state, m, c), m
+
+
+def _weights(group: ConstraintGroup, state: ConstraintState, m: np.ndarray, c=None) -> np.ndarray:
+    """The primal weights of a multiplier group at the gathered multiplier ``m``.
+
+    ``c`` is the gathered penalty, the group's own when omitted; the rolls
+    call this alone for a gradient at other multipliers than the terms.
+    """
+    if group.formulation is Formulation.LAGRANGIAN:
+        return m
+    if c is None:
+        c = _gathered_penalty(group, state, group.penalty)
+    if group.constraint_type is ConstraintType.INEQUALITY:
+        return np.maximum(c * state.violation + m, 0.0)
+    return m + c * state.violation
 
 
 def group_contribution(
@@ -240,7 +253,7 @@ def group_contribution(
     """
     penalty = penalty if penalty is not None else group.penalty
     values = multiplier_values if multiplier_values is not None else group.multiplier
-    primal, signal, weights, _ = _terms(group, state, values, penalty, group.formulation)
+    primal, signal, weights, _ = _terms(group, state, values, penalty)
     return ContributionPair(group.name, float(primal), signal, weights)
 
 

@@ -59,7 +59,13 @@ class Multiplier:
 
     @property
     def values(self) -> np.ndarray:
-        """Current dual values. Treat as read-only."""
+        """The live current dual values: treat as read-only, copy to keep.
+
+        A later update may write into this very array (an indexed commit
+        scatters its entries in place), so it is a view of the current state,
+        not a snapshot. Arrays passed in (``values=``, ``load_values``) are
+        copied, so a commit never writes into a caller's array.
+        """
         return self._values
 
     def copy_values(self) -> np.ndarray:
@@ -85,10 +91,14 @@ class Multiplier:
     def preview_delta(self, delta, indices=None) -> np.ndarray:
         """Values after adding delta (at ``indices`` if given) and projecting.
 
-        Pure: the multiplier itself is not touched. With partial indices only
-        the addressed entries change; unaddressed entries keep their exact
-        bits.
+        Pure: the multiplier itself is not touched. Returns the full vector;
+        with partial indices only the addressed entries change and
+        unaddressed entries keep their exact bits.
         """
+        delta, indices = self._checked_delta(delta, indices)
+        return self._merged(self._preview(delta, indices), indices)
+
+    def _checked_delta(self, delta, indices) -> tuple[np.ndarray, Optional[np.ndarray]]:
         delta = np.asarray(delta, dtype=np.float64)
         if delta.ndim != 1:
             raise ValueError("delta must be a 1-d vector")
@@ -103,18 +113,24 @@ class Multiplier:
                 raise ValueError(
                     f"delta length {delta.size} != indices length {indices.size}"
                 )
-        return self._preview(delta, indices)
+        return delta, indices
 
     def _preview(self, delta: np.ndarray, indices: Optional[np.ndarray]) -> np.ndarray:
-        """``preview_delta`` of a fitting delta at distinct in-range indices.
+        """The updated entries for a fitting delta at distinct in-range indices.
 
-        Checks only the addressed entries: the stored values are finite.
+        The full new vector when ``indices`` is None, else only the addressed
+        entries, in the order of ``indices``. Checks only those entries: the
+        stored values are finite.
         """
         updated = (self._values if indices is None else self._values[indices]) + delta
         if self._constraint_type is ConstraintType.INEQUALITY:
             updated = np.maximum(updated, 0.0)
         if not _all_finite(updated):
             raise EvaluationError("dual update produced non-finite multiplier values")
+        return updated
+
+    def _merged(self, updated: np.ndarray, indices: Optional[np.ndarray]) -> np.ndarray:
+        """The full vector that ``_store(updated, indices)`` would leave, as a new array."""
         if indices is None:
             return updated
         new = self._values.copy()
@@ -123,12 +139,20 @@ class Multiplier:
 
     def apply_dual_delta(self, delta, indices=None) -> "Multiplier":
         """Add delta at the addressed positions, then project. Returns self."""
-        self._store(self.preview_delta(delta, indices), indices)
+        delta, indices = self._checked_delta(delta, indices)
+        self._store(self._preview(delta, indices), indices)
         return self
 
     def _store(self, values: np.ndarray, indices) -> None:
-        """Adopt ``preview_delta`` output computed for the same ``indices``."""
-        self._values = values
+        """Commit ``_preview`` output computed for the same ``indices``.
+
+        A full vector is adopted; addressed entries are written in place, so
+        an indexed commit costs O(len(indices)), not O(size).
+        """
+        if indices is None:
+            self._values = values
+        else:
+            self._values[indices] = values
 
     def load_values(self, values) -> None:
         """Replace values wholesale (checkpoint restore); invariants still checked."""
@@ -152,15 +176,16 @@ class IndexedMultiplier(Multiplier):
 
     @property
     def update_count(self) -> np.ndarray:
+        """The live per-entry update counts: incremented in place, copy to keep."""
         return self._update_count
 
     def _store(self, values, indices):
-        # preview_delta has already validated the indices
+        # the indices were validated with the preview
         if indices is None:
             self._update_count += 1
         else:
-            self._update_count[np.asarray(indices, dtype=np.int64)] += 1
-        self._values = values
+            self._update_count[indices] += 1
+        super()._store(values, indices)
 
     def _checked_counts(self, counts) -> np.ndarray:
         """A validated int64 copy of ``counts``; the multiplier is not touched."""

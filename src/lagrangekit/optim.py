@@ -21,12 +21,21 @@ Each value is checked once, then trusted:
   evaluation; then ``_checked_blocks``, one pass before any formula, checks
   each group's size or index range and each Jacobian (present, finite,
   (k, dim) unless k = 0);
-- what ``_lagrangian`` derives from the blocks at given multipliers: the
-  primal Lagrangian, a dual signal c * v, and the composed gradient (which
-  covers grad_f; its shape is compared on the copy each pass makes).
-  ``assemble`` is the two in turn; alt-dp runs ``_lagrangian`` twice over
-  one ``_checked_blocks``;
+- what the two passes over the blocks derive: the dual pass (the terms at
+  given multipliers) the primal Lagrangian and a dual signal c * v; the
+  primal pass the composed gradient (which covers grad_f; its shape is
+  compared on the copy it composes on). Each scheme runs only the passes it
+  uses: ``assemble`` runs both (simultaneous, extragradient, alt-pd at x_t);
+  alt-dp runs the dual pass at m_t and the primal pass at m_{t+1} over one
+  ``_checked_blocks``; alt-pd runs only the dual pass at x_{t+1}. A
+  gradient a scheme does not use (alt-dp's at m_t, alt-pd's at x_{t+1}) is
+  not checked; alt-pd's next roll takes, and checks, the one at x_{t+1};
 - proposals before commit: x_new and each multiplier preview.
+
+A dual preview of an indexed update holds only the addressed entries, and
+the commit writes them, and NuPI's buffer entries, in place: O(observed),
+not O(size). ``Multiplier.values``, ``IndexedMultiplier.update_count`` and
+``NuPI.buffer_state()`` are therefore live arrays; copy them to keep them.
 
 The committed x is read-only and trusted: it was checked as x_new. States
 the library builds go through ``ConstraintState._trusted`` and
@@ -47,7 +56,7 @@ import numpy as np
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
 from .core import _all_finite, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
-from .formulations import _terms, assemble_lagrangian, group_contribution  # noqa: F401
+from .formulations import _terms, _weights, assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
 from .multipliers import Multiplier, _check_indices, multiplier_values_for  # noqa: F401
 
@@ -282,7 +291,10 @@ class NuPI(DualOptimizer):
     and delta = lr * (e_t + kappa_p * (ehat_t - ehat_{t-1})). The EMA is
     initialized per entry to the first observed error, so the first step
     equals plain gradient ascent; with kappa_p = 0 every step does. Buffers
-    advance only at the addressed indices.
+    advance only at the addressed indices: an indexed ``commit`` writes
+    those entries of ``ema`` and ``seen`` in place, so ``buffer_state()``
+    returns live arrays (copy them to keep them). Arrays passed to
+    ``load_buffer_state`` are copied.
     """
 
     kind = "nupi"
@@ -301,25 +313,36 @@ class NuPI(DualOptimizer):
         self.seen: Optional[np.ndarray] = None
 
     def _step(self, signal, indices, size):
+        """The delta and the staged ``(ema, seen, indices)`` that ``commit`` takes.
+
+        Whole buffers (``indices`` None) on the first step and on a full
+        step; otherwise the new ``ema`` entries at ``indices``, read without
+        copying the buffers.
+        """
+        e = signal
+        idx = slice(None) if indices is None else indices
         if self.ema is None:
-            ema = np.zeros(size, dtype=np.float64)
-            seen = np.zeros(size, dtype=bool)
+            prev = e
         else:
             if self.ema.size != size:
                 raise ValueError(f"nupi buffer size {self.ema.size} != multiplier size {size}")
-            ema = self.ema.copy()
-            seen = self.seen.copy()
-        e = signal
-        idx = slice(None) if indices is None else indices
-        prev = np.where(seen[idx], ema[idx], e)
+            prev = np.where(self.seen[idx], self.ema[idx], e)
         new = self.nu * prev + (1.0 - self.nu) * e
         delta = self.learning_rate * (e + self.kappa_p * (new - prev))
+        if self.ema is not None and indices is not None:
+            return delta, (new, None, indices)
+        ema = np.zeros(size, dtype=np.float64)
+        seen = np.zeros(size, dtype=bool)
         ema[idx] = new
         seen[idx] = True
-        return delta, (ema, seen)
+        return delta, (ema, seen, None)
 
     def commit(self, staged):
-        self.ema, self.seen = staged
+        ema, seen, indices = staged
+        if indices is None:
+            self.ema, self.seen = ema, seen
+        else:
+            self.ema[indices], self.seen[indices] = ema, True
 
     def buffer_state(self):
         return {"ema": self.ema, "seen": self.seen}
@@ -329,11 +352,11 @@ class NuPI(DualOptimizer):
             raise ValueError("nupi: ema and seen must both be present or both absent")
         ema = _staged_vector(state, "ema")
         if ema is None:
-            return None, None
+            return None, None, None
         seen = np.asarray(state["seen"], dtype=bool).copy()
         if ema.shape != seen.shape:
             raise ValueError("nupi: ema and seen shapes differ")
-        return ema, seen
+        return ema, seen, None
 
 
 @dataclass
@@ -384,11 +407,20 @@ def assemble(
     """Assemble the primal Lagrangian, its x-gradient, and the dual signals.
 
     ``multiplier_values`` optionally overrides the stored multiplier values
-    per group id; schemes use it to take gradients at not-yet-committed
-    multipliers.
+    per group id (full vectors); schemes use it to take gradients at
+    not-yet-committed multipliers.
     """
     blocks = _checked_blocks(problem, evaluation)
-    return _lagrangian(problem, evaluation, blocks, multiplier_values)
+    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(
+        problem, evaluation, blocks, multiplier_values
+    )
+    return _record(AssembledLagrangian, {
+        "primal_lagrangian": primal_lagrangian,
+        "dual_lagrangian": dual_lagrangian,
+        "gradient": _primal_pass(problem, evaluation, blocks, weights),
+        "dual_signals": signals,
+        "observed_indices": indices,
+    })
 
 
 def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluation) -> list:
@@ -413,37 +445,27 @@ def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluat
     return blocks
 
 
-def _lagrangian(
-    problem: ConstrainedMinimizationProblem,
-    evaluation: Evaluation,
-    blocks: list,
-    multiplier_values: Optional[dict],
-) -> AssembledLagrangian:
-    """``assemble`` over ``_checked_blocks(problem, evaluation)``.
+def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=None) -> tuple:
+    """The scalars and dual signals of ``_checked_blocks(problem, evaluation)``.
 
-    Applies the formulas and checks what they derive: the primal Lagrangian,
-    a dual signal c * v, and the composed gradient (which covers grad_f),
-    built on a copy of grad_f whose shape is checked.
+    Returns ``(primal_lagrangian, dual_lagrangian, dual_signals,
+    observed_indices, weights)`` and checks what it derives: the primal
+    Lagrangian and a dual signal c * v. ``weights`` (one per block) feed
+    ``_primal_pass`` at the same multipliers.
     """
-    state = evaluation.state
-    gradient = np.array(evaluation.grad_f, dtype=np.float64)
-    if gradient.shape != (problem.dim,):
-        raise ValueError(f"grad_f shape {gradient.shape} != ({problem.dim},)")
-
-    primal_lagrangian = state.loss
+    primal_lagrangian = evaluation.state.loss
     dual_lagrangian = 0.0
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
-    for gid, cstate, group, jacobian in blocks:
+    weights = []
+    for gid, cstate, group, _ in blocks:
         values = None if multiplier_values is None else multiplier_values.get(gid)
         if values is None and group.multiplier is not None:
             # the indices are in range for the group: gather without the public check
-            values = group.multiplier.values
-        term, signal, weights, gathered = _terms(
-            group, cstate, values, group.penalty, group.formulation
-        )
+            values = group.multiplier._values
+        term, signal, block_weights, gathered = _terms(group, cstate, values, group.penalty)
         primal_lagrangian += term
-        _add_weighted_rows(gradient, weights, jacobian)
+        weights.append(block_weights)
         if gathered is not None:
             # a derived signal (c * v) can overflow to -inf, which the projection
             # would clamp to 0; the plain signal is the checked violation itself
@@ -456,18 +478,26 @@ def _lagrangian(
     primal_lagrangian = float(primal_lagrangian)
     if not math.isfinite(primal_lagrangian):
         raise EvaluationError(f"non-finite primal Lagrangian {primal_lagrangian}")
-    # also the check of grad_f: a non-finite entry stays non-finite in the sum
+    return primal_lagrangian, dual_lagrangian, signals, indices, weights
+
+
+def _primal_pass(problem, evaluation: Evaluation, blocks: list, weights: list) -> np.ndarray:
+    """The checked primal gradient: grad_f plus each block's Jacobian rows times its weights.
+
+    Composed on a copy of grad_f whose shape is checked; the finiteness
+    check of the sum also covers grad_f.
+    """
+    gradient = np.array(evaluation.grad_f, dtype=np.float64)
+    if gradient.shape != (problem.dim,):
+        raise ValueError(f"grad_f shape {gradient.shape} != ({problem.dim},)")
+    for (_, _, _, jacobian), block_weights in zip(blocks, weights):
+        _add_weighted_rows(gradient, block_weights, jacobian)
+    # a non-finite entry of grad_f stays non-finite in the sum
     if not _all_finite(gradient):
         if not _all_finite(np.asarray(evaluation.grad_f, dtype=np.float64)):
             raise EvaluationError("non-finite objective gradient")
         raise EvaluationError("non-finite primal gradient")
-    return _record(AssembledLagrangian, {
-        "primal_lagrangian": primal_lagrangian,
-        "dual_lagrangian": dual_lagrangian,
-        "gradient": gradient,
-        "dual_signals": signals,
-        "observed_indices": indices,
-    })
+    return gradient
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +565,11 @@ def _roll_out(state: CMPState, primal_lagrangian: float, dual_lagrangian: float)
 
 
 class _DualUpdate:
-    """A previewed dual step: the projected multiplier values and staged buffers."""
+    """A previewed dual step: the projected multiplier entries and staged buffers.
+
+    ``preview`` is the whole vector when ``indices`` is None, else the new
+    entries at ``indices``; ``commit`` writes them and the buffers in place.
+    """
 
     __slots__ = ("multiplier", "optimizer", "indices", "staged", "preview")
 
@@ -566,18 +600,17 @@ def _preview_dual(multiplier, optimizer, signal, indices) -> _DualUpdate:
     return _DualUpdate(multiplier, optimizer, indices, staged, preview)
 
 
-def _preview_duals(problem, optimizers, assembled: AssembledLagrangian) -> dict:
+def _preview_duals(problem, optimizers, signals: dict, indices: dict) -> dict:
     """Previewed dual updates keyed by group id, for groups with a non-empty signal."""
     updates = {}
-    for gid, signal in assembled.dual_signals.items():
+    for gid, signal in signals.items():
         if signal.size == 0:
             continue
         optimizer = optimizers.duals.get(gid)
         if optimizer is None:
             raise ValueError(f"no dual optimizer bound for group {gid!r}")
-        updates[gid] = _preview_dual(
-            problem.group(gid).multiplier, optimizer, signal, assembled.observed_indices[gid]
-        )
+        multiplier = problem.group(gid).multiplier
+        updates[gid] = _preview_dual(multiplier, optimizer, signal, indices[gid])
     return updates
 
 
@@ -600,39 +633,49 @@ def _roll_simultaneous(problem, optimizers, evaluate) -> RollOut:
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
-    dual_updates = _preview_duals(problem, optimizers, asm)
+    dual_updates = _preview_duals(problem, optimizers, asm.dual_signals, asm.observed_indices)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
 
 
 def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
-    """Primal step first, then the dual step on signals measured at x_{t+1}."""
+    """Primal step first, then the dual step on signals measured at x_{t+1}.
+
+    Only the dual pass runs at x_{t+1}: its gradient would not be used.
+    """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
-    asm_new = assemble(problem, evaluate(x_new))
-    dual_updates = _preview_duals(problem, optimizers, asm_new)
+    ev_new = evaluate(x_new)
+    _, dual_lagrangian, signals, indices, _ = _dual_pass(
+        problem, ev_new, _checked_blocks(problem, ev_new)
+    )
+    dual_updates = _preview_duals(problem, optimizers, signals, indices)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return _roll_out(ev.state, asm.primal_lagrangian, asm_new.dual_lagrangian)
+    return _roll_out(ev.state, asm.primal_lagrangian, dual_lagrangian)
 
 
 def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     """Dual step first on x_t signals; the primal step then uses m_{t+1}.
 
-    Both updates come from the single x_t evaluation; the primal gradient is
-    re-assembled at the previewed multiplier values before anything commits.
+    Both updates come from the single x_t evaluation: the dual pass at m_t,
+    then the primal pass at the previewed multiplier entries, before
+    anything commits.
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both passes
-    asm = _lagrangian(problem, ev, blocks, None)
-    dual_updates = _preview_duals(problem, optimizers, asm)
-    override = {gid: u.preview for gid, u in dual_updates.items()}
-    asm_updated = _lagrangian(problem, ev, blocks, override)
-    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_updated.gradient)
+    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(problem, ev, blocks)
+    dual_updates = _preview_duals(problem, optimizers, signals, indices)
+    for i, (gid, cstate, group, _) in enumerate(blocks):
+        if gid in dual_updates:
+            # the preview holds the entries at this evaluation's indices, in their order
+            weights[i] = _weights(group, cstate, dual_updates[gid].preview)
+    gradient = _primal_pass(problem, ev, blocks, weights)
+    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
+    return _roll_out(ev.state, primal_lagrangian, dual_lagrangian)
 
 
 def _roll_extragradient(problem, optimizers, evaluate) -> RollOut:
@@ -640,18 +683,22 @@ def _roll_extragradient(problem, optimizers, evaluate) -> RollOut:
 
     The half-point (x_hat, m_hat) comes from previews that advance no buffers;
     the committed step applies grad(x_hat, m_hat) and signals(x_hat) to the
-    original (x_t, m_t), advancing stateful buffers exactly once.
+    original (x_t, m_t), advancing stateful buffers exactly once. m_hat is
+    passed as full vectors: the x_hat evaluation may observe other entries
+    than the x_t one.
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_hat, _ = _preview_primal(optimizers.primal, problem.x, asm.gradient)
-    half_updates = _preview_duals(problem, optimizers, asm)
-    override = {gid: u.preview for gid, u in half_updates.items()}
+    half_updates = _preview_duals(problem, optimizers, asm.dual_signals, asm.observed_indices)
+    override = {gid: u.multiplier._merged(u.preview, u.indices) for gid, u in half_updates.items()}
     ev_hat = evaluate(x_hat)
     asm_hat = assemble(problem, ev_hat, multiplier_values=override)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_hat.gradient)
-    dual_updates = _preview_duals(problem, optimizers, asm_hat)
+    dual_updates = _preview_duals(
+        problem, optimizers, asm_hat.dual_signals, asm_hat.observed_indices
+    )
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import lagrangekit as lk
 from lagrangekit import (
+    ConstraintGroup,
     ConstraintState,
     ConstraintType,
     DenseMultiplier,
@@ -11,6 +13,8 @@ from lagrangekit import (
     GradientAscent,
     IndexedMultiplier,
     Multiplier,
+    NuPI,
+    checkpoint,
     dual_step,
     multiplier_values_for,
 )
@@ -194,3 +198,89 @@ class TestDenseIndexedEquivalence:
             m.apply_dual_delta(rng.normal(size=2), indices=subset)
         assert m.values[1] == before[1] and m.values[3] == before[3]
         assert m.update_count.tolist()[1::2] == [0, 0]
+
+
+class TestArrayContract:
+    """``values``, ``update_count`` and NuPI ``buffer_state()`` are live views.
+
+    An indexed commit writes the addressed entries of these arrays in place,
+    so a caller copies them to keep them. Every array a caller hands in is
+    copied on the way in, so no later commit writes into it.
+    """
+
+    SIGNAL = np.array([0.5, -0.25])
+    IDX = np.array([2, 0])
+
+    def commit(self, mult, dual):
+        dual_step(dual, mult, self.SIGNAL, indices=self.IDX)
+
+    def test_accessors_are_live_views(self):
+        mult, dual = IndexedMultiplier(4, INEQ), NuPI(0.1)
+        self.commit(mult, dual)
+        live = [mult.values, mult.update_count, *dual.buffer_state().values()]
+        kept = [arr.copy() for arr in live]
+        self.commit(mult, dual)
+        now = [mult.values, mult.update_count, *dual.buffer_state().values()]
+        assert all(a is b for a, b in zip(live, now))
+        assert [arr.tolist() for arr in kept] != [arr.tolist() for arr in live]
+        assert kept[1].tolist() == [1, 0, 1, 0] and live[1].tolist() == [2, 0, 2, 0]
+
+    def test_handed_in_arrays_are_never_written(self):
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        counts = np.array([5, 6, 7, 8])
+        ema = np.array([0.1, 0.2, 0.3, 0.4])
+        seen = np.array([False, True, False, True])
+        handed = [values, counts, ema, seen]
+        kept = [arr.copy() for arr in handed]
+
+        built = IndexedMultiplier(4, INEQ, values=values)
+        loaded = IndexedMultiplier(4, INEQ)
+        loaded.load_values(values)
+        loaded.load_update_count(counts)
+        dual = NuPI(0.1)
+        dual.load_buffer_state({"ema": ema, "seen": seen})
+        self.commit(built, NuPI(0.1))
+        self.commit(loaded, dual)
+        for _ in range(2):
+            self.commit(loaded, dual)
+        assert [arr.tobytes() for arr in handed] == [arr.tobytes() for arr in kept]
+
+    def test_initial_multiplier_is_never_written(self):
+        initial = np.array([1.0, 2.0, 3.0, 4.0])
+        problem, optimizers = self.indexed_problem(initial)
+        self.roll(problem, optimizers)
+        assert initial.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert problem.group("g").multiplier.values.tolist() != initial.tolist()
+
+    def test_checkpoint_loads_share_no_array(self, tmp_path):
+        source = self.indexed_problem(np.ones(4))
+        self.roll(*source)
+        path = tmp_path / "state.ckpt"
+        checkpoint.save(*source, path)
+        saved = path.read_bytes()
+        first, second = self.indexed_problem(np.ones(4)), self.indexed_problem(np.ones(4))
+        checkpoint.load(path, *first)
+        checkpoint.load(path, *second)
+        self.roll(*first)
+        self.roll(*first)
+        # the second load is still the file's state, and the file is untouched
+        checkpoint.save(*second, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == saved == path.read_bytes()
+
+    @staticmethod
+    def indexed_problem(initial):
+        problem = lk.ConstrainedMinimizationProblem(2)
+        problem.register_group(ConstraintGroup(
+            name="g", constraint_type=INEQ, size=4, indexed=True, initial_multiplier=initial
+        ))
+        optimizers = lk.PrimalDualOptimizers(
+            primal=lk.GradientDescent(0.1),
+            duals=lk.make_dual_optimizers(problem, lambda: NuPI(0.1)),
+        )
+        return problem, optimizers
+
+    def roll(self, problem, optimizers):
+        cstate = ConstraintState(violation=self.SIGNAL, observed_indices=self.IDX)
+        state = lk.CMPState(loss=0.0, observed_constraints={"g": cstate})
+        ev = lk.Evaluation(state=state, grad_f=np.zeros(2), jacobians={"g": np.ones((2, 2))})
+        lk.roll(problem, optimizers, evaluate=lambda x: ev)

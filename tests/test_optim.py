@@ -878,3 +878,84 @@ class TestResultRecords:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     delattr(record, f.name)
         assert out.loss == out.cmp_state.loss
+
+
+class TestTwoPasses:
+    """What each scheme computes, and so checks, at the points it visits.
+
+    alt-dp takes its gradient only at the previewed m_{t+1}, and alt-pd runs
+    only the dual pass at x_{t+1}, whose gradient it would not use. A value
+    skipped there is rejected by the next roll that uses it, which commits
+    nothing.
+    """
+
+    @staticmethod
+    def problem(initial):
+        problem = lk.ConstrainedMinimizationProblem(1)
+        problem.register_group(ConstraintGroup(
+            name="h", constraint_type=ConstraintType.EQUALITY, size=1,
+            initial_multiplier=[initial],
+        ))
+        optimizers = PrimalDualOptimizers(
+            primal=Momentum(0.1, beta=0.5),
+            duals=make_dual_optimizers(problem, lambda: NuPI(1.0, kappa_p=0.0)),
+        )
+        return problem, optimizers
+
+    @staticmethod
+    def evaluation(violation, grad_f, jacobian):
+        cstate = ConstraintState(violation=[violation])
+        state = lk.CMPState(loss=0.0, observed_constraints={"h": cstate})
+        return lk.Evaluation(
+            state=state, grad_f=np.array(grad_f), jacobians={"h": np.array([[jacobian]])}
+        )
+
+    @staticmethod
+    def snapshot(problem, optimizers):
+        state = [problem.x.tobytes(), problem.group("h").multiplier.values.tobytes()]
+        for opt in [optimizers.primal, *optimizers.duals.values()]:
+            for name, buffer in sorted(opt.buffer_state().items()):
+                state.append((name, np.asarray(buffer).tobytes()))
+        return state + [optimizers.step]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_alt_dp_gradient_is_taken_only_at_the_new_multiplier(self):
+        # grad = 1e308 * m: inf at m_0 = 2, finite at m_1 = 2 - 1 = 1
+        def evaluate(x):
+            return self.evaluation(-1.0 if x[0] == 0.0 else 1.0, [0.0], 1e308)
+
+        problem, optimizers = self.problem(2.0)
+        with pytest.raises(EvaluationError, match="non-finite primal gradient"):
+            roll(problem, optimizers, scheme="simultaneous", evaluate=evaluate)
+
+        roll(problem, optimizers, scheme="alt-dp", evaluate=evaluate)
+        assert optimizers.step == 1
+        assert problem.group("h").multiplier.values.tolist() == [1.0]
+        assert problem.x.tolist() == [-0.1 * 1e308]
+        # from x_1 the signal is +1: m_2 = 2 and the gradient there is inf
+        before = self.snapshot(problem, optimizers)
+        with pytest.raises(EvaluationError, match="non-finite primal gradient"):
+            roll(problem, optimizers, scheme="alt-dp", evaluate=evaluate)
+        assert self.snapshot(problem, optimizers) == before
+
+    @pytest.mark.parametrize(
+        "bad_grad_f, error, message",
+        [
+            ([np.inf], EvaluationError, "non-finite objective gradient"),
+            ([0.0, 0.0], ValueError, r"grad_f shape \(2,\) != \(1,\)"),
+        ],
+        ids=["non-finite", "mis-shaped"],
+    )
+    def test_alt_pd_takes_no_gradient_at_the_new_point(self, bad_grad_f, error, message):
+        def evaluate(x):
+            return self.evaluation(x[0] - 1.0, [0.5] if x[0] == 0.0 else bad_grad_f, 1.0)
+
+        problem, optimizers = self.problem(0.0)
+        roll(problem, optimizers, scheme="alt-pd", evaluate=evaluate)
+        assert optimizers.step == 1
+        assert problem.x.tolist() == [-0.05]
+        assert problem.group("h").multiplier.values.tolist() == [-1.05]
+        before = self.snapshot(problem, optimizers)
+        with pytest.raises(error, match=message):
+            roll(problem, optimizers, scheme="alt-pd", evaluate=evaluate)
+        assert self.snapshot(problem, optimizers) == before
