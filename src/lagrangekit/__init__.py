@@ -22,10 +22,8 @@ from .core import (
 from .formulations import (
     ContributionPair,
     PenaltyCoefficient,
-    PenaltyScheduler,
     assemble_lagrangian,
     group_contribution,
-    schedule_penalty,
 )
 from .gradients import (
     DifferentiableFunction,
@@ -55,9 +53,7 @@ from .optim import (
     PrimalOptimizer,
     RollOut,
     assemble,
-    dual_step,
     make_dual_optimizers,
-    primal_step,
     roll,
 )
 from .problems import (
@@ -99,10 +95,8 @@ __all__ = [
     # formulations
     "ContributionPair",
     "PenaltyCoefficient",
-    "PenaltyScheduler",
     "assemble_lagrangian",
     "group_contribution",
-    "schedule_penalty",
     # gradients
     "DifferentiableFunction",
     "GradientCheckEntry",
@@ -129,9 +123,7 @@ __all__ = [
     "PrimalOptimizer",
     "RollOut",
     "assemble",
-    "dual_step",
     "make_dual_optimizers",
-    "primal_step",
     "roll",
     # problems
     "PROBLEM_NAMES",

@@ -101,20 +101,19 @@ def _decode(key: str, rest: str):
             if len(tokens) != 2:
                 raise ValueError("expected one float")
             return float.fromhex(tokens[1])
-        if tag == "v":
+        if tag in ("v", "iv"):
+            if len(tokens) < 2:
+                raise ValueError("missing count")
             n = int(tokens[1])
             if len(tokens) != 2 + n:
                 raise ValueError(f"expected {n} entries")
-            return np.array([float.fromhex(t) for t in tokens[2:]], dtype=np.float64)
-        if tag == "iv":
-            n = int(tokens[1])
-            if len(tokens) != 2 + n:
-                raise ValueError(f"expected {n} entries")
+            if tag == "v":
+                return np.array([float.fromhex(t) for t in tokens[2:]], dtype=np.float64)
             return np.array([int(t) for t in tokens[2:]], dtype=np.int64)
         if tag == "s":
             return rest[2:]
         raise ValueError(f"unknown tag {tag!r}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a float or integer beyond 64 bits
         raise CheckpointError(f"corrupt section {key!r}: {exc}") from None
 
 
@@ -255,8 +254,11 @@ def load(path, problem, optimizers) -> int:
     anything; corrupt or truncated files raise CheckpointError and leave the
     target objects untouched.
     """
-    with open(os.fspath(path), "r", newline="") as handle:
-        raw = handle.read()
+    try:
+        with open(os.fspath(path), "r", newline="") as handle:
+            raw = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"not a text checkpoint: {exc}") from None
     lines = raw.split("\n")
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"bad magic line: expected {MAGIC!r}")
@@ -275,11 +277,11 @@ def load(path, problem, optimizers) -> int:
         if required not in entries:
             raise CheckpointError(f"corrupt section {required!r}: missing")
     version = entries["version"]
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {version!r}")
     expected_sig = problem_signature(problem)
     found_sig = entries["signature"]
-    if found_sig != expected_sig:
+    if not isinstance(found_sig, str) or found_sig != expected_sig:
         raise CheckpointError(
             "signature mismatch: " + _signature_mismatch(expected_sig, str(found_sig))
         )

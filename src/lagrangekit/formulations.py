@@ -38,10 +38,8 @@ from .multipliers import Multiplier, multiplier_values_for
 
 __all__ = [
     "PenaltyCoefficient",
-    "PenaltyScheduler",
     "ContributionPair",
     "group_contribution",
-    "schedule_penalty",
     "assemble_lagrangian",
 ]
 
@@ -49,8 +47,9 @@ __all__ = [
 class PenaltyCoefficient:
     """Strictly positive penalty strength c, scalar or per-constraint vector.
 
-    Immutable (a vector value is stored read-only); scheduling returns a new
-    coefficient. Scalars broadcast over the group size.
+    Immutable (a vector value is stored read-only): to change a group's
+    penalty, assign it a new coefficient. Scalars broadcast over the group
+    size.
     """
 
     def __init__(self, value: Union[float, np.ndarray]):
@@ -94,31 +93,6 @@ class PenaltyCoefficient:
 
     def __repr__(self):
         return f"PenaltyCoefficient({self._value!r})"
-
-
-@dataclass(frozen=True)
-class PenaltyScheduler:
-    """Grow the penalty when the violation norm fails to shrink enough.
-
-    The coefficient is multiplied by ``growth_factor`` whenever the current
-    violation norm exceeds ``required_decrease_ratio`` times the previous one,
-    capped at ``max_value``. Never decreases the coefficient.
-    """
-
-    growth_factor: float = 10.0
-    required_decrease_ratio: float = 0.25
-    max_value: float = 1e8
-
-    def __post_init__(self):
-        if not (1.0 < self.growth_factor < np.inf):
-            raise ValueError(f"growth_factor must be finite and > 1, got {self.growth_factor}")
-        if not (0.0 < self.required_decrease_ratio < 1.0):
-            raise ValueError(
-                f"required_decrease_ratio must be in (0, 1), got "
-                f"{self.required_decrease_ratio}"
-            )
-        if not (0.0 < self.max_value < np.inf):
-            raise ValueError(f"max_value must be finite and > 0, got {self.max_value}")
 
 
 @dataclass(frozen=True)
@@ -255,27 +229,6 @@ def group_contribution(
     values = multiplier_values if multiplier_values is not None else group.multiplier
     primal, signal, weights, _ = _terms(group, state, values, penalty)
     return ContributionPair(group.name, float(primal), signal, weights)
-
-
-def schedule_penalty(
-    penalty: PenaltyCoefficient,
-    scheduler: PenaltyScheduler,
-    violation_norm_now: float,
-    violation_norm_prev: float,
-) -> PenaltyCoefficient:
-    """Apply the growth policy; returns the (possibly unchanged) coefficient."""
-    now = float(violation_norm_now)
-    prev = float(violation_norm_prev)
-    if now < 0 or prev < 0:
-        raise ValueError("violation norms must be >= 0")
-    if not (now > scheduler.required_decrease_ratio * prev):
-        return penalty
-    value = penalty.value
-    grown = np.minimum(scheduler.growth_factor * np.asarray(value), scheduler.max_value)
-    grown = np.maximum(grown, value)  # the cap never shrinks an existing coefficient
-    if penalty.is_scalar:
-        return PenaltyCoefficient(float(grown))
-    return PenaltyCoefficient(grown)
 
 
 def assemble_lagrangian(loss: float, contributions) -> tuple[float, dict[str, np.ndarray]]:

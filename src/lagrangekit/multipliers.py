@@ -82,12 +82,6 @@ class Multiplier:
             raise ValueError("inequality multiplier values must be >= 0")
         return arr
 
-    def project(self) -> "Multiplier":
-        """Clamp inequality multipliers at zero element-wise; equality is a no-op."""
-        if self._constraint_type is ConstraintType.INEQUALITY:
-            self._values = np.maximum(self._values, 0.0)
-        return self
-
     def preview_delta(self, delta, indices=None) -> np.ndarray:
         """Values after adding delta (at ``indices`` if given) and projecting.
 

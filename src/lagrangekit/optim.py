@@ -40,8 +40,8 @@ not O(size). ``Multiplier.values``, ``IndexedMultiplier.update_count`` and
 The committed x is read-only and trusted: it was checked as x_new. States
 the library builds go through ``ConstraintState._trusted`` and
 ``CMPState._trusted`` (checks of oracle output, no re-conversion). User-built
-states and the public entry points (``check_state``, ``primal_step``,
-``dual_step``, ``*.step``, ``preview_delta``, ``set_x``, ``group_contribution``)
+states and the public entry points (``check_state``, ``*.step``,
+``preview_delta``, ``apply_dual_delta``, ``set_x``, ``group_contribution``)
 keep every check; a user's index list costs one sort.
 """
 
@@ -73,8 +73,6 @@ __all__ = [
     "AssembledLagrangian",
     "assemble",
     "RollOut",
-    "primal_step",
-    "dual_step",
     "roll",
     "SCHEMES",
 ]
@@ -498,41 +496,6 @@ def _primal_pass(problem, evaluation: Evaluation, blocks: list, weights: list) -
             raise EvaluationError("non-finite objective gradient")
         raise EvaluationError("non-finite primal gradient")
     return gradient
-
-
-# ---------------------------------------------------------------------------
-# single-optimizer steps
-
-
-def primal_step(optimizer: PrimalOptimizer, x, grad) -> np.ndarray:
-    """One committed primal update; returns the new point."""
-    x = np.asarray(x, dtype=np.float64)
-    x_new, staged = _preview_primal(optimizer, x, _check_gradient(x, grad))
-    optimizer.commit(staged)
-    return x_new
-
-
-def dual_step(
-    optimizer: DualOptimizer, multiplier: Multiplier, dual_signal, indices=None
-) -> Multiplier:
-    """One committed dual ascent update on a multiplier; returns the multiplier.
-
-    The optimizer's delta goes through the multiplier's ``preview_delta``, so
-    the non-negativity projection for inequality multipliers is included, and
-    only the addressed indices (when given) change values, counters, or
-    optimizer buffers.
-    """
-    signal = np.asarray(dual_signal, dtype=np.float64)
-    if signal.ndim != 1:
-        raise ValueError("dual signal must be a 1-d vector")
-    if not _all_finite(signal):
-        raise EvaluationError("non-finite dual signal")
-    indices = None if indices is None else _check_indices(indices, multiplier.size)
-    expected = multiplier.size if indices is None else indices.size
-    if signal.size != expected:
-        raise ValueError(f"dual signal length {signal.size} != expected {expected}")
-    _preview_dual(multiplier, optimizer, signal, indices).commit()
-    return multiplier
 
 
 # ---------------------------------------------------------------------------

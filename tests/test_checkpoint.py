@@ -234,6 +234,13 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             checkpoint.load(path, problem, optimizers)
 
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.ckpt"
+        path.write_bytes(b"LAGRANGEKIT-CKPT v1\nx=\xff\n")
+        problem, optimizers = ball_setup()
+        with pytest.raises(CheckpointError, match="not a text checkpoint"):
+            checkpoint.load(path, problem, optimizers)
+
     def test_truncated_file_leaves_target_untouched(self, tmp_path):
         path = self.make_file(tmp_path)
         content = path.read_bytes()
@@ -311,21 +318,23 @@ class TestValidation:
         assert sorted(os.listdir(tmp_path)) == ["clean.ckpt"]
 
 
+def _bytes(value):
+    return None if value is None else np.asarray(value).tobytes()
+
+
 def _state_bytes(problem, optimizers):
     """Every piece of state a load may touch, as bytes, for bitwise comparison."""
-    mult = problem.group("ball").multiplier
-    snapshot = {
-        "x": problem.x.tobytes(),
-        "multiplier": mult.values.tobytes(),
-        "update_count": mult.update_count.tobytes(),
-        "penalty": np.asarray(problem.group("ball").penalty.value).tobytes(),
-        "step": optimizers.step,
-    }
+    snapshot = {"x": problem.x.tobytes(), "step": optimizers.step}
+    for gid, group in problem.groups.items():
+        mult = group.multiplier
+        snapshot[f"{gid}.multiplier"] = None if mult is None else mult.values.tobytes()
+        snapshot[f"{gid}.update_count"] = _bytes(getattr(mult, "update_count", None))
+        snapshot[f"{gid}.penalty"] = None if group.penalty is None else _bytes(group.penalty.value)
     for name, value in optimizers.primal.buffer_state().items():
-        snapshot[f"primal.{name}"] = np.asarray(value).tobytes()
+        snapshot[f"primal.{name}"] = _bytes(value)
     for gid, dual in optimizers.duals.items():
         for name, value in dual.buffer_state().items():
-            snapshot[f"dual.{gid}.{name}"] = np.asarray(value).tobytes()
+            snapshot[f"dual.{gid}.{name}"] = _bytes(value)
     return snapshot
 
 
@@ -345,6 +354,12 @@ CORRUPTIONS = [
     ("momentum", "opt.primal.velocity", "f 0x1p+0", "opt.primal.velocity"),
     ("adam", "opt.primal.t", "i -1", "opt.primal.t"),
     ("adam", "opt.primal.t", f"f {2.7.hex()}", "opt.primal.t"),
+    ("momentum", "x", "v", "x"),  # no count
+    ("momentum", "x", "v 1 0x1p+99999", "x"),  # beyond float64
+    (
+        "momentum", "groups.ball.update_count", "iv 1 99999999999999999999999",
+        "groups.ball.update_count",
+    ),  # beyond int64
     ("momentum", "opt.dual.ball.ema", "absent", "opt.dual.ball"),
 ]
 

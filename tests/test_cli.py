@@ -347,6 +347,23 @@ class TestCheckpointFlags:
     def test_missing_checkpoint_in_exits_one(self, capsys):
         assert run_cli("run", "--checkpoint-in", "/nonexistent.ckpt") == 1
 
+    @pytest.mark.parametrize(
+        "payload", ["v", "v 1 0x1p+99999", "iv 1 99999999999999999999999"]
+    )
+    def test_corrupt_checkpoint_in_exits_one_with_one_line(self, tmp_path, capsys, payload):
+        path = tmp_path / "state.ckpt"
+        assert run_cli("run", "--steps", "2", "--checkpoint-out", str(path)) == 0
+        lines = [
+            f"x={payload}" if line.startswith("x=") else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("run", "--steps", "2", "--checkpoint-in", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt section 'x': ")
+        assert err.count("\n") == 1
+
 
 class TestEvaluateOnce:
     """`run` evaluates each committed point once (pure oracles, read-only x)."""

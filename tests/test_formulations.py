@@ -1,4 +1,4 @@
-"""Penalty coefficients, schedulers, and the constraint-to-scalar formulations.
+"""Penalty coefficients and the constraint-to-scalar formulations.
 
 Hand-computed values below come from the closed forms (shifted quadratic for
 inequalities, linear plus quadratic for equalities) and are frozen as oracles.
@@ -15,10 +15,8 @@ from lagrangekit import (
     EvaluationError,
     Formulation,
     PenaltyCoefficient,
-    PenaltyScheduler,
     assemble_lagrangian,
     group_contribution,
-    schedule_penalty,
 )
 
 INEQ = ConstraintType.INEQUALITY
@@ -75,62 +73,6 @@ class TestPenaltyCoefficient:
         out = c.expand(1)
         out[0] = 7.0
         assert c.expand(1).tolist() == [3.0]
-
-
-class TestPenaltyScheduler:
-    def test_grows_when_violation_stalls(self):
-        sched = PenaltyScheduler(growth_factor=10.0, required_decrease_ratio=0.25)
-        out = schedule_penalty(
-            PenaltyCoefficient(1.0), sched,
-            violation_norm_now=1.0, violation_norm_prev=1.0,
-        )
-        assert out.value == 10.0
-
-    def test_unchanged_on_sufficient_decrease(self):
-        sched = PenaltyScheduler(growth_factor=10.0, required_decrease_ratio=0.25)
-        c = PenaltyCoefficient(1.0)
-        out = schedule_penalty(c, sched, violation_norm_now=0.1, violation_norm_prev=1.0)
-        assert out is c
-
-    def test_cap_respected(self):
-        sched = PenaltyScheduler(growth_factor=10.0, max_value=100.0)
-        out = schedule_penalty(
-            PenaltyCoefficient(50.0), sched,
-            violation_norm_now=1.0, violation_norm_prev=1.0,
-        )
-        assert out.value == 100.0
-
-    def test_cap_never_shrinks_existing_coefficient(self):
-        sched = PenaltyScheduler(growth_factor=10.0, max_value=100.0)
-        out = schedule_penalty(
-            PenaltyCoefficient(500.0), sched,
-            violation_norm_now=1.0, violation_norm_prev=1.0,
-        )
-        assert out.value == 500.0
-
-    def test_vector_penalty_stays_vector(self):
-        sched = PenaltyScheduler(growth_factor=2.0)
-        out = schedule_penalty(
-            PenaltyCoefficient([1.0, 4.0]), sched,
-            violation_norm_now=1.0, violation_norm_prev=1.0,
-        )
-        assert not out.is_scalar
-        assert out.expand(2).tolist() == [2.0, 8.0]
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            PenaltyScheduler(growth_factor=1.0)
-        with pytest.raises(ValueError):
-            PenaltyScheduler(required_decrease_ratio=1.5)
-        with pytest.raises(ValueError):
-            PenaltyScheduler(growth_factor=np.inf)
-        with pytest.raises(ValueError):
-            PenaltyScheduler(max_value=np.inf)
-        with pytest.raises(ValueError):
-            schedule_penalty(
-                PenaltyCoefficient(1.0), PenaltyScheduler(),
-                violation_norm_now=-1.0, violation_norm_prev=0.0,
-            )
 
 
 class TestLagrangianContribution:

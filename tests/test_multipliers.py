@@ -15,7 +15,6 @@ from lagrangekit import (
     Multiplier,
     NuPI,
     checkpoint,
-    dual_step,
     multiplier_values_for,
 )
 
@@ -31,23 +30,19 @@ class TestProject:
         m.apply_dual_delta(np.array([-3.0, 0.0]))
         assert m.values.tolist() == [0.0, 2.0]
 
-    def test_project_is_exposed_and_identity_at_zero(self):
-        m = DenseMultiplier(2, INEQ)
-        assert m.project() is m
-        assert m.values.tolist() == [0.0, 0.0]
-
     def test_equality_multiplier_unconstrained(self):
         m = DenseMultiplier(1, EQ)
         m.load_values([-3.0])
-        assert m.project().values.tolist() == [-3.0]
+        assert m.apply_dual_delta(np.zeros(1)).values.tolist() == [-3.0]
 
     def test_idempotence_over_random_values(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             m = DenseMultiplier(4, INEQ)
             m.apply_dual_delta(rng.normal(size=4))
-            once = m.project().copy_values()
-            twice = m.project().copy_values()
+            # a zero delta only projects
+            once = m.apply_dual_delta(np.zeros(4)).copy_values()
+            twice = m.apply_dual_delta(np.zeros(4)).copy_values()
             assert once.tobytes() == twice.tobytes()
 
 
@@ -83,14 +78,15 @@ class TestApplyDualDelta:
         with pytest.raises(ValueError, match="integers"):
             m.preview_delta(np.array([1.0]), indices=indices)
         with pytest.raises(ValueError, match="integers"):
-            dual_step(GradientAscent(1.0), m, [1.0], indices=indices)
+            GradientAscent(1.0).step(np.array([1.0]), indices, m.size)
         assert m.values.tolist() == [0.0, 0.0, 0.0]
 
     def test_empty_index_list_accepted(self):
         m = IndexedMultiplier(3, INEQ)
         m.load_values([1.0, 2.0, 3.0])
         assert m.preview_delta(np.array([]), indices=[]).tolist() == [1.0, 2.0, 3.0]
-        dual_step(GradientAscent(1.0), m, [], indices=[])
+        delta, _ = GradientAscent(1.0).step(np.array([]), [], m.size)
+        m.apply_dual_delta(delta, indices=[])
         assert m.values.tolist() == [1.0, 2.0, 3.0]
         assert m.update_count.tolist() == [0, 0, 0]
 
@@ -212,7 +208,9 @@ class TestArrayContract:
     IDX = np.array([2, 0])
 
     def commit(self, mult, dual):
-        dual_step(dual, mult, self.SIGNAL, indices=self.IDX)
+        delta, staged = dual.step(self.SIGNAL, self.IDX, mult.size)
+        mult.apply_dual_delta(delta, self.IDX)
+        dual.commit(staged)
 
     def test_accessors_are_live_views(self):
         mult, dual = IndexedMultiplier(4, INEQ), NuPI(0.1)

@@ -26,9 +26,7 @@ from lagrangekit import (
     NuPI,
     PrimalDualOptimizers,
     SCHEMES,
-    dual_step,
     make_dual_optimizers,
-    primal_step,
     problem_bilinear_game,
     problem_projection_ball,
     roll,
@@ -45,6 +43,21 @@ def bilinear_setup(lr=0.1):
         duals=make_dual_optimizers(problem, lambda: GradientAscent(lr)),
     )
     return problem, optimizers
+
+
+def descend(optimizer, x, grad):
+    """One committed primal update through the optimizer's public step and commit."""
+    x_new, staged = optimizer.step(x, grad)
+    optimizer.commit(staged)
+    return x_new
+
+
+def ascend(optimizer, multiplier, signal, indices=None):
+    """One committed dual update: the optimizer's step and commit around
+    ``apply_dual_delta``, which projects and checks the new values."""
+    delta, staged = optimizer.step(np.asarray(signal, dtype=np.float64), indices, multiplier.size)
+    multiplier.apply_dual_delta(delta, indices)
+    optimizer.commit(staged)
 
 
 def unconstrained_quadratic(x0=1.0):
@@ -94,26 +107,26 @@ class TestMomentum:
             xm, xg = x.copy(), x.copy()
             for _ in range(10):
                 grad = np.sin(xm) + 0.1 * xm  # any deterministic field
-                xm = primal_step(mom, xm, grad)
-                xg = primal_step(gd, xg, np.sin(xg) + 0.1 * xg)
+                xm = descend(mom, xm, grad)
+                xg = descend(gd, xg, np.sin(xg) + 0.1 * xg)
             assert xm.tobytes() == xg.tobytes()
 
     def test_velocity_accumulates(self):
         opt = Momentum(0.1, beta=0.5)
-        x = primal_step(opt, np.array([0.0]), np.array([1.0]))
+        x = descend(opt, np.array([0.0]), np.array([1.0]))
         assert x.tolist() == [-0.1]  # v = 1
-        x = primal_step(opt, x, np.array([1.0]))
+        x = descend(opt, x, np.array([1.0]))
         # v = 0.5*1 + 1 = 1.5, x = -0.1 - 0.15
         assert x.tolist() == [pytest.approx(-0.25)]
 
     def test_zero_gradient_with_fresh_buffer_is_identity(self):
         opt = Momentum(0.1, beta=0.9)
-        x = primal_step(opt, np.array([2.0, -1.0]), np.zeros(2))
+        x = descend(opt, np.array([2.0, -1.0]), np.zeros(2))
         assert x.tolist() == [2.0, -1.0]
 
     def test_step_without_commit_leaves_buffers(self):
         opt = Momentum(0.1, beta=0.9)
-        primal_step(opt, np.array([0.0]), np.array([1.0]))
+        descend(opt, np.array([0.0]), np.array([1.0]))
         state_before = {k: v.copy() for k, v in opt.buffer_state().items()}
         opt.step(np.array([0.0]), np.array([5.0]))  # preview only, no commit
         state_after = opt.buffer_state()
@@ -133,26 +146,26 @@ class TestAdamLike:
         x = np.array([1.0])
         expected = [0.9000000005, 0.8004122286917928, 0.7015862729460303]
         for want in expected:
-            x = primal_step(opt, x, 2.0 * x)
+            x = descend(opt, x, 2.0 * x)
             assert x[0] == pytest.approx(want, rel=1e-12)
 
     def test_first_step_magnitude_is_learning_rate(self):
         # bias correction makes |step 1| = lr/(1 + eps/|g|), essentially lr
         opt = AdamLike(0.01)
-        x = primal_step(opt, np.array([5.0]), np.array([123.0]))
+        x = descend(opt, np.array([5.0]), np.array([123.0]))
         assert x[0] == pytest.approx(5.0 - 0.01, rel=1e-7)
 
     def test_time_counter_advances_only_on_commit(self):
         opt = AdamLike(0.1)
         opt.step(np.array([1.0]), np.array([1.0]))
         assert opt.buffer_state()["t"] == 0
-        primal_step(opt, np.array([1.0]), np.array([1.0]))
+        descend(opt, np.array([1.0]), np.array([1.0]))
         assert opt.buffer_state()["t"] == 1
 
     @pytest.mark.parametrize("t", [2.7, -1])
     def test_load_rejects_step_count_that_is_not_a_nonnegative_integer(self, t):
         opt = AdamLike(0.1)
-        primal_step(opt, np.array([1.0]), np.array([1.0]))
+        descend(opt, np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="step count"):
             opt.load_buffer_state({"m": None, "v": None, "t": t})
         assert opt.buffer_state()["t"] == 1
@@ -173,23 +186,26 @@ class TestAdamLike:
 class TestGradientAscent:
     def test_delta_is_rate_times_signal(self):
         m = lk.DenseMultiplier(1, INEQ, values=[1.0])
-        dual_step(GradientAscent(0.1), m, np.array([0.5]))
+        ascend(GradientAscent(0.1), m, np.array([0.5]))
         assert m.values.tolist() == [1.05]
 
     def test_projection_applied_after_delta(self):
         m = lk.DenseMultiplier(1, INEQ, values=[0.5])
-        dual_step(GradientAscent(1.0), m, np.array([-2.0]))
+        ascend(GradientAscent(1.0), m, np.array([-2.0]))
         assert m.values.tolist() == [0.0]
 
     def test_signal_length_validated(self):
+        # the multiplier rejects a delta of the wrong length
         m = lk.DenseMultiplier(2, INEQ)
-        with pytest.raises(ValueError):
-            dual_step(GradientAscent(0.1), m, np.array([1.0]))
+        with pytest.raises(ValueError, match="delta length"):
+            ascend(GradientAscent(0.1), m, np.array([1.0]))
 
     def test_non_finite_signal_rejected(self):
+        # the multiplier rejects the non-finite value the delta would leave
         m = lk.DenseMultiplier(1, INEQ)
         with pytest.raises(EvaluationError):
-            dual_step(GradientAscent(0.1), m, np.array([np.inf]))
+            ascend(GradientAscent(0.1), m, np.array([np.inf]))
+        assert m.values.tolist() == [0.0]
 
 
 class TestNuPI:
@@ -203,8 +219,8 @@ class TestNuPI:
                 pi = NuPI(0.05, kappa_p=0.0, nu=nu)
                 ga = GradientAscent(0.05)
                 for e in signals:
-                    dual_step(pi, m_pi, e)
-                    dual_step(ga, m_ga, e)
+                    ascend(pi, m_pi, e)
+                    ascend(ga, m_ga, e)
                     assert m_pi.values.tobytes() == m_ga.values.tobytes()
 
     def test_hand_recursion(self):
@@ -216,18 +232,18 @@ class TestNuPI:
         m = lk.DenseMultiplier(1, ConstraintType.EQUALITY)
         opt = NuPI(0.1, kappa_p=1.0, nu=0.5)
         for e in (1.0, 2.0, -1.0):
-            dual_step(opt, m, np.array([e]))
+            ascend(opt, m, np.array([e]))
         assert m.values[0] == pytest.approx(0.1 * (1.0 + 2.5 - 2.25), rel=1e-15)
 
     def test_partial_updates_freeze_unaddressed_buffers(self):
         opt = NuPI(0.1, kappa_p=1.0, nu=0.5)
         m = lk.IndexedMultiplier(3, INEQ)
-        dual_step(opt, m, np.array([1.0]), indices=np.array([0]))
+        ascend(opt, m, np.array([1.0]), indices=np.array([0]))
         state = opt.buffer_state()
         assert state["seen"].tolist() == [True, False, False]
         assert state["ema"][0] == 1.0
         # entry 2 first observed now: seeds at its own signal
-        dual_step(opt, m, np.array([4.0]), indices=np.array([2]))
+        ascend(opt, m, np.array([4.0]), indices=np.array([2]))
         state = opt.buffer_state()
         assert state["seen"].tolist() == [True, False, True]
         assert state["ema"].tolist() == [1.0, 0.0, 4.0]
@@ -355,9 +371,10 @@ class TestSchemes:
     @pytest.mark.parametrize("dual", [GradientAscent, NuPI])
     @pytest.mark.parametrize("group_kind", ["dense", "indexed"])
     def test_direct_steps_match_simultaneous_roll(self, group_kind, dual):
-        # assemble + primal_step + dual_step on one copy must reproduce
-        # a simultaneous roll on an identical copy bit for bit; the indexed
-        # problem observes half of its multiplier per evaluation
+        # assemble, the optimizers' step and commit, and apply_dual_delta on
+        # one copy must reproduce a simultaneous roll on an identical copy
+        # bit for bit; the indexed problem observes half of its multiplier
+        # per evaluation
         def setup():
             if group_kind == "dense":
                 problem = problem_projection_ball(np.array([3.0, 4.0]))
@@ -385,9 +402,9 @@ class TestSchemes:
         for _ in range(3):
             roll(rolled, rolled_opt, scheme="simultaneous")
             asm = lk.assemble(direct, direct.evaluate_with_gradients(direct.x))
-            x_new = primal_step(direct_opt.primal, direct.x, asm.gradient)
+            x_new = descend(direct_opt.primal, direct.x, asm.gradient)
             for gid, signal in asm.dual_signals.items():
-                dual_step(
+                ascend(
                     direct_opt.duals[gid], direct.group(gid).multiplier, signal,
                     asm.observed_indices[gid],
                 )

@@ -1,5 +1,6 @@
 """Property tests: private fast paths agree with the numpy expressions they
-replace, and every CLI invocation ends with a contained exit."""
+replace, every CLI invocation ends with a contained exit, a corrupt checkpoint
+is rejected without a change, and a resume is bit-exact."""
 
 import contextlib
 import io
@@ -12,7 +13,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lagrangekit import cli
+from lagrangekit import (
+    AdamLike,
+    NuPI,
+    PrimalDualOptimizers,
+    checkpoint,
+    cli,
+    make_dual_optimizers,
+    problem_projection_ball,
+    roll,
+)
+from lagrangekit.checkpoint import CheckpointError
 from lagrangekit.core import (
     _SMALL,
     CMPState,
@@ -27,6 +38,7 @@ from lagrangekit.core import (
 from lagrangekit.multipliers import _check_indices
 from lagrangekit.optim import SCHEMES
 from lagrangekit.problems import PROBLEM_NAMES, _logistic_loss_grad
+from test_checkpoint import _state_bytes
 
 _EDGE_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0])
 _SHAPES = st.one_of(
@@ -309,3 +321,130 @@ def test_cli_exit_is_contained(invocation, tmp_path, monkeypatch):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == (1 if code else 0), (argv, config, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# checkpoints: a corrupt key is contained, and a resume is bit-exact
+
+_CKPT_KEYS = [
+    "version", "signature", "step", "x",
+    "groups.ball.multiplier", "groups.ball.penalty", "groups.ball.update_count",
+    "opt.primal.m", "opt.primal.v", "opt.primal.t", "opt.dual.ball.ema", "opt.dual.ball.seen",
+]
+_CKPT_TAGS = st.sampled_from(["absent", "i", "f", "v", "iv", "s", "b", ""])
+_CKPT_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(float.hex),
+    st.sampled_from(["0x1p+99999", "-0x1p+99999", "nan", "-inf", "0x", "", "absent"]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.text(alphabet="0123456789abcdefpx+-.", max_size=6),
+)
+# (what to replace, tag, token, tokens): the whole payload (or a vector
+# payload of a fitting count), its tag, its count or one entry
+_CKPT_EDITS = st.tuples(
+    st.sampled_from(["payload", "vector", "tag", "count", "entry"]),
+    _CKPT_TAGS,
+    _CKPT_TOKENS,
+    st.lists(_CKPT_TOKENS, max_size=4),
+)
+
+
+def _corrupt(payload: str, edit) -> str:
+    what, tag, token, tokens = edit
+    parts = payload.split(" ")
+    if what == "payload":
+        parts = [tag, *tokens]
+    elif what == "vector":
+        parts = [tag, str(len(tokens)), *tokens]
+    elif what == "tag":
+        parts[0] = tag
+    elif what == "count" and len(parts) > 1:
+        parts[1] = token
+    elif what == "entry" and len(parts) > 2:
+        parts[2 + len(tokens) % (len(parts) - 2)] = token
+    else:
+        parts.append(token)
+    return " ".join(parts)
+
+
+def _ball_adam_nupi():
+    problem = problem_projection_ball(
+        np.array([3.0, 4.0]), formulation="augmented_lagrangian", penalty=2.0, indexed=True
+    )
+    return problem, PrimalDualOptimizers(
+        primal=AdamLike(0.05), duals=make_dual_optimizers(problem, lambda: NuPI(0.05))
+    )
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(key=st.sampled_from(_CKPT_KEYS), edit=_CKPT_EDITS)
+@example(key="x", edit=("payload", "v", "", []))  # no count
+@example(key="x", edit=("payload", "v", "", ["1", "0x1p+99999"]))  # beyond float64
+@example(key="opt.dual.ball.seen", edit=("entry", "", "99999999999999999999999", []))  # int64
+@example(key="version", edit=("vector", "v", "", ["0x1p+0", "0x1p+0"]))
+@example(key="signature", edit=("vector", "iv", "", []))
+def test_corrupt_checkpoint_key_is_contained(key, edit, tmp_path):
+    # load raises only CheckpointError, and then leaves the target bitwise unchanged
+    path = tmp_path / "state.ckpt"
+    source = _ball_adam_nupi()
+    for _ in range(2):
+        roll(*source)
+    checkpoint.save(*source, path)
+    lines = path.read_text().split("\n")
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(key + "=")]
+    lines[i] = f"{key}={_corrupt(lines[i][len(key) + 1:], edit)}"
+    path.write_text("\n".join(lines))
+
+    target = _ball_adam_nupi()
+    roll(*target)
+    before = _state_bytes(*target)
+    try:
+        checkpoint.load(path, *target)
+    except CheckpointError:
+        assert _state_bytes(*target) == before
+
+
+def _built(config):
+    problem = cli._build_problem(config)
+    return problem, cli._build_optimizers(config, problem)
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    config=st.builds(
+        cli.RunConfig,
+        problem=st.sampled_from(PROBLEM_NAMES),
+        scheme=st.sampled_from(SCHEMES),
+        formulation=st.sampled_from(cli.FORMULATIONS),
+        primal_optimizer=st.sampled_from(cli.PRIMAL_OPTIMIZERS),
+        dual_optimizer=st.sampled_from(cli.DUAL_OPTIMIZERS),
+    ),
+    k=st.integers(0, 5),
+)
+def test_dense_resume_is_bit_exact(config, k, tmp_path):
+    # k steps, save, load into fresh objects, 5 - k more: the same bits as 5 steps
+    n = 5
+    straight = _built(config)
+    first = _built(config)
+    for _ in range(n):
+        roll(*straight, config.scheme)
+    for _ in range(k):
+        roll(*first, config.scheme)
+    path = tmp_path / "state.ckpt"
+    checkpoint.save(*first, path)
+    resumed = _built(config)
+    assert checkpoint.load(path, *resumed) == k
+    for _ in range(n - k):
+        roll(*resumed, config.scheme)
+    assert _state_bytes(*resumed) == _state_bytes(*straight)
