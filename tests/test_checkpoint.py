@@ -327,9 +327,9 @@ def _state_bytes(problem, optimizers):
     snapshot = {"x": problem.x.tobytes(), "step": optimizers.step}
     for gid, group in problem.groups.items():
         mult = group.multiplier
-        snapshot[f"{gid}.multiplier"] = None if mult is None else mult.values.tobytes()
+        snapshot[f"{gid}.multiplier"] = _bytes(getattr(mult, "values", None))
         snapshot[f"{gid}.update_count"] = _bytes(getattr(mult, "update_count", None))
-        snapshot[f"{gid}.penalty"] = None if group.penalty is None else _bytes(group.penalty.value)
+        snapshot[f"{gid}.penalty"] = _bytes(getattr(group.penalty, "value", None))
     for name, value in optimizers.primal.buffer_state().items():
         snapshot[f"primal.{name}"] = _bytes(value)
     for gid, dual in optimizers.duals.items():

@@ -339,7 +339,8 @@ _CKPT_TOKENS = st.one_of(
     st.text(alphabet="0123456789abcdefpx+-.", max_size=6),
 )
 # (what to replace, tag, token, tokens): the whole payload (or a vector
-# payload of a fitting count), its tag, its count or one entry
+# payload of a fitting count), its tag, its count or one entry (picked by
+# len(tokens)); an edit that does not apply appends the token
 _CKPT_EDITS = st.tuples(
     st.sampled_from(["payload", "vector", "tag", "count", "entry"]),
     _CKPT_TAGS,
