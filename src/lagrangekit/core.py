@@ -67,6 +67,14 @@ _SMALL = 32
 
 _NO_MISC: Mapping[str, Any] = MappingProxyType({})
 
+# The write counter: every write that can change an assembled Lagrangian bumps
+# it (a multiplier's commit or load, any assignment to a group attribute such
+# as its multiplier or penalty). ``optim.assemble`` keys its cached record on
+# it, never on the identity of a multiplier array, which commits write in place.
+# One count for the process, so a multiplier need not know the problems that
+# hold it: a write elsewhere costs a cached record a miss, never a wrong hit.
+_WRITES = [0]
+
 
 def _all_finite(arr: np.ndarray) -> bool:
     """``np.isfinite(arr).all()`` for a numeric array, without numpy's overhead when small."""
@@ -291,6 +299,11 @@ class ConstraintGroup:
         self._indexed = bool(indexed)
         self._initial_multiplier = initial_multiplier
 
+    def __setattr__(self, name, value):
+        # an assembly cached over the old multiplier or penalty is stale now
+        _WRITES[0] += 1
+        object.__setattr__(self, name, value)
+
     @property
     def indexed(self) -> bool:
         """True when the group addresses its multiplier through observed indices."""
@@ -381,9 +394,19 @@ class ConstrainedMinimizationProblem:
         self._adopt(self._check_point(x).copy())
 
     def _adopt(self, x: np.ndarray) -> None:
-        """Commit checked x that nothing else holds, read-only, so evaluations may trust it."""
+        """Commit checked x that nothing else holds, read-only, so evaluations may trust it.
+
+        Empties the slot, which belongs to the point being replaced. The slot
+        holds what one evaluation yields that need not be computed twice, as
+        ``(evaluation, blocks, assembled, writes, maxima)``: its checked
+        blocks (``optim._checked_blocks``), its ``assemble`` record at the
+        stored multipliers (valid while the write counter reads ``writes``)
+        and its ``_violation_maxima``, each None until computed. A tuple, as
+        a fresh one per roll costs less than an object.
+        """
         x.flags.writeable = False
         self._x = x
+        self._slot = None
 
     def _check_point(self, x) -> np.ndarray:
         """``x`` as a checked float vector of shape (dim,); may share memory with x."""
@@ -482,6 +505,21 @@ class ConstrainedMinimizationProblem:
 
     def _violation_maxima(self, state: CMPState) -> tuple[float, float]:
         """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none.
+
+        Computed once for the state of the slot's evaluation, then read
+        from the slot.
+        """
+        slot = self._slot
+        if slot is None or slot[0].state is not state:
+            return self._computed_maxima(state)
+        maxima = slot[4]
+        if maxima is None:
+            maxima = self._computed_maxima(state)
+            self._slot = slot[:4] + (maxima,)
+        return maxima
+
+    def _computed_maxima(self, state: CMPState) -> tuple[float, float]:
+        """``_violation_maxima`` without the slot.
 
         A ConstraintState's violations are finite, so a plain ``max`` over a
         small group agrees with numpy's clamped maximum.

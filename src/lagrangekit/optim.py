@@ -32,6 +32,18 @@ Each value is checked once, then trusted:
   not checked; alt-pd's next roll takes, and checks, the one at x_{t+1};
 - proposals before commit: x_new and each multiplier preview.
 
+What one evaluation yields is also computed once: the problem's slot (see
+``ConstrainedMinimizationProblem._adopt``) holds one evaluation's checked
+blocks, its ``assemble`` record at the stored multipliers and its violation
+maxima. ``assemble`` without ``multiplier_values`` fills the slot and serves
+a repeated call from it while the same evaluation object is asked for and
+the write counter (``core._WRITES``, bumped by every multiplier commit or
+load and every group attribute assignment) has not moved; a call with
+``multiplier_values`` neither reads nor writes it. Every commit, ``set_x``
+and checkpoint load empties the slot; alt-pd then refills it with the
+x_{t+1} blocks its dual pass checked. So in ``lagrangekit run`` the trace
+row's record at (x_{t+1}, m_{t+1}) is the next roll's record at (x_t, m_t).
+
 A dual preview of an indexed update holds only the addressed entries, and
 the commit writes them, and NuPI's buffer entries, in place: O(observed),
 not O(size). ``Multiplier.values``, ``IndexedMultiplier.update_count`` and
@@ -54,7 +66,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
-from .core import _all_finite, _record
+from .core import _WRITES, _all_finite, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
 from .formulations import _terms, _weights, assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
@@ -107,7 +119,10 @@ def _staged_vector(state: dict, name: str) -> Optional[np.ndarray]:
         return None
     if np.ndim(value) != 1:
         raise _BadBuffer(name, f"{name} must be a 1-d vector, got shape {np.shape(value)}")
-    return np.array(value, dtype=np.float64)
+    vector = np.array(value, dtype=np.float64)
+    if not _all_finite(vector):
+        raise _BadBuffer(name, f"{name} must be finite")
+    return vector
 
 
 class _Optimizer:
@@ -351,10 +366,12 @@ class NuPI(DualOptimizer):
         ema = _staged_vector(state, "ema")
         if ema is None:
             return None, None, None
-        seen = np.asarray(state["seen"], dtype=bool).copy()
-        if ema.shape != seen.shape:
+        seen = np.asarray(state["seen"])
+        if seen.shape != ema.shape:
             raise ValueError("nupi: ema and seen shapes differ")
-        return ema, seen, None
+        if not ((seen == 0) | (seen == 1)).all():
+            raise _BadBuffer("seen", "seen entries must be 0 or 1")
+        return ema, seen.astype(bool), None
 
 
 @dataclass
@@ -407,18 +424,34 @@ def assemble(
     ``multiplier_values`` optionally overrides the stored multiplier values
     per group id (full vectors); schemes use it to take gradients at
     not-yet-committed multipliers.
+
+    At the stored multipliers the record is cached in the problem's slot
+    until the next commit: a second call with the same ``evaluation`` object
+    and no multiplier or penalty written in between returns the same record,
+    whose arrays and dicts are shared. Treat them, and the evaluation, as
+    read-only, like ``Multiplier.values``. A call with ``multiplier_values``
+    is neither served from the slot nor stored in it.
     """
-    blocks = _checked_blocks(problem, evaluation)
-    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(
+    slot = None if multiplier_values is not None else problem._slot
+    if slot is not None and slot[0] is evaluation:
+        _, blocks, assembled, writes, maxima = slot
+        if assembled is not None and writes == _WRITES[0]:
+            return assembled
+    else:
+        blocks, maxima = _checked_blocks(problem, evaluation), None
+    primal_lagrangian, dual_lagrangian, signals, indices, weights, _ = _dual_pass(
         problem, evaluation, blocks, multiplier_values
     )
-    return _record(AssembledLagrangian, {
+    assembled = _record(AssembledLagrangian, {
         "primal_lagrangian": primal_lagrangian,
         "dual_lagrangian": dual_lagrangian,
         "gradient": _primal_pass(problem, evaluation, blocks, weights),
         "dual_signals": signals,
         "observed_indices": indices,
     })
+    if multiplier_values is None:
+        problem._slot = (evaluation, blocks, assembled, _WRITES[0], maxima)
+    return assembled
 
 
 def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluation) -> list:
@@ -447,23 +480,28 @@ def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=
     """The scalars and dual signals of ``_checked_blocks(problem, evaluation)``.
 
     Returns ``(primal_lagrangian, dual_lagrangian, dual_signals,
-    observed_indices, weights)`` and checks what it derives: the primal
-    Lagrangian and a dual signal c * v. ``weights`` (one per block) feed
-    ``_primal_pass`` at the same multipliers.
+    observed_indices, weights, penalties)`` and checks what it derives: the
+    primal Lagrangian and a dual signal c * v. ``weights`` (one per block)
+    feed ``_primal_pass`` at the same multipliers; ``penalties`` (one
+    gathered penalty or None per block) feed ``_weights`` at others.
     """
     primal_lagrangian = evaluation.state.loss
     dual_lagrangian = 0.0
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
     weights = []
+    penalties = []
     for gid, cstate, group, _ in blocks:
         values = None if multiplier_values is None else multiplier_values.get(gid)
         if values is None and group.multiplier is not None:
             # the indices are in range for the group: gather without the public check
             values = group.multiplier._values
-        term, signal, block_weights, gathered = _terms(group, cstate, values, group.penalty)
+        term, signal, block_weights, gathered, penalty = _terms(
+            group, cstate, values, group.penalty
+        )
         primal_lagrangian += term
         weights.append(block_weights)
+        penalties.append(penalty)
         if gathered is not None:
             # a derived signal (c * v) can overflow to -inf, which the projection
             # would clamp to 0; the plain signal is the checked violation itself
@@ -476,7 +514,7 @@ def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=
     primal_lagrangian = float(primal_lagrangian)
     if not math.isfinite(primal_lagrangian):
         raise EvaluationError(f"non-finite primal Lagrangian {primal_lagrangian}")
-    return primal_lagrangian, dual_lagrangian, signals, indices, weights
+    return primal_lagrangian, dual_lagrangian, signals, indices, weights, penalties
 
 
 def _primal_pass(problem, evaluation: Evaluation, blocks: list, weights: list) -> np.ndarray:
@@ -604,18 +642,20 @@ def _roll_simultaneous(problem, optimizers, evaluate) -> RollOut:
 def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     """Primal step first, then the dual step on signals measured at x_{t+1}.
 
-    Only the dual pass runs at x_{t+1}: its gradient would not be used.
+    Only the dual pass runs at x_{t+1}: its gradient would not be used. The
+    blocks it checked there go into the slot after the commit, for the next
+    ``assemble`` of that evaluation (the next roll's, or a trace row's).
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
-    _, dual_lagrangian, signals, indices, _ = _dual_pass(
-        problem, ev_new, _checked_blocks(problem, ev_new)
-    )
+    blocks = _checked_blocks(problem, ev_new)
+    _, dual_lagrangian, signals, indices, _, _ = _dual_pass(problem, ev_new, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
+    problem._slot = (ev_new, blocks, None, None, None)
     return _roll_out(ev.state, asm.primal_lagrangian, dual_lagrangian)
 
 
@@ -628,13 +668,20 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
-    blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both passes
-    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(problem, ev, blocks)
+    # the oracle output is checked once for both passes, or was when the slot took ev
+    slot = problem._slot
+    if slot is not None and slot[0] is ev:
+        blocks = slot[1]
+    else:
+        blocks = _checked_blocks(problem, ev)
+    primal_lagrangian, dual_lagrangian, signals, indices, weights, penalties = _dual_pass(
+        problem, ev, blocks
+    )
     dual_updates = _preview_duals(problem, optimizers, signals, indices)
     for i, (gid, cstate, group, _) in enumerate(blocks):
         if gid in dual_updates:
             # the preview holds the entries at this evaluation's indices, in their order
-            weights[i] = _weights(group, cstate, dual_updates[gid].preview)
+            weights[i] = _weights(group, cstate, dual_updates[gid].preview, penalties[i])
     gradient = _primal_pass(problem, ev, blocks, weights)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)

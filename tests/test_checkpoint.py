@@ -352,6 +352,11 @@ CORRUPTIONS = [
     ("momentum", "groups.ball.update_count", "iv 2 1 1", "groups.ball.update_count"),
     ("momentum", "opt.primal.velocity", "v 1 0x1p+0", "opt.primal.velocity"),
     ("momentum", "opt.primal.velocity", "f 0x1p+0", "opt.primal.velocity"),
+    ("momentum", "opt.primal.velocity", "v 2 nan inf", "opt.primal.velocity"),
+    ("adam", "opt.primal.m", "v 2 0x0p+0 -inf", "opt.primal.m"),
+    ("momentum", "opt.dual.ball.ema", "v 1 nan", "opt.dual.ball.ema"),
+    ("momentum", "opt.dual.ball.seen", "iv 1 5", "opt.dual.ball.seen"),
+    ("momentum", "opt.dual.ball.seen", "iv 1 -1", "opt.dual.ball.seen"),
     ("adam", "opt.primal.t", "i -1", "opt.primal.t"),
     ("adam", "opt.primal.t", f"f {2.7.hex()}", "opt.primal.t"),
     ("momentum", "x", "v", "x"),  # no count

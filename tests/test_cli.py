@@ -364,6 +364,32 @@ class TestCheckpointFlags:
         assert err.startswith("error: corrupt section 'x': ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key, payload",
+        [("opt.primal.velocity", "v 6 nan inf 0 0 0 0"), ("opt.dual.norm.seen", "iv 1 5")],
+        ids=["non-finite-velocity", "seen-not-0-or-1"],
+    )
+    def test_corrupt_optimizer_buffer_exits_one_with_one_line(
+        self, tmp_path, capsys, key, payload
+    ):
+        flags = [
+            "--problem", "norm_logreg", "--scheme", "alt-pd",
+            "--primal-optimizer", "momentum", "--dual-optimizer", "nupi", "--steps", "2",
+        ]
+        path = tmp_path / "state.ckpt"
+        assert run_cli("run", *flags, "--checkpoint-out", str(path)) == 0
+        lines = path.read_text().splitlines()
+        assert sum(line.startswith(key + "=") for line in lines) == 1
+        path.write_text("\n".join(
+            f"{key}={payload}" if line.startswith(key + "=") else line for line in lines
+        ) + "\n")
+        capsys.readouterr()
+        assert run_cli("run", *flags, "--checkpoint-in", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: corrupt section '{key}': ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestEvaluateOnce:
     """`run` evaluates each committed point once (pure oracles, read-only x)."""

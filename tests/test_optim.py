@@ -26,6 +26,8 @@ from lagrangekit import (
     NuPI,
     PrimalDualOptimizers,
     SCHEMES,
+    checkpoint,
+    cli,
     make_dual_optimizers,
     problem_bilinear_game,
     problem_projection_ball,
@@ -261,6 +263,27 @@ class TestNuPI:
         for kappa_p in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 NuPI(0.1, kappa_p=kappa_p)
+
+
+@pytest.mark.parametrize(
+    "make, state, buffer",
+    [
+        (lambda: Momentum(0.1), {"velocity": [0.0, np.nan]}, "velocity"),
+        (lambda: AdamLike(0.1), {"m": [0.0, 0.0], "v": [np.inf, 0.0], "t": 1}, "v"),
+        (lambda: NuPI(0.1), {"ema": [-np.inf, 0.0], "seen": [1, 1]}, "ema"),
+        (lambda: NuPI(0.1), {"ema": [0.0, 1.0], "seen": [1, 5]}, "seen"),
+        (lambda: NuPI(0.1), {"ema": [0.0, 1.0], "seen": [0.5, 1.0]}, "seen"),
+    ],
+    ids=["velocity-nan", "adam-v-inf", "ema-inf", "seen-5", "seen-half"],
+)
+def test_load_buffer_state_rejects_non_finite_and_non_flag_entries(make, state, buffer):
+    # a rejected load names the buffer and leaves the optimizer's buffers as they were
+    optimizer = make()
+    before = optimizer.buffer_state()
+    with pytest.raises(ValueError, match=f"^{buffer} ") as info:
+        optimizer.load_buffer_state(state)
+    assert info.value.buffer == buffer
+    assert optimizer.buffer_state() == before
 
 
 class TestMakeDualOptimizers:
@@ -976,3 +999,157 @@ class TestTwoPasses:
         with pytest.raises(error, match=message):
             roll(problem, optimizers, scheme="alt-pd", evaluate=evaluate)
         assert self.snapshot(problem, optimizers) == before
+
+
+def _assembled_bytes(asm):
+    """An assembled record's contents, as comparable bytes."""
+    return (
+        asm.primal_lagrangian,
+        asm.dual_lagrangian,
+        asm.gradient.tobytes(),
+        {gid: signal.tobytes() for gid, signal in asm.dual_signals.items()},
+        {gid: None if idx is None else idx.tobytes() for gid, idx in asm.observed_indices.items()},
+    )
+
+
+class TestAssembleSlot:
+    """``assemble`` serves a repeated call on one evaluation from the problem's slot.
+
+    A hit needs the same ``Evaluation`` object and no write in between: a
+    multiplier commit or load, a group's penalty or multiplier assigned, or a
+    commit of x (``set_x``, a roll, a checkpoint load) emptying the slot.
+    """
+
+    @staticmethod
+    def setup():
+        problem = problem_projection_ball(
+            np.array([3.0, 4.0]), formulation="augmented_lagrangian", penalty=2.0
+        )
+        optimizers = PrimalDualOptimizers(
+            primal=Momentum(0.05, beta=0.5),
+            duals=make_dual_optimizers(problem, lambda: NuPI(0.5)),
+        )
+        return problem, optimizers
+
+    @staticmethod
+    def fresh(problem, ev):
+        # an override never touches the slot: the record computed afresh at the stored values
+        values = {gid: g.multiplier.copy_values() for gid, g in problem.groups.items()}
+        return lk.assemble(problem, ev, multiplier_values=values)
+
+    @staticmethod
+    def _load_other_state(problem, tmp_path):
+        source, source_optimizers = TestAssembleSlot.setup()
+        for _ in range(3):
+            roll(source, source_optimizers)
+        checkpoint.save(source, source_optimizers, tmp_path / "state.ckpt")
+        checkpoint.load(tmp_path / "state.ckpt", problem, TestAssembleSlot.setup()[1])
+
+    WRITES = {
+        "apply_dual_delta": lambda p, tmp: p.group("ball").multiplier.apply_dual_delta([0.5]),
+        "load_values": lambda p, tmp: p.group("ball").multiplier.load_values([1.5]),
+        "checkpoint.load": lambda p, tmp: TestAssembleSlot._load_other_state(p, tmp),
+        "penalty": lambda p, tmp: setattr(p.group("ball"), "penalty", lk.PenaltyCoefficient(5.0)),
+        "set_x": lambda p, tmp: p.set_x(p.x),
+    }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_write_between_calls_is_seen(self, write, tmp_path):
+        problem, _ = self.setup()
+        ev = problem.evaluate_with_gradients(problem.x)
+        first = lk.assemble(problem, ev)
+        self.WRITES[write](problem, tmp_path)
+        second = lk.assemble(problem, ev)
+        assert second is not first
+        assert _assembled_bytes(second) == _assembled_bytes(self.fresh(problem, ev))
+        if write != "set_x":  # the others change what ev assembles to
+            assert _assembled_bytes(second) != _assembled_bytes(first)
+
+    def test_no_write_returns_the_same_record(self):
+        problem, _ = self.setup()
+        ev = problem.evaluate_with_gradients(problem.x)
+        first = lk.assemble(problem, ev)
+        assert lk.assemble(problem, ev) is first
+        # another evaluation of the same point is another key
+        assert lk.assemble(problem, problem.evaluate_with_gradients(problem.x)) is not first
+
+    def test_override_neither_served_nor_stored(self):
+        problem, _ = self.setup()
+        ev = problem.evaluate_with_gradients(problem.x)
+        override = {"ball": np.array([0.75])}
+        a = lk.assemble(problem, ev, multiplier_values=override)
+        b = lk.assemble(problem, ev, multiplier_values=override)
+        assert a is not b and _assembled_bytes(a) == _assembled_bytes(b)
+        stored = lk.assemble(problem, ev)
+        assert _assembled_bytes(stored) != _assembled_bytes(a)
+        c = lk.assemble(problem, ev, multiplier_values=override)
+        assert c is not a and _assembled_bytes(c) == _assembled_bytes(a)
+        assert lk.assemble(problem, ev) is stored
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_constant_evaluation_is_correct_under_every_scheme(self, scheme):
+        # an evaluate returning one Evaluation object for every point rolls like
+        # one returning a new object with the same contents each time
+        runs = []
+        for same_object in (True, False):
+            problem, optimizers = self.setup()
+            constant = problem.evaluate_with_gradients(np.array([0.3, 0.4]))
+
+            def evaluate(x):
+                if same_object:
+                    return constant
+                return lk.Evaluation(
+                    state=constant.state, grad_f=constant.grad_f, jacobians=constant.jacobians
+                )
+
+            trajectory = []
+            for _ in range(6):
+                out = roll(problem, optimizers, scheme=scheme, evaluate=evaluate)
+                row = lk.assemble(problem, evaluate(problem.x))  # what a trace row does
+                trajectory.append((
+                    out.primal_lagrangian, out.dual_lagrangian, _assembled_bytes(row),
+                    problem.x.tobytes(), problem.group("ball").multiplier.values.tobytes(),
+                ))
+            runs.append(trajectory)
+        assert runs[0] == runs[1]
+
+    @staticmethod
+    def counted_run(monkeypatch, tmp_path, scheme, steps):
+        counts = {"_checked_blocks": 0, "_dual_pass": 0, "_primal_pass": 0, "maxima": 0}
+        for name in ("_checked_blocks", "_dual_pass", "_primal_pass"):
+            original = getattr(lk.optim, name)
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lk.optim, name, counted)
+        maxima = lk.ConstrainedMinimizationProblem._computed_maxima
+
+        def counted_maxima(self, state):
+            counts["maxima"] += 1
+            return maxima(self, state)
+
+        monkeypatch.setattr(lk.ConstrainedMinimizationProblem, "_computed_maxima", counted_maxima)
+        config = cli.RunConfig(
+            problem="norm_logreg", scheme=scheme, steps=steps, trace=str(tmp_path / "t.csv")
+        )
+        assert cli.cmd_run(config) == 0
+        return counts
+
+    def test_traced_alt_pd_run_checks_each_evaluation_once(self, monkeypatch, tmp_path, capsys):
+        n = 7
+        counts = self.counted_run(monkeypatch, tmp_path, "alt-pd", n)
+        # x_0, then one evaluation per step: each checked once; a dual pass at
+        # x_{t+1} in the roll and at m_{t+1} in the row; the row's primal pass
+        # is the next roll's; each row's violation maxima are computed once
+        assert counts == {
+            "_checked_blocks": n + 1, "_dual_pass": 2 * n + 1, "_primal_pass": n + 1, "maxima": n,
+        }
+
+    def test_traced_simultaneous_run_takes_the_row_gradient(self, monkeypatch, tmp_path, capsys):
+        n = 7
+        counts = self.counted_run(monkeypatch, tmp_path, "simultaneous", n)
+        assert counts == {
+            "_checked_blocks": n + 1, "_dual_pass": n + 1, "_primal_pass": n + 1, "maxima": n,
+        }

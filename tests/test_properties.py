@@ -334,8 +334,9 @@ _CKPT_KEYS = [
 _CKPT_TAGS = st.sampled_from(["absent", "i", "f", "v", "iv", "s", "b", ""])
 _CKPT_TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(float.hex),
-    st.sampled_from(["0x1p+99999", "-0x1p+99999", "nan", "-inf", "0x", "", "absent"]),
+    st.sampled_from(["0x1p+99999", "-0x1p+99999", "nan", "inf", "-inf", "0x", "", "absent"]),
     st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["-1", "2", "5"]),  # integers beside the 0/1 of a flag vector
     st.text(alphabet="0123456789abcdefpx+-.", max_size=6),
 )
 # (what to replace, tag, token, tokens): the whole payload (or a vector
@@ -389,8 +390,14 @@ def _ball_adam_nupi():
 @example(key="opt.dual.ball.seen", edit=("entry", "", "99999999999999999999999", []))  # int64
 @example(key="version", edit=("vector", "v", "", ["0x1p+0", "0x1p+0"]))
 @example(key="signature", edit=("vector", "iv", "", []))
+@example(key="opt.primal.m", edit=("entry", "", "nan", []))
+@example(key="opt.primal.v", edit=("entry", "", "inf", []))
+@example(key="opt.dual.ball.ema", edit=("entry", "", "-inf", []))
+@example(key="opt.dual.ball.seen", edit=("entry", "", "5", []))
+@example(key="opt.dual.ball.seen", edit=("vector", "iv", "", ["-1"]))
 def test_corrupt_checkpoint_key_is_contained(key, edit, tmp_path):
-    # load raises only CheckpointError, and then leaves the target bitwise unchanged
+    # load raises only CheckpointError, and then leaves the target bitwise unchanged;
+    # a load that succeeds took finite buffers and NuPI flags of 0 or 1
     path = tmp_path / "state.ckpt"
     source = _ball_adam_nupi()
     for _ in range(2):
@@ -408,6 +415,13 @@ def test_corrupt_checkpoint_key_is_contained(key, edit, tmp_path):
         checkpoint.load(path, *target)
     except CheckpointError:
         assert _state_bytes(*target) == before
+    else:
+        optimizers = target[1]
+        for optimizer in (optimizers.primal, *optimizers.duals.values()):
+            for value in optimizer.buffer_state().values():
+                assert value is None or np.isfinite(value).all()
+        if key.endswith(".seen"):
+            assert np.isin(checkpoint._decode(key, lines[i][len(key) + 1:]), (0, 1)).all()
 
 
 def _built(config):
