@@ -10,6 +10,7 @@ treatment across groups.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,13 +68,22 @@ _SMALL = 32
 
 _NO_MISC: Mapping[str, Any] = MappingProxyType({})
 
-# The write counter: every write that can change an assembled Lagrangian bumps
-# it (a multiplier's commit or load, any assignment to a group attribute such
-# as its multiplier or penalty). ``optim.assemble`` keys its cached record on
-# it, never on the identity of a multiplier array, which commits write in place.
-# One count for the process, so a multiplier need not know the problems that
-# hold it: a write elsewhere costs a cached record a miss, never a wrong hit.
+# The write stamp: every write that can change an assembled Lagrangian (a
+# multiplier's commit or load, any assignment to a group attribute such as its
+# multiplier or penalty) calls ``_note_write`` once it is done. ``optim.assemble``
+# keys its cached record on the stamp, never on the identity of a multiplier
+# array, which commits write in place. Each write stores a stamp of its own, so
+# the stamp never takes a value twice, even when problems roll in two threads:
+# a cached record is served only while no write has finished since it was
+# computed. One stamp for the process, so a multiplier need not know the
+# problems that hold it: a write elsewhere costs a cached record a miss.
+_STAMPS = itertools.count(1)
 _WRITES = [0]
+
+
+def _note_write() -> None:
+    """Stamp a finished write that can change an assembled Lagrangian."""
+    _WRITES[0] = next(_STAMPS)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -300,9 +310,8 @@ class ConstraintGroup:
         self._initial_multiplier = initial_multiplier
 
     def __setattr__(self, name, value):
-        # an assembly cached over the old multiplier or penalty is stale now
-        _WRITES[0] += 1
         object.__setattr__(self, name, value)
+        _note_write()  # an assembly cached over the old multiplier or penalty is stale now
 
     @property
     def indexed(self) -> bool:
@@ -396,17 +405,13 @@ class ConstrainedMinimizationProblem:
     def _adopt(self, x: np.ndarray) -> None:
         """Commit checked x that nothing else holds, read-only, so evaluations may trust it.
 
-        Empties the slot, which belongs to the point being replaced. The slot
-        holds what one evaluation yields that need not be computed twice, as
-        ``(evaluation, blocks, assembled, writes, maxima)``: its checked
-        blocks (``optim._checked_blocks``), its ``assemble`` record at the
-        stored multipliers (valid while the write counter reads ``writes``)
-        and its ``_violation_maxima``, each None until computed. A tuple, as
-        a fresh one per roll costs less than an object.
+        Empties the caches that belong to the point being replaced:
+        ``optim.assemble``'s slot and the ``_violation_maxima`` of one state.
         """
         x.flags.writeable = False
         self._x = x
         self._slot = None
+        self._maxima = None
 
     def _check_point(self, x) -> np.ndarray:
         """``x`` as a checked float vector of shape (dim,); may share memory with x."""
@@ -506,20 +511,18 @@ class ConstrainedMinimizationProblem:
     def _violation_maxima(self, state: CMPState) -> tuple[float, float]:
         """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none.
 
-        Computed once for the state of the slot's evaluation, then read
-        from the slot.
+        Cached for the last state asked for until the next commit: a trace
+        row and its KKT residual ask for the same one.
         """
-        slot = self._slot
-        if slot is None or slot[0].state is not state:
-            return self._computed_maxima(state)
-        maxima = slot[4]
-        if maxima is None:
-            maxima = self._computed_maxima(state)
-            self._slot = slot[:4] + (maxima,)
+        cached = self._maxima
+        if cached is not None and cached[0] is state:
+            return cached[1]
+        maxima = self._computed_maxima(state)
+        self._maxima = (state, maxima)
         return maxima
 
     def _computed_maxima(self, state: CMPState) -> tuple[float, float]:
-        """``_violation_maxima`` without the slot.
+        """``_violation_maxima`` without the cache.
 
         A ConstraintState's violations are finite, so a plain ``max`` over a
         small group agrees with numpy's clamped maximum.

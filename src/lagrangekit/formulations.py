@@ -164,13 +164,12 @@ def _gathered_penalty(
 
 
 def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
-    """Unchecked (primal term, dual signal, primal weights, gathered multiplier, gathered penalty).
+    """Unchecked (primal term, dual signal, primal weights, gathered multiplier).
 
     The one copy of each formula, under the group's formulation. The
-    gathered multiplier is None for quadratic penalty, the gathered penalty
-    None for the plain Lagrangian. ``assemble`` checks what these derive
-    once per step; ``group_contribution`` checks it through
-    ``ContributionPair``.
+    gathered multiplier is None for quadratic penalty. ``assemble`` checks
+    what these derive once per step; ``group_contribution`` checks it
+    through ``ContributionPair``.
     """
     v = state.violation
     formulation = group.formulation
@@ -182,12 +181,12 @@ def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
         c = _gathered_penalty(group, state, penalty)
         if group.constraint_type is ConstraintType.INEQUALITY:
             v = np.maximum(v, 0.0)
-        return 0.5 * np.sum(c * v * v), np.empty(0), c * v, None, c
+        return 0.5 * np.sum(c * v * v), np.empty(0), c * v, None
     if values is None:
         raise ValueError(f"group {group.name!r}: {formulation.value} needs a multiplier")
     m = _gathered_multiplier(group, state, values)
     if formulation is Formulation.LAGRANGIAN:
-        return np.dot(m, v), state.dual_violation, m, m, None
+        return np.dot(m, v), state.dual_violation, m, m
     c = _gathered_penalty(group, state, penalty)
     if group.constraint_type is ConstraintType.INEQUALITY:
         ratio = m / c
@@ -195,18 +194,19 @@ def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
         primal = 0.5 * np.sum(c * (active * active - ratio * ratio))
     else:
         primal = np.dot(m, v) + 0.5 * np.sum(c * v * v)
-    return primal, c * state.dual_violation, _weights(group, state, m, c), m, c
+    return primal, c * state.dual_violation, _weights(group, state, m, c), m
 
 
-def _weights(group: ConstraintGroup, state: ConstraintState, m: np.ndarray, c) -> np.ndarray:
+def _weights(group: ConstraintGroup, state: ConstraintState, m: np.ndarray, c=None) -> np.ndarray:
     """The primal weights of a multiplier group at the gathered multiplier ``m``.
 
-    ``c`` is the gathered penalty that ``_terms`` returns (None for the plain
-    Lagrangian); the rolls call this alone for a gradient at other
-    multipliers than the terms.
+    ``c`` is the gathered penalty, the group's own when omitted; the rolls
+    call this alone for a gradient at other multipliers than the terms.
     """
     if group.formulation is Formulation.LAGRANGIAN:
         return m
+    if c is None:
+        c = _gathered_penalty(group, state, group.penalty)
     if group.constraint_type is ConstraintType.INEQUALITY:
         return np.maximum(c * state.violation + m, 0.0)
     return m + c * state.violation
@@ -227,7 +227,7 @@ def group_contribution(
     """
     penalty = penalty if penalty is not None else group.penalty
     values = multiplier_values if multiplier_values is not None else group.multiplier
-    primal, signal, weights, _, _ = _terms(group, state, values, penalty)
+    primal, signal, weights, _ = _terms(group, state, values, penalty)
     return ContributionPair(group.name, float(primal), signal, weights)
 
 

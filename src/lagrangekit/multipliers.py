@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintType, EvaluationError, _WRITES, _all_finite, _as_indices, _index_scan
+from .core import ConstraintType, EvaluationError, _all_finite, _as_indices, _index_scan, _note_write
 
 __all__ = [
     "Multiplier",
@@ -141,19 +141,19 @@ class Multiplier:
         """Commit ``_preview`` output computed for the same ``indices``.
 
         A full vector is adopted; addressed entries are written in place, so
-        an indexed commit costs O(len(indices)), not O(size). Bumps the
-        write counter.
+        an indexed commit costs O(len(indices)), not O(size). Stamps the
+        write (``core._note_write``).
         """
-        _WRITES[0] += 1
         if indices is None:
             self._values = values
         else:
             self._values[indices] = values
+        _note_write()
 
     def load_values(self, values) -> None:
         """Replace values wholesale (checkpoint restore); invariants still checked."""
         self._values = self._checked(values)
-        _WRITES[0] += 1
+        _note_write()
 
 
 class DenseMultiplier(Multiplier):

@@ -32,17 +32,17 @@ Each value is checked once, then trusted:
   not checked; alt-pd's next roll takes, and checks, the one at x_{t+1};
 - proposals before commit: x_new and each multiplier preview.
 
-What one evaluation yields is also computed once: the problem's slot (see
-``ConstrainedMinimizationProblem._adopt``) holds one evaluation's checked
-blocks, its ``assemble`` record at the stored multipliers and its violation
-maxima. ``assemble`` without ``multiplier_values`` fills the slot and serves
-a repeated call from it while the same evaluation object is asked for and
-the write counter (``core._WRITES``, bumped by every multiplier commit or
-load and every group attribute assignment) has not moved; a call with
-``multiplier_values`` neither reads nor writes it. Every commit, ``set_x``
-and checkpoint load empties the slot; alt-pd then refills it with the
-x_{t+1} blocks its dual pass checked. So in ``lagrangekit run`` the trace
-row's record at (x_{t+1}, m_{t+1}) is the next roll's record at (x_t, m_t).
+What one evaluation yields is also computed once: the problem's slot holds
+one evaluation's checked blocks and its ``assemble`` record at the stored
+multipliers. ``assemble`` without ``multiplier_values`` fills the slot and
+serves a repeated call from it while the same evaluation object is asked
+for and the write stamp (``core._WRITES``, renewed by every multiplier
+commit or load and every group attribute assignment) has not moved; a call
+with ``multiplier_values`` neither reads nor writes it. Every commit,
+``set_x`` and checkpoint load empties the slot; alt-pd then refills it with
+the x_{t+1} blocks its dual pass checked. So in ``lagrangekit run`` the
+trace row's record at (x_{t+1}, m_{t+1}) is the next roll's record at
+(x_t, m_t).
 
 A dual preview of an indexed update holds only the addressed entries, and
 the commit writes them, and NuPI's buffer entries, in place: O(observed),
@@ -113,14 +113,15 @@ class _BadBuffer(ValueError):
         self.buffer = buffer
 
 
-def _staged_vector(state: dict, name: str) -> Optional[np.ndarray]:
+def _staged_vector(state: dict, name: str, finite: bool = True) -> Optional[np.ndarray]:
+    """``state[name]`` as a new float vector, or None; finite unless ``finite`` is False."""
     value = state[name]
     if value is None:
         return None
     if np.ndim(value) != 1:
         raise _BadBuffer(name, f"{name} must be a 1-d vector, got shape {np.shape(value)}")
     vector = np.array(value, dtype=np.float64)
-    if not _all_finite(vector):
+    if finite and not _all_finite(vector):
         raise _BadBuffer(name, f"{name} must be finite")
     return vector
 
@@ -264,7 +265,12 @@ class AdamLike(PrimalOptimizer):
         t = state["t"]
         if not isinstance(t, (int, np.integer)) or t < 0:
             raise _BadBuffer("t", f"adam step count must be an integer >= 0, got {t!r}")
-        return _staged_vector(state, "m"), _staged_vector(state, "v"), int(t)
+        # a finite gradient entry above ~1.3e154 squares to inf, and a roll
+        # commits v = inf (the step there is 0); never NaN or a negative entry
+        v = _staged_vector(state, "v", finite=False)
+        if v is not None and not (v >= 0.0).all():
+            raise _BadBuffer("v", "v entries must be >= 0 (inf allowed)")
+        return _staged_vector(state, "m"), v, int(t)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +438,21 @@ def assemble(
     read-only, like ``Multiplier.values``. A call with ``multiplier_values``
     is neither served from the slot nor stored in it.
     """
+    # The slot, ``problem._slot``, is None or ``(evaluation, blocks, assembled,
+    # stamp)``: one evaluation's ``_checked_blocks`` and its record at the
+    # stored multipliers, valid while ``core._WRITES`` reads ``stamp`` (both
+    # None when alt-pd filled it). Only this module fills it; every commit of
+    # x empties it. The stamp is read first: a write that finishes while the
+    # record is computed leaves it stale.
+    stamp = _WRITES[0]
     slot = None if multiplier_values is not None else problem._slot
     if slot is not None and slot[0] is evaluation:
-        _, blocks, assembled, writes, maxima = slot
-        if assembled is not None and writes == _WRITES[0]:
+        _, blocks, assembled, slot_stamp = slot
+        if slot_stamp == stamp:
             return assembled
     else:
-        blocks, maxima = _checked_blocks(problem, evaluation), None
-    primal_lagrangian, dual_lagrangian, signals, indices, weights, _ = _dual_pass(
+        blocks = _checked_blocks(problem, evaluation)
+    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(
         problem, evaluation, blocks, multiplier_values
     )
     assembled = _record(AssembledLagrangian, {
@@ -450,7 +463,7 @@ def assemble(
         "observed_indices": indices,
     })
     if multiplier_values is None:
-        problem._slot = (evaluation, blocks, assembled, _WRITES[0], maxima)
+        problem._slot = (evaluation, blocks, assembled, stamp)
     return assembled
 
 
@@ -480,28 +493,23 @@ def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=
     """The scalars and dual signals of ``_checked_blocks(problem, evaluation)``.
 
     Returns ``(primal_lagrangian, dual_lagrangian, dual_signals,
-    observed_indices, weights, penalties)`` and checks what it derives: the
-    primal Lagrangian and a dual signal c * v. ``weights`` (one per block)
-    feed ``_primal_pass`` at the same multipliers; ``penalties`` (one
-    gathered penalty or None per block) feed ``_weights`` at others.
+    observed_indices, weights)`` and checks what it derives: the primal
+    Lagrangian and a dual signal c * v. ``weights`` (one per block) feed
+    ``_primal_pass`` at the same multipliers.
     """
     primal_lagrangian = evaluation.state.loss
     dual_lagrangian = 0.0
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
     weights = []
-    penalties = []
     for gid, cstate, group, _ in blocks:
         values = None if multiplier_values is None else multiplier_values.get(gid)
         if values is None and group.multiplier is not None:
             # the indices are in range for the group: gather without the public check
             values = group.multiplier._values
-        term, signal, block_weights, gathered, penalty = _terms(
-            group, cstate, values, group.penalty
-        )
+        term, signal, block_weights, gathered = _terms(group, cstate, values, group.penalty)
         primal_lagrangian += term
         weights.append(block_weights)
-        penalties.append(penalty)
         if gathered is not None:
             # a derived signal (c * v) can overflow to -inf, which the projection
             # would clamp to 0; the plain signal is the checked violation itself
@@ -514,7 +522,7 @@ def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=
     primal_lagrangian = float(primal_lagrangian)
     if not math.isfinite(primal_lagrangian):
         raise EvaluationError(f"non-finite primal Lagrangian {primal_lagrangian}")
-    return primal_lagrangian, dual_lagrangian, signals, indices, weights, penalties
+    return primal_lagrangian, dual_lagrangian, signals, indices, weights
 
 
 def _primal_pass(problem, evaluation: Evaluation, blocks: list, weights: list) -> np.ndarray:
@@ -652,10 +660,10 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
     blocks = _checked_blocks(problem, ev_new)
-    _, dual_lagrangian, signals, indices, _, _ = _dual_pass(problem, ev_new, blocks)
+    _, dual_lagrangian, signals, indices, _ = _dual_pass(problem, ev_new, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    problem._slot = (ev_new, blocks, None, None, None)
+    problem._slot = (ev_new, blocks, None, None)
     return _roll_out(ev.state, asm.primal_lagrangian, dual_lagrangian)
 
 
@@ -668,20 +676,13 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
-    # the oracle output is checked once for both passes, or was when the slot took ev
-    slot = problem._slot
-    if slot is not None and slot[0] is ev:
-        blocks = slot[1]
-    else:
-        blocks = _checked_blocks(problem, ev)
-    primal_lagrangian, dual_lagrangian, signals, indices, weights, penalties = _dual_pass(
-        problem, ev, blocks
-    )
+    blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both passes
+    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(problem, ev, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices)
     for i, (gid, cstate, group, _) in enumerate(blocks):
         if gid in dual_updates:
             # the preview holds the entries at this evaluation's indices, in their order
-            weights[i] = _weights(group, cstate, dual_updates[gid].preview, penalties[i])
+            weights[i] = _weights(group, cstate, dual_updates[gid].preview)
     gradient = _primal_pass(problem, ev, blocks, weights)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)

@@ -7,6 +7,7 @@ import pytest
 
 from lagrangekit import (
     AdamLike,
+    Evaluation,
     GradientAscent,
     GradientDescent,
     Momentum,
@@ -114,6 +115,44 @@ class TestRoundTrip:
         )
         checkpoint.load(path, fresh_problem, fresh_optimizers)
         assert fresh_optimizers.primal.buffer_state()["t"] == 4
+
+    def test_adam_infinite_second_moment_resumes_bitwise(self, tmp_path):
+        # a finite gradient entry above ~1.3e154 squares to inf: the roll commits
+        # v = inf (its step there is 0, so x stays finite) and the file holds 'inf'
+        def setup():
+            problem = problem_projection_ball(np.array([3.0, 4.0]))
+            optimizers = PrimalDualOptimizers(
+                primal=AdamLike(0.01),
+                duals=make_dual_optimizers(problem, lambda: GradientAscent(0.01)),
+            )
+            return problem, optimizers
+
+        def huge_gradient(problem):
+            def evaluate(x):
+                ev = problem.evaluate_with_gradients(x)
+                grad_f = np.array([1e160, ev.grad_f[1]])
+                return Evaluation(state=ev.state, grad_f=grad_f, jacobians=ev.jacobians)
+            return evaluate
+
+        straight, straight_optimizers = setup()
+        with np.errstate(over="ignore"):
+            roll(straight, straight_optimizers, evaluate=huge_gradient(straight))
+        assert straight_optimizers.primal.v[0] == np.inf
+        path = tmp_path / "inf.ckpt"
+        checkpoint.save(straight, straight_optimizers, path)
+        assert "opt.primal.v=v 2 inf " in path.read_text()
+
+        resumed, resumed_optimizers = setup()
+        checkpoint.load(path, resumed, resumed_optimizers)
+        assert _state_bytes(resumed, resumed_optimizers) == _state_bytes(
+            straight, straight_optimizers
+        )
+        for problem, optimizers in ((straight, straight_optimizers), (resumed, resumed_optimizers)):
+            for _ in range(3):
+                roll(problem, optimizers)
+        assert _state_bytes(resumed, resumed_optimizers) == _state_bytes(
+            straight, straight_optimizers
+        )
 
     def test_vector_penalty_round_trips(self, tmp_path):
         path = tmp_path / "pen.ckpt"
@@ -354,6 +393,9 @@ CORRUPTIONS = [
     ("momentum", "opt.primal.velocity", "f 0x1p+0", "opt.primal.velocity"),
     ("momentum", "opt.primal.velocity", "v 2 nan inf", "opt.primal.velocity"),
     ("adam", "opt.primal.m", "v 2 0x0p+0 -inf", "opt.primal.m"),
+    ("adam", "opt.primal.v", "v 2 nan 0x0p+0", "opt.primal.v"),
+    ("adam", "opt.primal.v", "v 2 -inf 0x0p+0", "opt.primal.v"),
+    ("adam", "opt.primal.v", "v 2 -0x1p+0 0x0p+0", "opt.primal.v"),
     ("momentum", "opt.dual.ball.ema", "v 1 nan", "opt.dual.ball.ema"),
     ("momentum", "opt.dual.ball.seen", "iv 1 5", "opt.dual.ball.seen"),
     ("momentum", "opt.dual.ball.seen", "iv 1 -1", "opt.dual.ball.seen"),

@@ -269,12 +269,18 @@ class TestNuPI:
     "make, state, buffer",
     [
         (lambda: Momentum(0.1), {"velocity": [0.0, np.nan]}, "velocity"),
-        (lambda: AdamLike(0.1), {"m": [0.0, 0.0], "v": [np.inf, 0.0], "t": 1}, "v"),
+        (lambda: AdamLike(0.1), {"m": [np.inf, 0.0], "v": [0.0, 0.0], "t": 1}, "m"),
+        (lambda: AdamLike(0.1), {"m": [0.0, 0.0], "v": [np.nan, 0.0], "t": 1}, "v"),
+        (lambda: AdamLike(0.1), {"m": [0.0, 0.0], "v": [-np.inf, 0.0], "t": 1}, "v"),
+        (lambda: AdamLike(0.1), {"m": [0.0, 0.0], "v": [-1.0, 0.0], "t": 1}, "v"),
         (lambda: NuPI(0.1), {"ema": [-np.inf, 0.0], "seen": [1, 1]}, "ema"),
         (lambda: NuPI(0.1), {"ema": [0.0, 1.0], "seen": [1, 5]}, "seen"),
         (lambda: NuPI(0.1), {"ema": [0.0, 1.0], "seen": [0.5, 1.0]}, "seen"),
     ],
-    ids=["velocity-nan", "adam-v-inf", "ema-inf", "seen-5", "seen-half"],
+    ids=[
+        "velocity-nan", "adam-m-inf", "adam-v-nan", "adam-v-minus-inf", "adam-v-negative",
+        "ema-inf", "seen-5", "seen-half",
+    ],
 )
 def test_load_buffer_state_rejects_non_finite_and_non_flag_entries(make, state, buffer):
     # a rejected load names the buffer and leaves the optimizer's buffers as they were
@@ -284,6 +290,18 @@ def test_load_buffer_state_rejects_non_finite_and_non_flag_entries(make, state, 
         optimizer.load_buffer_state(state)
     assert info.value.buffer == buffer
     assert optimizer.buffer_state() == before
+
+
+def test_load_buffer_state_takes_an_infinite_adam_second_moment():
+    # a finite gradient entry above ~1.3e154 squares to inf, so a step commits v = inf
+    optimizer = AdamLike(0.1)
+    with np.errstate(over="ignore"):
+        x_new, staged = optimizer.step(np.array([1.0, 2.0]), np.array([1e160, 1.0]))
+    assert np.isfinite(x_new).all() and staged[1][0] == np.inf
+    optimizer.commit(staged)
+    other = AdamLike(0.1)
+    other.load_buffer_state(optimizer.buffer_state())
+    assert other.v.tolist() == [np.inf, optimizer.v[1]]
 
 
 class TestMakeDualOptimizers:
@@ -1072,6 +1090,21 @@ class TestAssembleSlot:
         assert lk.assemble(problem, ev) is first
         # another evaluation of the same point is another key
         assert lk.assemble(problem, problem.evaluate_with_gradients(problem.x)) is not first
+
+    def test_late_write_never_revives_a_stale_record(self):
+        # two problems rolling in two threads: one thread takes its write stamp
+        # and is pre-empted; the other stamps a write, caches a record, writes a
+        # multiplier; then the first thread stores its stamp, older than both
+        problem, _ = self.setup()
+        ev = problem.evaluate_with_gradients(problem.x)
+        late = next(lk.core._STAMPS)
+        lk.core._note_write()
+        first = lk.assemble(problem, ev)
+        problem.group("ball").multiplier.apply_dual_delta([0.5])
+        lk.core._WRITES[0] = late
+        second = lk.assemble(problem, ev)
+        assert second is not first
+        assert _assembled_bytes(second) == _assembled_bytes(self.fresh(problem, ev))
 
     def test_override_neither_served_nor_stored(self):
         problem, _ = self.setup()

@@ -391,13 +391,15 @@ def _ball_adam_nupi():
 @example(key="version", edit=("vector", "v", "", ["0x1p+0", "0x1p+0"]))
 @example(key="signature", edit=("vector", "iv", "", []))
 @example(key="opt.primal.m", edit=("entry", "", "nan", []))
-@example(key="opt.primal.v", edit=("entry", "", "inf", []))
+@example(key="opt.primal.v", edit=("entry", "", "inf", []))  # loads: a roll can commit it
+@example(key="opt.primal.v", edit=("entry", "", "-0x1p+0", []))
 @example(key="opt.dual.ball.ema", edit=("entry", "", "-inf", []))
 @example(key="opt.dual.ball.seen", edit=("entry", "", "5", []))
 @example(key="opt.dual.ball.seen", edit=("vector", "iv", "", ["-1"]))
 def test_corrupt_checkpoint_key_is_contained(key, edit, tmp_path):
     # load raises only CheckpointError, and then leaves the target bitwise unchanged;
-    # a load that succeeds took finite buffers and NuPI flags of 0 or 1
+    # a load that succeeds took finite buffers (Adam's v: >= 0, inf allowed)
+    # and NuPI flags of 0 or 1
     path = tmp_path / "state.ckpt"
     source = _ball_adam_nupi()
     for _ in range(2):
@@ -418,8 +420,11 @@ def test_corrupt_checkpoint_key_is_contained(key, edit, tmp_path):
     else:
         optimizers = target[1]
         for optimizer in (optimizers.primal, *optimizers.duals.values()):
-            for value in optimizer.buffer_state().values():
-                assert value is None or np.isfinite(value).all()
+            for name, value in optimizer.buffer_state().items():
+                if optimizer is optimizers.primal and name == "v":
+                    assert (value >= 0.0).all()
+                else:
+                    assert value is None or np.isfinite(value).all()
         if key.endswith(".seen"):
             assert np.isin(checkpoint._decode(key, lines[i][len(key) + 1:]), (0, 1)).all()
 
