@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from .core import EvaluationError
-from .formulations import PenaltyCoefficient
 from .multipliers import IndexedMultiplier
 from .optim import _BadBuffer
 
@@ -219,13 +218,8 @@ def _stage_group(gid: str, group, entries: dict):
     else:
         with _section(mult_key):
             values = mult._checked(entries[mult_key])
-    if group.penalty is None:
-        if entries[pen_key] is not None:
-            raise CheckpointError(f"corrupt section {pen_key!r}: group has no penalty")
-    else:
-        with _section(pen_key):
-            penalty = PenaltyCoefficient(entries[pen_key])
-            penalty.expand(group.size)
+    with _section(pen_key):
+        penalty = group._checked_penalty(entries[pen_key])
     if isinstance(mult, IndexedMultiplier):
         cnt_key = f"groups.{gid}.update_count"
         with _section(cnt_key):

@@ -69,13 +69,12 @@ _SMALL = 32
 _NO_MISC: Mapping[str, Any] = MappingProxyType({})
 
 # The write stamp: every write that can change an assembled Lagrangian (a
-# multiplier's commit or load, any assignment to a group attribute such as its
-# multiplier or penalty) calls ``_note_write`` once it is done. ``optim.assemble``
-# keys its cached record on the stamp, never on the identity of a multiplier
-# array, which commits write in place. Each write stores a stamp of its own, so
-# the stamp never takes a value twice, even when problems roll in two threads:
-# a cached record is served only while no write has finished since it was
-# computed. One stamp for the process, so a multiplier need not know the
+# multiplier's commit or load, a group's penalty assignment) calls
+# ``_note_write`` once it is done. ``optim.assemble`` keys its cached record
+# on the stamp, never on the identity of a multiplier array, which commits
+# write in place. Each write stores a stamp of its own, so the stamp never
+# takes a value twice, even when problems roll in two threads: a cached
+# record is served only while no write has finished since it was computed. One stamp for the process, so a multiplier need not know the
 # problems that hold it: a write elsewhere costs a cached record a miss.
 _STAMPS = itertools.count(1)
 _WRITES = [0]
@@ -211,6 +210,11 @@ class ConstraintState:
 class ConstraintGroup:
     """A named block of scalar constraints sharing one multiplier and formulation.
 
+    The group owns its invariants: it builds its own multiplier, and
+    ``penalty`` is the one attribute that can be reassigned. An assignment
+    runs the constructor's check of the penalty; assigning any other
+    attribute raises AttributeError.
+
     Parameters
     ----------
     name : str
@@ -220,17 +224,18 @@ class ConstraintGroup:
     size : int
         Number of scalar constraints in the group.
     formulation : Formulation
-    multiplier : Multiplier, optional
-        Pre-built multiplier; allocated automatically at registration when
-        omitted. Forbidden for QUADRATIC_PENALTY groups.
-    penalty : PenaltyCoefficient, optional
+    penalty : PenaltyCoefficient or float or array_like, optional
         Required for AUGMENTED_LAGRANGIAN and QUADRATIC_PENALTY, forbidden for
-        LAGRANGIAN.
+        LAGRANGIAN; scalar, or one entry per constraint. Stored as a
+        PenaltyCoefficient.
     indexed : bool
-        Allocate an IndexedMultiplier (per-index update counters) instead of a
+        Build an IndexedMultiplier (per-index update counters) instead of a
         DenseMultiplier.
     initial_multiplier : array_like, optional
         Initial multiplier values overriding the zero default.
+
+    ``multiplier`` is None for QUADRATIC_PENALTY groups, which take neither
+    ``indexed`` nor ``initial_multiplier``.
     """
 
     def __init__(
@@ -239,7 +244,6 @@ class ConstraintGroup:
         constraint_type: ConstraintType,
         size: int,
         formulation: Formulation = Formulation.LAGRANGIAN,
-        multiplier=None,
         penalty=None,
         indexed: bool = False,
         initial_multiplier=None,
@@ -258,65 +262,65 @@ class ConstraintGroup:
         if size <= 0:
             raise ValueError(f"group size must be positive, got {size}")
 
-        if formulation is Formulation.QUADRATIC_PENALTY:
-            if multiplier is not None or initial_multiplier is not None or indexed:
-                raise ValueError(
-                    f"group {name!r}: quadratic penalty groups have no multiplier"
-                )
-        if formulation is Formulation.LAGRANGIAN and penalty is not None:
-            raise ValueError(f"group {name!r}: Lagrangian groups have no penalty")
-        if formulation in (
-            Formulation.AUGMENTED_LAGRANGIAN,
-            Formulation.QUADRATIC_PENALTY,
+        if formulation is Formulation.QUADRATIC_PENALTY and (
+            initial_multiplier is not None or indexed
         ):
-            if penalty is None:
-                raise ValueError(
-                    f"group {name!r}: {formulation.value} requires a penalty coefficient"
-                )
+            raise ValueError(f"group {name!r}: quadratic penalty groups have no multiplier")
+        # through __dict__: __setattr__ admits only a penalty reassignment
+        self.__dict__.update(
+            name=name,
+            constraint_type=constraint_type,
+            size=size,
+            formulation=formulation,
+            indexed=bool(indexed),
+        )
+        penalty = self._checked_penalty(penalty)
+        multiplier = None
+        if formulation is not Formulation.QUADRATIC_PENALTY:
+            from .multipliers import DenseMultiplier, IndexedMultiplier
 
-        if multiplier is not None:
-            if indexed:
-                raise ValueError(
-                    f"group {name!r}: pass either a multiplier or indexed=True, not both"
-                )
-            if initial_multiplier is not None:
-                raise ValueError(
-                    f"group {name!r}: pass either a multiplier or initial values, not both"
-                )
-            if multiplier.size != size:
-                raise ValueError(
-                    f"group {name!r}: multiplier size {multiplier.size} != group size {size}"
-                )
-            if multiplier.constraint_type is not constraint_type:
-                raise ValueError(
-                    f"group {name!r}: multiplier constraint type mismatch"
-                )
+            cls = IndexedMultiplier if indexed else DenseMultiplier
+            multiplier = cls(size, constraint_type, values=initial_multiplier)
+        self.__dict__.update(penalty=penalty, multiplier=multiplier)
 
-        if penalty is not None:
-            from .formulations import PenaltyCoefficient
+    def _checked_penalty(self, penalty):
+        """``penalty`` as a PenaltyCoefficient that fits this group, or None on a Lagrangian one."""
+        if self.formulation is Formulation.LAGRANGIAN:
+            if penalty is not None:
+                raise ValueError(f"group {self.name!r}: Lagrangian groups have no penalty")
+            return None
+        if penalty is None:
+            raise ValueError(
+                f"group {self.name!r}: {self.formulation.value} requires a penalty coefficient"
+            )
+        from .formulations import PenaltyCoefficient
 
-            if not isinstance(penalty, PenaltyCoefficient):
-                penalty = PenaltyCoefficient(penalty)
-            # vector penalties must match the group size; scalars broadcast
-            penalty.expand(size)
+        if not isinstance(penalty, PenaltyCoefficient):
+            penalty = PenaltyCoefficient(penalty)
+        penalty._full(self.size)  # vector penalties must match the group size; scalars broadcast
+        return penalty
 
-        self.name = name
-        self.constraint_type = constraint_type
-        self.size = size
-        self.formulation = formulation
-        self.multiplier = multiplier
-        self.penalty = penalty
-        self._indexed = bool(indexed)
-        self._initial_multiplier = initial_multiplier
+    def _check_fit(self, cstate: ConstraintState) -> None:
+        """Raise unless ``cstate`` measures this group: all of it, or entries in range."""
+        if cstate.observed_indices is None:
+            if cstate.violation.size != self.size:
+                raise ValueError(
+                    f"group {self.name!r}: violation length {cstate.violation.size} "
+                    f"!= group size {self.size}"
+                )
+        else:
+            idx = cstate.observed_indices
+            if idx.size and idx.max() >= self.size:
+                raise ValueError(
+                    f"group {self.name!r}: observed index {int(idx.max())} out of "
+                    f"range for size {self.size}"
+                )
 
     def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        _note_write()  # an assembly cached over the old multiplier or penalty is stale now
-
-    @property
-    def indexed(self) -> bool:
-        """True when the group addresses its multiplier through observed indices."""
-        return self._indexed
+        if name != "penalty":
+            raise AttributeError(f"group {self.name!r}: only the penalty can be reassigned")
+        object.__setattr__(self, name, self._checked_penalty(value))
+        _note_write()  # an assembly cached over the old penalty is stale now
 
     def __repr__(self):
         return (
@@ -425,12 +429,10 @@ class ConstrainedMinimizationProblem:
     # -- group registry -----------------------------------------------------
 
     def register_group(self, group: ConstraintGroup) -> str:
-        """Register a constraint group and allocate its multiplier.
+        """Register a constraint group, which brings its own multiplier.
 
-        Returns the group id. Raises on duplicate ids, on invalid
-        formulation/multiplier/penalty combinations (enforced by
-        ConstraintGroup), and after registration has been frozen by the first
-        evaluation.
+        Returns the group id. Raises on duplicate ids and after registration
+        has been frozen by the first evaluation.
         """
         if self._frozen:
             raise ValueError("group registration is frozen after the first evaluation")
@@ -438,15 +440,6 @@ class ConstrainedMinimizationProblem:
             raise ValueError("expected a ConstraintGroup")
         if group.name in self._groups:
             raise ValueError(f"duplicate group id {group.name!r}")
-        if group.multiplier is None and group.formulation is not Formulation.QUADRATIC_PENALTY:
-            from .multipliers import DenseMultiplier, IndexedMultiplier
-
-            cls = IndexedMultiplier if group._indexed else DenseMultiplier
-            group.multiplier = cls(
-                group.size,
-                group.constraint_type,
-                values=group._initial_multiplier,
-            )
         self._groups[group.name] = group
         return group.name
 
@@ -486,25 +479,13 @@ class ConstrainedMinimizationProblem:
     def _checked_group(self, gid: str, cstate: ConstraintState) -> ConstraintGroup:
         """Group ``gid``, once ``cstate`` fits it (``check_state`` for one group)."""
         group = self.group(gid)
-        if cstate.observed_indices is None:
-            if cstate.violation.size != group.size:
-                raise ValueError(
-                    f"group {gid!r}: violation length {cstate.violation.size} "
-                    f"!= group size {group.size}"
-                )
-        else:
-            idx = cstate.observed_indices
-            if idx.size and idx.max() >= group.size:
-                raise ValueError(
-                    f"group {gid!r}: observed index {int(idx.max())} out of "
-                    f"range for size {group.size}"
-                )
+        group._check_fit(cstate)
         return group
 
     def is_feasible(self, state: CMPState, tol: float = 0.0) -> bool:
         """True iff every inequality violation <= tol and every |equality violation| <= tol."""
         tol = float(tol)
-        if tol < 0:
+        if not tol >= 0:  # also refuses NaN
             raise ValueError(f"tol must be >= 0, got {tol}")
         return max(self._violation_maxima(state)) <= tol
 

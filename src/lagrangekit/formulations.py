@@ -7,6 +7,11 @@ per-constraint signal the dual optimizer ascends on, and the weights that
 multiply the constraint Jacobian rows in the primal gradient. ``_terms``
 holds each formula once; the rolls call it unchecked through ``assemble``.
 
+``_terms`` re-checks nothing it reads; each piece is checked once where it
+enters: a group's multiplier and penalty by the group, a state's fit by the
+roll's block pass, a caller's overrides by ``group_contribution`` and
+``assemble``.
+
 Formulas per group, with violation v, multiplier m, penalty c > 0:
 
 - Lagrangian: primal term <m, v>; weights m; dual signal v (or the strict
@@ -34,7 +39,7 @@ import numpy as np
 
 from .core import ConstraintGroup, ConstraintState, ConstraintType, EvaluationError, Formulation
 from .core import _all_finite
-from .multipliers import Multiplier, multiplier_values_for
+from .multipliers import Multiplier
 
 __all__ = [
     "PenaltyCoefficient",
@@ -126,68 +131,49 @@ class ContributionPair:
             )
 
 
-def _gathered_multiplier(
-    group: ConstraintGroup, state: ConstraintState, values
-) -> np.ndarray:
+def _gathered(full: np.ndarray, state: ConstraintState) -> np.ndarray:
+    """The entries of a group-length vector that ``state`` observes, in its order.
+
+    ``full`` itself when the state observes the whole group.
+    """
+    idx = state.observed_indices
+    return full if idx is None else full[idx]
+
+
+def _checked_values(group: ConstraintGroup, values) -> np.ndarray:
+    """Multiplier values a caller passes in for ``group`` (an array or a Multiplier), checked."""
     if isinstance(values, Multiplier):
-        gathered = multiplier_values_for(state, values)
-    else:
-        full = np.asarray(values, dtype=np.float64)
-        if full.shape != (group.size,):
-            raise ValueError(
-                f"group {group.name!r}: multiplier values shape {full.shape} "
-                f"!= ({group.size},)"
-            )
-        if state.observed_indices is None:
-            gathered = full.copy()
-        else:
-            gathered = full[state.observed_indices]
-    if gathered.size != state.violation.size:
+        values = values.values
+    full = np.asarray(values, dtype=np.float64)
+    if full.shape != (group.size,):
         raise ValueError(
-            f"group {group.name!r}: multiplier size {gathered.size} != "
-            f"violation length {state.violation.size}"
+            f"group {group.name!r}: multiplier values shape {full.shape} != ({group.size},)"
         )
-    return gathered
-
-
-def _gathered_penalty(
-    group: ConstraintGroup, state: ConstraintState, penalty: PenaltyCoefficient
-) -> np.ndarray:
-    if penalty is None:
-        raise ValueError(f"group {group.name!r}: this formulation needs a penalty")
-    if not isinstance(penalty, PenaltyCoefficient):
-        penalty = PenaltyCoefficient(penalty)
-    full = penalty._full(group.size)
-    if state.observed_indices is None:
-        return full
-    return full[state.observed_indices]
+    return full
 
 
 def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
     """Unchecked (primal term, dual signal, primal weights, gathered multiplier).
 
-    The one copy of each formula, under the group's formulation. The
-    gathered multiplier is None for quadratic penalty. ``assemble`` checks
-    what these derive once per step; ``group_contribution`` checks it
-    through ``ContributionPair``.
+    The one copy of each formula, under the group's formulation, over what
+    the group and the callers have checked: ``state`` fits the group,
+    ``values`` is a float vector of the group's size (unread by quadratic
+    penalty) and ``penalty`` a coefficient that fits it (unread by the
+    Lagrangian). The gathered multiplier is None for quadratic penalty.
+    ``assemble`` checks what these derive once per step;
+    ``group_contribution`` checks it through ``ContributionPair``.
     """
     v = state.violation
     formulation = group.formulation
+    if formulation is Formulation.LAGRANGIAN:
+        m = _gathered(values, state)
+        return np.dot(m, v), state.dual_violation, m, m
+    c = _gathered(penalty._full(group.size), state)
     if formulation is Formulation.QUADRATIC_PENALTY:
-        if group.multiplier is not None:
-            raise ValueError(
-                f"group {group.name!r}: quadratic penalty groups have no multiplier"
-            )
-        c = _gathered_penalty(group, state, penalty)
         if group.constraint_type is ConstraintType.INEQUALITY:
             v = np.maximum(v, 0.0)
         return 0.5 * np.sum(c * v * v), np.empty(0), c * v, None
-    if values is None:
-        raise ValueError(f"group {group.name!r}: {formulation.value} needs a multiplier")
-    m = _gathered_multiplier(group, state, values)
-    if formulation is Formulation.LAGRANGIAN:
-        return np.dot(m, v), state.dual_violation, m, m
-    c = _gathered_penalty(group, state, penalty)
+    m = _gathered(values, state)
     if group.constraint_type is ConstraintType.INEQUALITY:
         ratio = m / c
         active = np.maximum(v + ratio, 0.0)
@@ -197,16 +183,14 @@ def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
     return primal, c * state.dual_violation, _weights(group, state, m, c), m
 
 
-def _weights(group: ConstraintGroup, state: ConstraintState, m: np.ndarray, c=None) -> np.ndarray:
+def _weights(group: ConstraintGroup, state: ConstraintState, m: np.ndarray, c) -> np.ndarray:
     """The primal weights of a multiplier group at the gathered multiplier ``m``.
 
-    ``c`` is the gathered penalty, the group's own when omitted; the rolls
-    call this alone for a gradient at other multipliers than the terms.
+    ``c`` is the gathered penalty, unread by the Lagrangian; the rolls call
+    this alone for a gradient at other multipliers than the terms.
     """
     if group.formulation is Formulation.LAGRANGIAN:
         return m
-    if c is None:
-        c = _gathered_penalty(group, state, group.penalty)
     if group.constraint_type is ConstraintType.INEQUALITY:
         return np.maximum(c * state.violation + m, 0.0)
     return m + c * state.violation
@@ -222,11 +206,21 @@ def group_contribution(
 
     ``multiplier_values`` (an array of the group's size, or a Multiplier)
     overrides the group's own multiplier, e.g. to take the contribution at
-    not-yet-committed dual values; ``penalty`` overrides the group's penalty.
-    A missing multiplier or penalty raises ValueError.
+    not-yet-committed dual values; ``penalty`` overrides the group's penalty
+    (a Lagrangian group ignores it). Both, and the fit of ``state`` to the
+    group, are checked here; a bad one raises ValueError.
     """
-    penalty = penalty if penalty is not None else group.penalty
-    values = multiplier_values if multiplier_values is not None else group.multiplier
+    group._check_fit(state)
+    if penalty is None or group.formulation is Formulation.LAGRANGIAN:
+        penalty = group.penalty
+    else:
+        penalty = group._checked_penalty(penalty)
+    values = None
+    if group.multiplier is not None:
+        if multiplier_values is None:
+            multiplier_values = group.multiplier
+        # a copy: the pair's weights never share a caller's or the multiplier's array
+        values = _checked_values(group, multiplier_values).copy()
     primal, signal, weights, _ = _terms(group, state, values, penalty)
     return ContributionPair(group.name, float(primal), signal, weights)
 

@@ -17,6 +17,9 @@ Multiplier timing of the primal gradient per scheme:
 
 Each value is checked once, then trusted:
 
+- a group's multiplier and penalty by the group, when it is built and when
+  its penalty is reassigned; the passes read both unchecked. Overrides a
+  caller passes to ``assemble`` (``multiplier_values``) are checked on entry;
 - oracle output once per evaluation: x, loss and violations with the
   evaluation; then ``_checked_blocks``, one pass before any formula, checks
   each group's size or index range and each Jacobian (present, finite,
@@ -68,7 +71,8 @@ import numpy as np
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
 from .core import _WRITES, _all_finite, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
-from .formulations import _terms, _weights, assemble_lagrangian, group_contribution  # noqa: F401
+from .formulations import _checked_values, _gathered, _terms, _weights
+from .formulations import assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
 from .multipliers import Multiplier, _check_indices, multiplier_values_for  # noqa: F401
 
@@ -428,8 +432,9 @@ def assemble(
     """Assemble the primal Lagrangian, its x-gradient, and the dual signals.
 
     ``multiplier_values`` optionally overrides the stored multiplier values
-    per group id (full vectors); schemes use it to take gradients at
-    not-yet-committed multipliers.
+    per group id (full vectors, checked here); schemes use it to take
+    gradients at not-yet-committed multipliers. An override for a group
+    without a multiplier, or for an id that is not registered, is ignored.
 
     At the stored multipliers the record is cached in the problem's slot
     until the next commit: a second call with the same ``evaluation`` object
@@ -445,6 +450,12 @@ def assemble(
     # x empties it. The stamp is read first: a write that finishes while the
     # record is computed leaves it stale.
     stamp = _WRITES[0]
+    if multiplier_values is not None:
+        multiplier_values = {
+            gid: _checked_values(group, multiplier_values[gid])
+            for gid, group in problem.groups.items()
+            if group.multiplier is not None and multiplier_values.get(gid) is not None
+        }
     slot = None if multiplier_values is not None else problem._slot
     if slot is not None and slot[0] is evaluation:
         _, blocks, assembled, slot_stamp = slot
@@ -505,8 +516,7 @@ def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=
     for gid, cstate, group, _ in blocks:
         values = None if multiplier_values is None else multiplier_values.get(gid)
         if values is None and group.multiplier is not None:
-            # the indices are in range for the group: gather without the public check
-            values = group.multiplier._values
+            values = group.multiplier._values  # read live: nothing in the pass writes it
         term, signal, block_weights, gathered = _terms(group, cstate, values, group.penalty)
         primal_lagrangian += term
         weights.append(block_weights)
@@ -681,8 +691,10 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     dual_updates = _preview_duals(problem, optimizers, signals, indices)
     for i, (gid, cstate, group, _) in enumerate(blocks):
         if gid in dual_updates:
+            penalty = group.penalty  # None on a Lagrangian group, whose weights take none
+            c = None if penalty is None else _gathered(penalty._full(group.size), cstate)
             # the preview holds the entries at this evaluation's indices, in their order
-            weights[i] = _weights(group, cstate, dual_updates[gid].preview)
+            weights[i] = _weights(group, cstate, dual_updates[gid].preview, c)
     gradient = _primal_pass(problem, ev, blocks, weights)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)

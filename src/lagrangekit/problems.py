@@ -32,7 +32,7 @@ from .core import (
     _record,
 )
 from .formulations import PenaltyCoefficient
-from .gradients import DifferentiableFunction
+from .gradients import DifferentiableFunction, _check_rows
 
 __all__ = [
     "ConstraintBlock",
@@ -203,9 +203,11 @@ def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
     """The residual at ``evaluation``; ``values_by_gid`` None means the stored multipliers."""
     state = evaluation.state
     stationarity_vec = np.array(evaluation.grad_f, dtype=np.float64)
+    if stationarity_vec.shape != (problem.dim,):
+        raise ValueError(f"grad_f shape {stationarity_vec.shape} != ({problem.dim},)")
     complementarity = 0.0
     for gid, cstate in state.observed_constraints.items():
-        group = problem.group(gid)
+        group = problem._checked_group(gid, cstate)
         if values_by_gid is None:
             values = None if group.multiplier is None else group.multiplier.values
         else:
@@ -215,8 +217,12 @@ def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
         values = np.asarray(values, dtype=np.float64)
         if cstate.observed_indices is not None:
             values = values[cstate.observed_indices]
-        jac = np.asarray(evaluation.jacobians[gid], dtype=np.float64)
+        jac = evaluation.jacobians.get(gid)
+        if jac is None:
+            raise ValueError(f"evaluation has no Jacobian for group {gid!r}")
+        jac = np.asarray(jac, dtype=np.float64)
         if values.size:
+            _check_rows(jac, values.size, problem.dim)
             stationarity_vec += np.dot(values, jac)
         v = cstate.violation
         if group.constraint_type is ConstraintType.INEQUALITY and v.size:

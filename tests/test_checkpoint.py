@@ -171,6 +171,27 @@ class TestRoundTrip:
         assert not pen.is_scalar
         assert pen.expand(1).tolist() == [2.5]
 
+    def test_float_penalty_assigned_after_construction_round_trips(self, tmp_path):
+        # the assignment stores a PenaltyCoefficient, so save can encode it
+        path = tmp_path / "float-pen.ckpt"
+        problem, optimizers = ball_setup(formulation="augmented_lagrangian", penalty=1.0)
+        problem.group("ball").penalty = 2.0
+        for _ in range(3):
+            roll(problem, optimizers)
+        checkpoint.save(problem, optimizers, path)
+        assert f"groups.ball.penalty=f {(2.0).hex()}" in path.read_text()
+
+        fresh_problem, fresh_optimizers = ball_setup(
+            formulation="augmented_lagrangian", penalty=1.0
+        )
+        checkpoint.load(path, fresh_problem, fresh_optimizers)
+        assert fresh_problem.group("ball").penalty.value == 2.0
+        assert _state_bytes(fresh_problem, fresh_optimizers) == _state_bytes(problem, optimizers)
+        for pair in ((problem, optimizers), (fresh_problem, fresh_optimizers)):
+            for _ in range(3):
+                roll(*pair)
+        assert _state_bytes(fresh_problem, fresh_optimizers) == _state_bytes(problem, optimizers)
+
     def test_indexed_update_counters_round_trip(self, tmp_path):
         path = tmp_path / "idx.ckpt"
         problem, optimizers = ball_setup(indexed=True)

@@ -81,16 +81,86 @@ class TestConstraintState:
 
 class TestConstraintGroup:
     def test_quadratic_penalty_forbids_multiplier(self):
-        mult = lk.DenseMultiplier(1, INEQ)
-        with pytest.raises(ValueError):
-            ConstraintGroup(
-                name="g",
-                constraint_type=INEQ,
-                size=1,
-                formulation=Formulation.QUADRATIC_PENALTY,
-                multiplier=mult,
-                penalty=PenaltyCoefficient(1.0),
-            )
+        qp = dict(
+            name="g",
+            constraint_type=INEQ,
+            size=1,
+            formulation=Formulation.QUADRATIC_PENALTY,
+            penalty=PenaltyCoefficient(1.0),
+        )
+        assert ConstraintGroup(**qp).multiplier is None
+        with pytest.raises(ValueError, match="quadratic penalty groups have no multiplier"):
+            ConstraintGroup(**qp, initial_multiplier=[1.0])
+        with pytest.raises(ValueError, match="quadratic penalty groups have no multiplier"):
+            ConstraintGroup(**qp, indexed=True)
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_group_builds_its_own_multiplier(self, indexed):
+        group = ConstraintGroup(
+            name="g", constraint_type=EQ, size=2, indexed=indexed, initial_multiplier=[1.0, -2.0]
+        )
+        cls = lk.IndexedMultiplier if indexed else lk.DenseMultiplier
+        assert type(group.multiplier) is cls
+        assert group.multiplier.size == 2 and group.multiplier.constraint_type is EQ
+        assert group.multiplier.values.tolist() == [1.0, -2.0]
+        problem = _problem()
+        problem.register_group(group)
+        assert problem.group("g").multiplier is group.multiplier
+
+    def test_bad_initial_multiplier_fails_at_construction(self):
+        with pytest.raises(ValueError, match="values shape"):
+            ConstraintGroup(name="g", constraint_type=INEQ, size=2, initial_multiplier=[1.0])
+        with pytest.raises(ValueError, match=">= 0"):
+            ConstraintGroup(name="g", constraint_type=INEQ, size=1, initial_multiplier=[-1.0])
+        with pytest.raises(EvaluationError):
+            ConstraintGroup(name="g", constraint_type=EQ, size=1, initial_multiplier=[np.nan])
+
+    def test_penalty_is_stored_as_a_coefficient(self):
+        group = ConstraintGroup(
+            name="g", constraint_type=INEQ, size=2,
+            formulation=Formulation.AUGMENTED_LAGRANGIAN, penalty=3.0,
+        )
+        assert isinstance(group.penalty, PenaltyCoefficient)
+        assert group.penalty.value == 3.0
+        group.penalty = [1.0, 2.0]
+        assert isinstance(group.penalty, PenaltyCoefficient)
+        assert group.penalty.value.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "attr", ["name", "constraint_type", "size", "formulation", "multiplier", "indexed", "other"]
+    )
+    def test_only_the_penalty_can_be_assigned(self, attr):
+        group = ConstraintGroup(name="g", constraint_type=INEQ, size=1)
+        before = getattr(group, attr, None)
+        stamp = lk.core._WRITES[0]
+        with pytest.raises(AttributeError, match="only the penalty can be reassigned"):
+            setattr(group, attr, lk.DenseMultiplier(1, INEQ) if attr == "multiplier" else 2)
+        assert getattr(group, attr, None) is before
+        assert lk.core._WRITES[0] == stamp
+
+    @pytest.mark.parametrize(
+        "formulation, value, message",
+        [
+            (Formulation.AUGMENTED_LAGRANGIAN, None, "requires a penalty coefficient"),
+            (Formulation.QUADRATIC_PENALTY, None, "requires a penalty coefficient"),
+            (Formulation.LAGRANGIAN, 1.0, "Lagrangian groups have no penalty"),
+            (Formulation.LAGRANGIAN, PenaltyCoefficient(1.0), "Lagrangian groups have no penalty"),
+            (Formulation.AUGMENTED_LAGRANGIAN, [1.0, 2.0], "vector penalty length 2 != group size 3"),
+            (Formulation.QUADRATIC_PENALTY, 0.0, "penalty must be finite and > 0"),
+        ],
+        ids=["none-al", "none-qp", "float-lagrangian", "coefficient-lagrangian",
+             "wrong-length", "non-positive"],
+    )
+    def test_rejected_penalty_assignment_changes_nothing(self, formulation, value, message):
+        penalty = None if formulation is Formulation.LAGRANGIAN else PenaltyCoefficient(2.0)
+        group = ConstraintGroup(
+            name="g", constraint_type=INEQ, size=3, formulation=formulation, penalty=penalty
+        )
+        stamp = lk.core._WRITES[0]
+        with pytest.raises(ValueError, match=message):
+            group.penalty = value
+        assert group.penalty is penalty
+        assert lk.core._WRITES[0] == stamp
 
     def test_lagrangian_forbids_penalty(self):
         with pytest.raises(ValueError):
@@ -284,6 +354,14 @@ class TestIsFeasible:
         state = CMPState(loss=0.0, observed_constraints={})
         with pytest.raises(ValueError):
             problem.is_feasible(state, -1.0)
+
+    def test_nan_tol_rejected(self):
+        problem = self._with_groups()
+        state = CMPState(
+            loss=0.0, observed_constraints={"ineq": ConstraintState(violation=[-0.5])}
+        )
+        with pytest.raises(ValueError, match="tol must be >= 0, got nan"):
+            problem.is_feasible(state, float("nan"))
 
     def test_sign_convention_matches_mathematical_feasibility(self):
         problem = lk.problem_projection_ball(np.array([3.0, 4.0]))

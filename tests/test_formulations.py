@@ -108,10 +108,16 @@ class TestLagrangianContribution:
         assert pair.primal_term == -0.5
         assert pair.dual_signal.tolist() == [0.25]
 
-    def test_missing_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            # an unregistered group has no multiplier of its own
-            group_contribution(lag_group(), ConstraintState(violation=[1.0]), None)
+    def test_unregistered_group_uses_its_own_multiplier(self):
+        # a group builds its multiplier at construction, registered or not
+        group = ConstraintGroup(
+            name="g", constraint_type=INEQ, size=1, initial_multiplier=[2.0]
+        )
+        pair = group_contribution(group, ConstraintState(violation=[1.5]), None)
+        assert pair.primal_term == 3.0
+        assert pair.primal_weights.tolist() == [2.0]
+        # the pair keeps a copy, not the multiplier's live array
+        assert not np.shares_memory(pair.primal_weights, group.multiplier.values)
 
     def test_multiplier_object_is_gathered(self):
         m = DenseMultiplier(3, INEQ)
@@ -209,17 +215,15 @@ class TestAugmentedLagrangianContribution:
         )
         assert pair.dual_signal.tolist() == [0.5]
 
-    def test_missing_pieces_rejected(self):
-        with pytest.raises(ValueError):
-            group_contribution(
-                al_group(), ConstraintState(violation=[1.0]), None, PenaltyCoefficient(1.0)
-            )
-        group = al_group()
-        group.penalty = None  # a penalty reassigned after construction
-        with pytest.raises(ValueError):
-            group_contribution(
-                group, ConstraintState(violation=[1.0]), np.array([0.0]), None
-            )
+    def test_missing_penalty_rejected_at_assignment(self):
+        group = al_group(c=2.0)
+        penalty = group.penalty
+        with pytest.raises(ValueError, match="requires a penalty coefficient"):
+            group.penalty = None
+        assert group.penalty is penalty
+        # no multiplier values: the group's own (zero) multiplier
+        pair = group_contribution(group, ConstraintState(violation=[1.0]), None)
+        assert pair.primal_term == pytest.approx(1.0)
 
 
 class TestQuadraticPenaltyContribution:
@@ -274,10 +278,8 @@ class TestGroupContributionDispatch:
 
     def test_multiplier_override_replaces_stored_values(self):
         group = ConstraintGroup(
-            name="g", constraint_type=INEQ, size=1,
-            multiplier=DenseMultiplier(1, INEQ),
+            name="g", constraint_type=INEQ, size=1, initial_multiplier=[1.0]
         )
-        group.multiplier.load_values([1.0])
         state = ConstraintState(violation=[2.0])
         stored = group_contribution(group, state)
         overridden = group_contribution(group, state, np.array([5.0]))
@@ -294,6 +296,34 @@ class TestGroupContributionDispatch:
         group = lag_group(size=2)
         with pytest.raises(ValueError):
             group_contribution(group, ConstraintState(violation=[1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("make", [lag_group, al_group, qp_group])
+    def test_state_must_fit_the_group(self, make):
+        group = make(size=2)
+        with pytest.raises(ValueError, match="violation length 1 != group size 2"):
+            group_contribution(group, ConstraintState(violation=[1.0]))
+        indexed = ConstraintState(violation=[1.0], observed_indices=[2])
+        with pytest.raises(ValueError, match="observed index 2 out of range for size 2"):
+            group_contribution(group, indexed)
+
+    @pytest.mark.parametrize("override", [np.array([1.0]), DenseMultiplier(3, INEQ)])
+    def test_multiplier_override_of_the_wrong_size_rejected(self, override):
+        with pytest.raises(ValueError, match=r"multiplier values shape \((1|3),\) != \(2,\)"):
+            group_contribution(al_group(size=2), ConstraintState(violation=[1.0, 2.0]), override)
+
+    def test_penalty_override_is_checked(self):
+        state = ConstraintState(violation=[1.0, 2.0])
+        with pytest.raises(ValueError, match="vector penalty length 3 != group size 2"):
+            group_contribution(qp_group(size=2), state, penalty=[1.0, 1.0, 1.0])
+        pair = group_contribution(qp_group(size=2), state, penalty=2.0)
+        assert pair.primal_term == pytest.approx(5.0)
+
+    def test_lagrangian_group_ignores_a_penalty_override(self):
+        state = ConstraintState(violation=[3.0])
+        plain = group_contribution(lag_group(), state, np.array([2.0]))
+        ignored = group_contribution(lag_group(), state, np.array([2.0]), PenaltyCoefficient(9.0))
+        assert ignored.primal_term == plain.primal_term == 6.0
+        assert ignored.primal_weights.tolist() == plain.primal_weights.tolist() == [2.0]
 
 
 class TestAssembleLagrangian:

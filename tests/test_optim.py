@@ -1034,8 +1034,7 @@ class TestAssembleSlot:
     """``assemble`` serves a repeated call on one evaluation from the problem's slot.
 
     A hit needs the same ``Evaluation`` object and no write in between: a
-    multiplier commit or load, a group's penalty or multiplier assigned, or a
-    commit of x (``set_x``, a roll, a checkpoint load) emptying the slot.
+    multiplier commit or load, a group's penalty assigned, or a commit of x (``set_x``, a roll, a checkpoint load) emptying the slot.
     """
 
     @staticmethod
@@ -1118,6 +1117,16 @@ class TestAssembleSlot:
         c = lk.assemble(problem, ev, multiplier_values=override)
         assert c is not a and _assembled_bytes(c) == _assembled_bytes(a)
         assert lk.assemble(problem, ev) is stored
+
+    @pytest.mark.parametrize(
+        "values, shape", [([0.5, 0.5], "(2,)"), ([[0.5]], "(1, 1)"), (0.5, "()")]
+    )
+    def test_override_of_the_wrong_shape_rejected(self, values, shape):
+        problem, _ = self.setup()
+        ev = problem.evaluate_with_gradients(problem.x)
+        with pytest.raises(ValueError) as info:
+            lk.assemble(problem, ev, multiplier_values={"ball": values})
+        assert str(info.value) == f"group 'ball': multiplier values shape {shape} != (1,)"
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_constant_evaluation_is_correct_under_every_scheme(self, scheme):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lagrangekit import (
+    Evaluation,
     EvaluationError,
     GradientAscent,
     GradientDescent,
@@ -241,6 +242,31 @@ class TestKKTResidual:
         problem.set_x(np.array([0.6, 0.8]))
         res = current_kkt_residual(problem)
         assert max(res) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda ev: (ev.grad_f, {}), "evaluation has no Jacobian for group 'ball'"),
+            (
+                lambda ev: (ev.grad_f, {"ball": np.ones((1, 3))}),
+                "jacobian shape (1, 3) does not match 1 weights and dim 2",
+            ),
+            (
+                lambda ev: (ev.grad_f, {"ball": np.ones((2, 2))}),
+                "jacobian shape (2, 2) does not match 1 weights and dim 2",
+            ),
+            (lambda ev: (np.ones(3), ev.jacobians), "grad_f shape (3,) != (2,)"),
+        ],
+        ids=["missing-jacobian", "jacobian-columns", "jacobian-rows", "grad_f-shape"],
+    )
+    def test_current_kkt_residual_names_a_bad_evaluation(self, corrupt, message):
+        problem = problem_projection_ball(np.array([3.0, 4.0]))
+        ev = problem.evaluate_with_gradients(problem.x)
+        grad_f, jacobians = corrupt(ev)
+        bad = Evaluation(state=ev.state, grad_f=grad_f, jacobians=jacobians)
+        with pytest.raises(ValueError) as info:
+            current_kkt_residual(problem, bad)
+        assert str(info.value) == message
 
     def test_quadratic_penalty_problems_use_zero_multipliers(self):
         problem = problem_projection_ball(
