@@ -74,6 +74,8 @@ def _encode_value(value) -> str:
         return f"i {int(value)}"
     if isinstance(value, (float, np.floating)):
         return f"f {float(value).hex()}"
+    if isinstance(value, str):
+        return f"s {value}"
     arr = np.asarray(value)
     if arr.ndim != 1:
         raise CheckpointError(f"cannot encode array of shape {arr.shape}")
@@ -116,19 +118,30 @@ def _decode(key: str, rest: str):
         raise CheckpointError(f"corrupt section {key!r}: {exc}") from None
 
 
-def _expected_keys(problem, optimizers) -> set:
-    keys = {"version", "signature", "step", "x"}
+def _raw_fields(problem, optimizers) -> dict:
+    """The one key schema: every field a checkpoint holds, by key, before encoding.
+
+    ``save`` encodes these values; ``load`` expects exactly these keys.
+    """
+    fields = {
+        "version": FORMAT_VERSION,
+        "signature": problem_signature(problem),
+        "step": int(optimizers.step),
+        "x": problem.x,
+    }
     for gid, group in problem.groups.items():
-        keys.add(f"groups.{gid}.multiplier")
-        keys.add(f"groups.{gid}.penalty")
-        if isinstance(group.multiplier, IndexedMultiplier):
-            keys.add(f"groups.{gid}.update_count")
-    for name in optimizers.primal.buffer_state():
-        keys.add(f"opt.primal.{name}")
+        mult = group.multiplier
+        fields[f"groups.{gid}.multiplier"] = None if mult is None else mult.values
+        penalty = group.penalty
+        fields[f"groups.{gid}.penalty"] = None if penalty is None else penalty.value
+        if isinstance(mult, IndexedMultiplier):
+            fields[f"groups.{gid}.update_count"] = mult.update_count
+    for name, value in optimizers.primal.buffer_state().items():
+        fields[f"opt.primal.{name}"] = value
     for gid, dual in optimizers.duals.items():
-        for name in dual.buffer_state():
-            keys.add(f"opt.dual.{gid}.{name}")
-    return keys
+        for name, value in dual.buffer_state().items():
+            fields[f"opt.dual.{gid}.{name}"] = value
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -137,30 +150,8 @@ def _expected_keys(problem, optimizers) -> set:
 
 def save(problem, optimizers, path) -> None:
     """Atomically write the full optimization state to ``path``."""
-    fields: dict[str, str] = {
-        "version": _encode_value(FORMAT_VERSION),
-        "signature": f"s {problem_signature(problem)}",
-        "step": _encode_value(int(optimizers.step)),
-        "x": _encode_value(problem.x),
-    }
-    for gid, group in problem.groups.items():
-        mult = group.multiplier
-        fields[f"groups.{gid}.multiplier"] = _encode_value(
-            None if mult is None else mult.values
-        )
-        penalty = group.penalty
-        fields[f"groups.{gid}.penalty"] = _encode_value(
-            None if penalty is None else penalty.value
-        )
-        if isinstance(mult, IndexedMultiplier):
-            fields[f"groups.{gid}.update_count"] = _encode_value(mult.update_count)
-    for name, value in optimizers.primal.buffer_state().items():
-        fields[f"opt.primal.{name}"] = _encode_value(value)
-    for gid, dual in optimizers.duals.items():
-        for name, value in dual.buffer_state().items():
-            fields[f"opt.dual.{gid}.{name}"] = _encode_value(value)
-
-    lines = [MAGIC] + [f"{key}={fields[key]}" for key in sorted(fields)]
+    fields = _raw_fields(problem, optimizers)
+    lines = [MAGIC] + [f"{key}={_encode_value(fields[key])}" for key in sorted(fields)]
     payload = "\n".join(lines) + "\n"
 
     path = os.fspath(path)
@@ -279,7 +270,7 @@ def load(path, problem, optimizers) -> int:
         raise CheckpointError(
             "signature mismatch: " + _signature_mismatch(expected_sig, str(found_sig))
         )
-    expected_keys = _expected_keys(problem, optimizers)
+    expected_keys = set(_raw_fields(problem, optimizers))
     missing = expected_keys - set(entries)
     extra = set(entries) - expected_keys
     if missing:

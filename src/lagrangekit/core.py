@@ -130,7 +130,7 @@ def _index_scan(idx: np.ndarray) -> tuple[bool, int, int]:
     return bool((ordered[1:] == ordered[:-1]).any()), int(ordered[0]), int(ordered[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintState:
     """One measurement of a constraint group.
 
@@ -362,7 +362,7 @@ class CMPState:
         return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Evaluation:
     """A CMPState bundled with the gradients needed for one primal-dual step.
 
@@ -381,8 +381,8 @@ class ConstrainedMinimizationProblem:
 
     Subclasses implement ``compute_cmp_state`` (and ``evaluate_with_gradients``
     when driven by the optimizers). Group registration is open until the first
-    evaluation, after which the group set is frozen; multiplier sizes derive
-    from it. A problem instance is single-owner: one roll at a time.
+    evaluation, after which the group set is frozen. A problem instance is
+    single-owner: one roll at a time.
     """
 
     def __init__(self, dim: int, x0=None):

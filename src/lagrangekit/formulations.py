@@ -100,7 +100,7 @@ class PenaltyCoefficient:
         return f"PenaltyCoefficient({self._value!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContributionPair:
     """One group's contribution to the primal Lagrangian and the dual signal.
 

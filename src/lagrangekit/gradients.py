@@ -8,8 +8,8 @@ silent default: silent FD on high-dimensional x is a performance trap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,29 +30,25 @@ FD_STEP_SCALE = 6e-6  # near-optimal central-difference step for float64
 
 @dataclass(frozen=True)
 class DifferentiableFunction:
-    """A pure vector-valued function with per-output gradient oracles.
+    """A pure vector-valued function with one derivative oracle.
 
     Parameters
     ----------
     eval : callable
-        x -> vector of function values, length ``output_size``.
-    grad_row : callable
-        (x, i) -> gradient of output i with respect to x.
+        x -> vector of function values, length ``output_size``; used where
+        values alone are needed (``compute_cmp_state``, finite differences).
+    val_jac : callable
+        x -> (values, Jacobian of shape (output_size, dim)). Every roll and
+        ``check_gradients`` read the Jacobian from here, so the gradient that
+        is checked is the gradient the solver steps on.
     output_size : int
     name : str
-    jac : callable, optional
-        x -> full Jacobian (output_size, dim); defaults to stacking grad_row.
-    val_jac : callable, optional
-        x -> (values, Jacobian) fused evaluation for oracles where the two
-        share work.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    grad_row: Callable[[np.ndarray, int], np.ndarray]
+    val_jac: Callable[[np.ndarray], tuple]
     output_size: int
     name: str = ""
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
-    val_jac: Optional[Callable[[np.ndarray], tuple]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if int(self.output_size) < 1:
@@ -62,25 +58,10 @@ class DifferentiableFunction:
     def values(self, x) -> np.ndarray:
         return self._checked_values(self.eval(np.asarray(x, dtype=np.float64)))
 
-    def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.jac is not None:
-            J = self.jac(x)
-        else:
-            J = np.stack(
-                [
-                    np.asarray(self.grad_row(x, i), dtype=np.float64)
-                    for i in range(self.output_size)
-                ]
-            )
-        return self._checked_jacobian(J, x.size)
-
     def value_and_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        if self.val_jac is not None:
-            x = np.asarray(x, dtype=np.float64)
-            vals, J = self.val_jac(x)
-            return self._checked_values(vals), self._checked_jacobian(J, x.size)
-        return self.values(x), self.jacobian(x)
+        x = np.asarray(x, dtype=np.float64)
+        vals, J = self.val_jac(x)
+        return self._checked_values(vals), self._checked_jacobian(J, x.size)
 
     def _checked_values(self, vals) -> np.ndarray:
         out = np.atleast_1d(np.asarray(vals, dtype=np.float64))
@@ -104,24 +85,18 @@ class DifferentiableFunction:
 def with_finite_difference_gradient(
     eval: Callable[[np.ndarray], np.ndarray], output_size: int, name: str = ""
 ) -> DifferentiableFunction:
-    """Build a DifferentiableFunction whose gradients come from central differences.
+    """Build a DifferentiableFunction whose Jacobian comes from central differences.
 
     This is the explicit opt-in FD fallback for oracles without analytic
-    gradients; each gradient row costs 2*dim evaluations.
+    gradients; each Jacobian row costs 2*dim evaluations.
     """
-    base = DifferentiableFunction(
-        eval=eval, grad_row=_no_grad, output_size=output_size, name=name
-    )
-    return DifferentiableFunction(
-        eval=eval,
-        grad_row=lambda x, i: finite_difference_gradient(base, x, i),
-        output_size=output_size,
-        name=name,
-    )
 
+    def val_jac(x):
+        values = eval(x)
+        return values, np.stack([finite_difference_gradient(fun, x, i) for i in range(output_size)])
 
-def _no_grad(x, i):
-    raise NotImplementedError("no analytic gradient available")
+    fun = DifferentiableFunction(eval=eval, val_jac=val_jac, output_size=output_size, name=name)
+    return fun
 
 
 def compose_primal_gradient(grad_f: np.ndarray, constraint_grads) -> np.ndarray:
@@ -238,7 +213,7 @@ def check_gradients(oracles, x, rel_tol: float = 1e-5, abs_tol: float = 1e-8) ->
 
     entries = []
     for name, fun in functions.items():
-        analytic = fun.jacobian(x)
+        _, analytic = fun.value_and_jacobian(x)
         worst_dev = -1.0
         worst_allowed = abs_tol
         ok = True

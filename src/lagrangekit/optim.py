@@ -408,7 +408,7 @@ def make_dual_optimizers(
 # Lagrangian assembly over an evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledLagrangian:
     """Scalars, gradient, and dual signals of one evaluation.
 
@@ -433,8 +433,9 @@ def assemble(
 
     ``multiplier_values`` optionally overrides the stored multiplier values
     per group id (full vectors, checked here); schemes use it to take
-    gradients at not-yet-committed multipliers. An override for a group
-    without a multiplier, or for an id that is not registered, is ignored.
+    gradients at not-yet-committed multipliers. A ``None`` entry is ignored;
+    any other entry whose id is not a registered group, or names a group
+    without a multiplier, raises ``ValueError``.
 
     At the stored multipliers the record is cached in the problem's slot
     until the next commit: a second call with the same ``evaluation`` object
@@ -452,9 +453,9 @@ def assemble(
     stamp = _WRITES[0]
     if multiplier_values is not None:
         multiplier_values = {
-            gid: _checked_values(group, multiplier_values[gid])
-            for gid, group in problem.groups.items()
-            if group.multiplier is not None and multiplier_values.get(gid) is not None
+            gid: _checked_values(_override_group(problem, gid), values)
+            for gid, values in multiplier_values.items()
+            if values is not None
         }
     slot = None if multiplier_values is not None else problem._slot
     if slot is not None and slot[0] is evaluation:
@@ -476,6 +477,16 @@ def assemble(
     if multiplier_values is None:
         problem._slot = (evaluation, blocks, assembled, stamp)
     return assembled
+
+
+def _override_group(problem: ConstrainedMinimizationProblem, gid):
+    """The registered group with a multiplier that a ``multiplier_values`` key names."""
+    group = problem._groups.get(gid)
+    if group is None:
+        raise ValueError(f"multiplier_values: {gid!r} is not a registered group")
+    if group.multiplier is None:
+        raise ValueError(f"multiplier_values: group {gid!r} has no multiplier")
+    return group
 
 
 def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluation) -> list:

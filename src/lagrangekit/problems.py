@@ -70,7 +70,7 @@ class ConstraintBlock:
     strict_function: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertifiedSolution:
     """A solution certificate: x* plus concatenated multipliers.
 
@@ -345,35 +345,22 @@ def problem_projection_ball(
         d = x - a
         return np.array([np.dot(d, d)])
 
-    def obj_jac(x):
-        return (2.0 * (x - a))[None, :]
-
     def obj_val_jac(x):
         d = x - a
         return np.array([np.dot(d, d)]), (2.0 * d)[None, :]
 
     objective = DifferentiableFunction(
-        eval=obj_values,
-        grad_row=lambda x, i: 2.0 * (x - a),
-        output_size=1,
-        name="objective",
-        jac=obj_jac,
-        val_jac=obj_val_jac,
+        eval=obj_values, val_jac=obj_val_jac, output_size=1, name="objective"
     )
 
     def ball_values(x):
         return np.array([np.dot(x, x) - 1.0])
 
-    def ball_jac(x):
-        return (2.0 * x)[None, :]
-
     ball = DifferentiableFunction(
         eval=ball_values,
-        grad_row=lambda x, i: 2.0 * x,
+        val_jac=lambda x: (np.array([np.dot(x, x) - 1.0]), (2.0 * x)[None, :]),
         output_size=1,
         name="ball",
-        jac=ball_jac,
-        val_jac=lambda x: (np.array([np.dot(x, x) - 1.0]), (2.0 * x)[None, :]),
     )
 
     group = ConstraintGroup(
@@ -443,25 +430,18 @@ def problem_equality_qp(
     def obj_values(x):
         return np.array([0.5 * np.dot(x, Q @ x) - np.dot(b, x)])
 
-    def obj_jac(x):
-        return (Q @ x - b)[None, :]
-
     objective = DifferentiableFunction(
         eval=obj_values,
-        grad_row=lambda x, i: Q @ x - b,
+        val_jac=lambda x: (obj_values(x), (Q @ x - b)[None, :]),
         output_size=1,
         name="objective",
-        jac=obj_jac,
-        val_jac=lambda x: (obj_values(x), obj_jac(x)),
     )
 
     linear = DifferentiableFunction(
         eval=lambda x: A @ x - c,
-        grad_row=lambda x, i: A[i].copy(),
+        val_jac=lambda x: (A @ x - c, A.copy()),
         output_size=m,
         name="linear",
-        jac=lambda x: A.copy(),
-        val_jac=lambda x: (A @ x - c, A.copy()),
     )
 
     group = ConstraintGroup(
@@ -537,21 +517,14 @@ def problem_norm_constrained_logreg(
         return np.array([loss]), jac
 
     objective = DifferentiableFunction(
-        eval=lambda x: obj_val_jac(x)[0],
-        grad_row=lambda x, i: obj_val_jac(x)[1][0],
-        output_size=1,
-        name="objective",
-        jac=lambda x: obj_val_jac(x)[1],
-        val_jac=obj_val_jac,
+        eval=lambda x: obj_val_jac(x)[0], val_jac=obj_val_jac, output_size=1, name="objective"
     )
 
     norm = DifferentiableFunction(
         eval=lambda x: np.array([np.dot(x, x) - threshold]),
-        grad_row=lambda x, i: 2.0 * x,
+        val_jac=lambda x: (np.array([np.dot(x, x) - threshold]), (2.0 * x)[None, :]),
         output_size=1,
         name="norm",
-        jac=lambda x: (2.0 * x)[None, :],
-        val_jac=lambda x: (np.array([np.dot(x, x) - threshold]), (2.0 * x)[None, :]),
     )
 
     group = ConstraintGroup(
@@ -586,20 +559,16 @@ def problem_bilinear_game(*, formulation=Formulation.LAGRANGIAN, penalty=None) -
 
     objective = DifferentiableFunction(
         eval=lambda x: np.zeros(1),
-        grad_row=lambda x, i: np.zeros(1),
+        val_jac=lambda x: (np.zeros(1), np.zeros((1, 1))),
         output_size=1,
         name="objective",
-        jac=lambda x: np.zeros((1, 1)),
-        val_jac=lambda x: (np.zeros(1), np.zeros((1, 1))),
     )
 
     level = DifferentiableFunction(
         eval=lambda x: x.copy(),
-        grad_row=lambda x, i: np.ones(1),
+        val_jac=lambda x: (x.copy(), np.ones((1, 1))),
         output_size=1,
         name="level",
-        jac=lambda x: np.ones((1, 1)),
-        val_jac=lambda x: (x.copy(), np.ones((1, 1))),
     )
 
     has_multiplier = formulation is not Formulation.QUADRATIC_PENALTY

@@ -209,7 +209,7 @@ def test_acceptance_04_gradient_consistency(capsys):
 
             scalar_fn = DifferentiableFunction(
                 eval=assembled_scalar,
-                grad_row=lambda x, i: np.zeros(x.size),
+                val_jac=lambda x: (assembled_scalar(x), np.zeros((1, x.size))),
                 output_size=1,
             )
             points = normal_stream(11, 100 * problem.dim).reshape(100, problem.dim)
@@ -280,12 +280,12 @@ def proxy_fixture():
     # dual
     objective = DifferentiableFunction(
         eval=lambda x: np.array([0.5 * x[0] ** 2]),
-        grad_row=lambda x, i: np.array([x[0]]),
+        val_jac=lambda x: (np.array([0.5 * x[0] ** 2]), np.array([[x[0]]])),
         output_size=1,
     )
     surrogate = DifferentiableFunction(
         eval=lambda x: np.array([x[0] - 0.5]),
-        grad_row=lambda x, i: np.ones(1),
+        val_jac=lambda x: (np.array([x[0] - 0.5]), np.ones((1, 1))),
         output_size=1,
     )
     block = ConstraintBlock(
@@ -494,7 +494,7 @@ def trap_problem(threshold, dim):
     # so some roll eventually fails mid-update
     objective = DifferentiableFunction(
         eval=lambda x: np.array([0.5 * float(x @ x)]),
-        grad_row=lambda x, i: np.asarray(x, dtype=np.float64),
+        val_jac=lambda x: (np.array([0.5 * float(x @ x)]), np.asarray(x, dtype=np.float64)[None, :]),
         output_size=1,
     )
     counter = {"n": 0}
@@ -509,7 +509,7 @@ def trap_problem(threshold, dim):
         group=ConstraintGroup(name="trap", constraint_type=INEQ, size=dim),
         function=DifferentiableFunction(
             eval=trap_eval,
-            grad_row=lambda x, i: np.eye(dim)[i],
+            val_jac=lambda x: (trap_eval(x), np.eye(dim)),
             output_size=dim,
         ),
     )

@@ -428,18 +428,21 @@ class TestEvaluateOnce:
     @staticmethod
     def _counted_problem():
         # feasible below x = 1; the oracle reports a non-finite violation above it
+        def cap(x):
+            return np.array([np.inf if x[0] > 1.0 else x[0] - 1.0])
+
         block = ConstraintBlock(
             group=ConstraintGroup(name="cap", constraint_type=INEQ, size=1),
             function=DifferentiableFunction(
-                eval=lambda x: np.array([np.inf if x[0] > 1.0 else x[0] - 1.0]),
-                grad_row=lambda x, i: np.ones(1),
+                eval=cap,
+                val_jac=lambda x: (cap(x), np.ones((1, 1))),
                 output_size=1,
                 name="cap",
             ),
         )
         objective = DifferentiableFunction(
             eval=lambda x: np.array([0.5 * x[0] ** 2]),
-            grad_row=lambda x, i: np.array([x[0]]),
+            val_jac=lambda x: (np.array([0.5 * x[0] ** 2]), np.array([[x[0]]])),
             output_size=1,
             name="objective",
         )
@@ -515,7 +518,7 @@ class TestCheckGrad:
             oracle = problem.oracle_functions()["objective"]
             broken = type(oracle)(
                 eval=oracle.eval,
-                grad_row=lambda x, i: -oracle.grad_row(x, i),  # wrong sign
+                val_jac=lambda x: (oracle.eval(x), -oracle.val_jac(x)[1]),  # wrong sign
                 output_size=oracle.output_size,
                 name=oracle.name,
             )

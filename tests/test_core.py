@@ -301,14 +301,14 @@ class TestErrorCarriesGroupId:
             group=ConstraintGroup(name="frag", constraint_type=INEQ, size=1),
             function=lk.DifferentiableFunction(
                 eval=lambda x: np.array([np.inf]),
-                grad_row=lambda x, i: np.zeros(1),
+                val_jac=lambda x: (np.array([np.inf]), np.zeros((1, 1))),
                 output_size=1,
                 name="frag",
             ),
         )
         objective = lk.DifferentiableFunction(
             eval=lambda x: np.array([0.0]),
-            grad_row=lambda x, i: np.zeros(1),
+            val_jac=lambda x: (np.array([0.0]), np.zeros((1, 1))),
             output_size=1,
             name="objective",
         )

@@ -18,7 +18,7 @@ from lagrangekit import (
 def square_fn():
     return DifferentiableFunction(
         eval=lambda x: np.array([x[0] ** 2]),
-        grad_row=lambda x, i: np.array([2.0 * x[0]]),
+        val_jac=lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]])),
         output_size=1,
         name="square",
     )
@@ -86,7 +86,7 @@ class TestFiniteDifferenceGradient:
     def test_constant_function_near_zero(self):
         fun = DifferentiableFunction(
             eval=lambda x: np.array([4.0]),
-            grad_row=lambda x, i: np.zeros(1),
+            val_jac=lambda x: (np.array([4.0]), np.zeros((1, 1))),
             output_size=1,
         )
         grad = finite_difference_gradient(fun, np.array([0.7]))
@@ -95,7 +95,7 @@ class TestFiniteDifferenceGradient:
     def test_linear_function_exact_to_rounding(self):
         fun = DifferentiableFunction(
             eval=lambda x: np.array([3.0 * x[0] - 2.0 * x[1]]),
-            grad_row=lambda x, i: np.array([3.0, -2.0]),
+            val_jac=lambda x: (np.array([3.0 * x[0] - 2.0 * x[1]]), np.array([[3.0, -2.0]])),
             output_size=1,
         )
         grad = finite_difference_gradient(fun, np.array([1.0, 1.0]))
@@ -104,7 +104,7 @@ class TestFiniteDifferenceGradient:
     def test_second_output_selected(self):
         fun = DifferentiableFunction(
             eval=lambda x: np.array([x[0], x[0] ** 3]),
-            grad_row=lambda x, i: np.array([1.0]) if i == 0 else np.array([3 * x[0] ** 2]),
+            val_jac=lambda x: (np.array([x[0], x[0] ** 3]), np.array([[1.0], [3 * x[0] ** 2]])),
             output_size=2,
         )
         grad = finite_difference_gradient(fun, np.array([2.0]), output_index=1)
@@ -121,7 +121,7 @@ class TestFiniteDifferenceGradient:
     def test_non_finite_evaluation_rejected(self):
         fun = DifferentiableFunction(
             eval=lambda x: np.array([np.inf]),
-            grad_row=lambda x, i: np.zeros(1),
+            val_jac=lambda x: (np.array([np.inf]), np.zeros((1, 1))),
             output_size=1,
         )
         with pytest.raises(EvaluationError):
@@ -133,8 +133,23 @@ class TestWithFiniteDifferenceGradient:
         fun = with_finite_difference_gradient(
             lambda x: np.array([np.sin(x[0])]), output_size=1, name="sine"
         )
-        J = fun.jacobian(np.array([0.5]))
+        _, J = fun.value_and_jacobian(np.array([0.5]))
         assert J[0, 0] == pytest.approx(np.cos(0.5), rel=1e-7)
+
+    def test_jacobian_is_the_stacked_difference_rows_bit_for_bit(self):
+        calls = []
+
+        def pair(x):
+            calls.append(True)
+            return np.array([np.sin(x[0]) * x[1], x[0] ** 3 - x[1]])
+
+        fun = with_finite_difference_gradient(pair, output_size=2, name="pair")
+        x = np.array([0.4, -1.3])
+        vals, J = fun.value_and_jacobian(x)
+        assert len(calls) == 1 + 2 * 2 * x.size  # the values, then 2 * dim per row
+        rows = np.stack([finite_difference_gradient(fun, x, i) for i in range(2)])
+        assert J.tobytes() == rows.tobytes()
+        assert vals.tobytes() == pair(x).tobytes()
 
     def test_wrapped_function_passes_checker(self):
         fun = with_finite_difference_gradient(
@@ -148,25 +163,17 @@ class TestDifferentiableFunction:
     def test_output_size_validated(self):
         with pytest.raises(ValueError):
             DifferentiableFunction(
-                eval=lambda x: np.empty(0), grad_row=lambda x, i: x, output_size=0
+                eval=lambda x: np.empty(0), val_jac=lambda x: (x, x), output_size=0
             )
 
     def test_eval_shape_enforced(self):
         fun = DifferentiableFunction(
             eval=lambda x: np.array([1.0, 2.0]),
-            grad_row=lambda x, i: np.zeros(1),
+            val_jac=lambda x: (np.array([1.0, 2.0]), np.zeros((1, 1))),
             output_size=1,
         )
         with pytest.raises(ValueError):
             fun.values(np.array([0.0]))
-
-    def test_jacobian_stacks_grad_rows(self):
-        fun = DifferentiableFunction(
-            eval=lambda x: np.array([x[0], 2 * x[0]]),
-            grad_row=lambda x, i: np.array([1.0]) if i == 0 else np.array([2.0]),
-            output_size=2,
-        )
-        assert fun.jacobian(np.array([5.0])).tolist() == [[1.0], [2.0]]
 
     def test_fused_value_and_jacobian_used_when_given(self):
         calls = []
@@ -177,9 +184,8 @@ class TestDifferentiableFunction:
 
         fun = DifferentiableFunction(
             eval=lambda x: np.array([x[0]]),
-            grad_row=lambda x, i: np.array([1.0]),
-            output_size=1,
             val_jac=val_jac,
+            output_size=1,
         )
         vals, J = fun.value_and_jacobian(np.array([2.0]))
         assert calls and vals.tolist() == [2.0] and J.tolist() == [[1.0]]
@@ -188,10 +194,9 @@ class TestDifferentiableFunction:
     def _fused(values, jacobian):
         return DifferentiableFunction(
             eval=lambda x: np.array([0.0]),
-            grad_row=lambda x, i: np.zeros(x.size),
+            val_jac=lambda x: (np.array(values), np.array(jacobian)),
             output_size=1,
             name="fused",
-            val_jac=lambda x: (np.array(values), np.array(jacobian)),
         )
 
     def test_fused_value_shape_enforced(self):
@@ -223,7 +228,7 @@ class TestCheckGradients:
         good = square_fn()
         bad = DifferentiableFunction(
             eval=lambda x: np.array([x[0] ** 2]),
-            grad_row=lambda x, i: np.array([-2.0 * x[0]]),  # wrong sign
+            val_jac=lambda x: (np.array([x[0] ** 2]), np.array([[-2.0 * x[0]]])),  # wrong sign
             output_size=1,
             name="broken",
         )
@@ -233,6 +238,21 @@ class TestCheckGradients:
         assert not report.passed
         assert [e.name for e in report.failures()] == ["broken"]
         assert report.entries[0].passed
+
+    def test_checks_the_jacobian_the_solver_steps_on(self):
+        # values right, Jacobian negated: the check must see what a roll steps on
+        objective = DifferentiableFunction(
+            eval=lambda x: np.array([np.dot(x, x)]),
+            val_jac=lambda x: (np.array([np.dot(x, x)]), (-2.0 * x)[None, :]),
+            output_size=1,
+            name="objective",
+        )
+        problem = BenchmarkProblem("wrong_sign", 2, objective)
+        x = np.array([0.5, -0.25])
+        assert problem.evaluate_with_gradients(x).grad_f.tolist() == [-1.0, 0.5]
+        report = check_gradients(problem, x)
+        assert [e.name for e in report.failures()] == ["objective"]
+        assert report.entries[0].max_deviation == pytest.approx(2.0, rel=1e-6)
 
     def test_accepts_problem_oracles_object(self):
         problem = problem_projection_ball(np.array([1.0, 1.0]))
