@@ -74,8 +74,9 @@ _NO_MISC: Mapping[str, Any] = MappingProxyType({})
 # on the stamp, never on the identity of a multiplier array, which commits
 # write in place. Each write stores a stamp of its own, so the stamp never
 # takes a value twice, even when problems roll in two threads: a cached
-# record is served only while no write has finished since it was computed. One stamp for the process, so a multiplier need not know the
-# problems that hold it: a write elsewhere costs a cached record a miss.
+# record is served only while no write has finished since it was computed.
+# One stamp for the process, so a multiplier need not know the problems that
+# hold it: a write elsewhere costs a cached record a miss.
 _STAMPS = itertools.count(1)
 _WRITES = [0]
 
@@ -110,6 +111,13 @@ def _record(cls, fields: dict):
     record = object.__new__(cls)
     object.__setattr__(record, "__dict__", fields)
     return record
+
+
+def _as_size(value, what: str) -> int:
+    """``value``, a Python or NumPy integer but not a bool, as an int; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_indices(indices, what: str) -> np.ndarray:
@@ -258,7 +266,7 @@ class ConstraintGroup:
             raise ValueError("constraint_type must be a ConstraintType")
         if not isinstance(formulation, Formulation):
             raise ValueError("formulation must be a Formulation")
-        size = int(size)
+        size = _as_size(size, "group size")
         if size <= 0:
             raise ValueError(f"group size must be positive, got {size}")
 
@@ -386,7 +394,7 @@ class ConstrainedMinimizationProblem:
     """
 
     def __init__(self, dim: int, x0=None):
-        dim = int(dim)
+        dim = _as_size(dim, "problem dimension")
         if dim < 1:
             raise ValueError(f"problem dimension must be >= 1, got {dim}")
         self._dim = dim

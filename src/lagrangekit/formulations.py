@@ -167,7 +167,7 @@ def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
     formulation = group.formulation
     if formulation is Formulation.LAGRANGIAN:
         m = _gathered(values, state)
-        return np.dot(m, v), state.dual_violation, m, m
+        return m.dot(v), state.dual_violation, m, m
     c = _gathered(penalty._full(group.size), state)
     if formulation is Formulation.QUADRATIC_PENALTY:
         if group.constraint_type is ConstraintType.INEQUALITY:
@@ -179,7 +179,7 @@ def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
         active = np.maximum(v + ratio, 0.0)
         primal = 0.5 * np.sum(c * (active * active - ratio * ratio))
     else:
-        primal = np.dot(m, v) + 0.5 * np.sum(c * v * v)
+        primal = m.dot(v) + 0.5 * np.sum(c * v * v)
     return primal, c * state.dual_violation, _weights(group, state, m, c), m
 
 

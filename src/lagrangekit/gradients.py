@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EvaluationError, _all_finite
+from .core import EvaluationError, _all_finite, _as_size
 
 __all__ = [
     "DifferentiableFunction",
@@ -51,9 +51,9 @@ class DifferentiableFunction:
     name: str = ""
 
     def __post_init__(self):
-        if int(self.output_size) < 1:
+        object.__setattr__(self, "output_size", _as_size(self.output_size, "output_size"))
+        if self.output_size < 1:
             raise ValueError(f"output_size must be >= 1, got {self.output_size}")
-        object.__setattr__(self, "output_size", int(self.output_size))
 
     def values(self, x) -> np.ndarray:
         return self._checked_values(self.eval(np.asarray(x, dtype=np.float64)))
@@ -64,7 +64,8 @@ class DifferentiableFunction:
         return self._checked_values(vals), self._checked_jacobian(J, x.size)
 
     def _checked_values(self, vals) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(vals, dtype=np.float64))
+        out = np.asarray(vals, dtype=np.float64)
+        out = out.reshape(1) if out.ndim == 0 else out
         if out.shape != (self.output_size,):
             raise ValueError(
                 f"{self.name or 'function'}: eval returned shape {out.shape}, "
@@ -136,7 +137,7 @@ def _check_rows(jacobian: np.ndarray, k: int, dim: int) -> None:
 def _add_weighted_rows(total: np.ndarray, weights: np.ndarray, jacobian: np.ndarray) -> None:
     """total += jacobian^T @ weights, in place, for a checked C-contiguous float64 jacobian."""
     if weights.size:
-        total += np.dot(weights, jacobian)  # jacobian^T @ weights without the transpose
+        total += weights.dot(jacobian)  # jacobian^T @ weights without the transpose
 
 
 def finite_difference_gradient(

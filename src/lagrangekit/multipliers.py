@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintType, EvaluationError, _all_finite, _as_indices, _index_scan, _note_write
+from .core import ConstraintType, EvaluationError, _all_finite, _as_indices, _as_size, _index_scan
+from .core import _note_write
 
 __all__ = [
     "Multiplier",
@@ -40,7 +41,7 @@ class Multiplier:
     """Common storage and update semantics for dual variables."""
 
     def __init__(self, size: int, constraint_type: ConstraintType, values=None):
-        size = int(size)
+        size = _as_size(size, "multiplier size")
         if size < 1:
             raise ValueError(f"multiplier size must be >= 1, got {size}")
         if not isinstance(constraint_type, ConstraintType):

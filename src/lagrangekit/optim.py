@@ -24,15 +24,15 @@ Each value is checked once, then trusted:
   evaluation; then ``_checked_blocks``, one pass before any formula, checks
   each group's size or index range and each Jacobian (present, finite,
   (k, dim) unless k = 0);
-- what the two passes over the blocks derive: the dual pass (the terms at
-  given multipliers) the primal Lagrangian and a dual signal c * v; the
-  primal pass the composed gradient (which covers grad_f; its shape is
-  compared on the copy it composes on). Each scheme runs only the passes it
-  uses: ``assemble`` runs both (simultaneous, extragradient, alt-pd at x_t);
-  alt-dp runs the dual pass at m_t and the primal pass at m_{t+1} over one
-  ``_checked_blocks``; alt-pd runs only the dual pass at x_{t+1}. A
-  gradient a scheme does not use (alt-dp's at m_t, alt-pd's at x_{t+1}) is
-  not checked; alt-pd's next roll takes, and checks, the one at x_{t+1};
+- what one loop over the blocks, ``_dual_pass``, derives at given
+  multipliers: the primal Lagrangian, a dual signal c * v and, on a copy of
+  grad_f whose shape is compared, the composed gradient (checked after the
+  Lagrangian, which covers grad_f). ``assemble`` composes in that loop
+  (simultaneous, extragradient, alt-pd at x_t); alt-dp composes at m_{t+1}
+  in a loop of its own after the dual pass at m_t; alt-pd's dual pass at
+  x_{t+1} composes nothing. A gradient a scheme does not use (alt-dp's at
+  m_t, alt-pd's at x_{t+1}) is not computed; alt-pd's next roll takes, and
+  checks, the one at x_{t+1};
 - proposals before commit: x_new and each multiplier preview.
 
 What one evaluation yields is also computed once: the problem's slot holds
@@ -464,13 +464,14 @@ def assemble(
             return assembled
     else:
         blocks = _checked_blocks(problem, evaluation)
-    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(
-        problem, evaluation, blocks, multiplier_values
+    gradient = _grad_f_copy(problem, evaluation)
+    primal_lagrangian, dual_lagrangian, signals, indices, _ = _dual_pass(
+        problem, evaluation, blocks, multiplier_values, gradient
     )
     assembled = _record(AssembledLagrangian, {
         "primal_lagrangian": primal_lagrangian,
         "dual_lagrangian": dual_lagrangian,
-        "gradient": _primal_pass(problem, evaluation, blocks, weights),
+        "gradient": _checked_gradient(problem, evaluation, gradient),
         "dual_signals": signals,
         "observed_indices": indices,
     })
@@ -511,32 +512,35 @@ def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluat
     return blocks
 
 
-def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=None) -> tuple:
+def _dual_pass(problem, evaluation, blocks: list, multiplier_values=None, gradient=None) -> tuple:
     """The scalars and dual signals of ``_checked_blocks(problem, evaluation)``.
 
     Returns ``(primal_lagrangian, dual_lagrangian, dual_signals,
     observed_indices, weights)`` and checks what it derives: the primal
-    Lagrangian and a dual signal c * v. ``weights`` (one per block) feed
-    ``_primal_pass`` at the same multipliers.
+    Lagrangian and a dual signal c * v. The same loop adds each block's rows
+    times its weights into ``gradient``, a ``_grad_f_copy``, when given.
     """
     primal_lagrangian = evaluation.state.loss
     dual_lagrangian = 0.0
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
     weights = []
-    for gid, cstate, group, _ in blocks:
+    for gid, cstate, group, jacobian in blocks:
         values = None if multiplier_values is None else multiplier_values.get(gid)
         if values is None and group.multiplier is not None:
             values = group.multiplier._values  # read live: nothing in the pass writes it
-        term, signal, block_weights, gathered = _terms(group, cstate, values, group.penalty)
+        term, signal, block_weights, m = _terms(group, cstate, values, group.penalty)
         primal_lagrangian += term
         weights.append(block_weights)
-        if gathered is not None:
+        if gradient is not None:
+            _add_weighted_rows(gradient, block_weights, jacobian)
+        if m is not None:
             # a derived signal (c * v) can overflow to -inf, which the projection
             # would clamp to 0; the plain signal is the checked violation itself
             if signal is not cstate.dual_violation and not _all_finite(signal):
                 raise EvaluationError(f"non-finite dual signal for group {gid!r}", group_id=gid)
-            dual_lagrangian += float(np.dot(gathered, signal))
+            # only a Lagrangian group's signal is v itself, and its term is then <m, v>
+            dual_lagrangian += float(term if signal is cstate.violation else m.dot(signal))
             signals[gid] = signal
             indices[gid] = cstate.observed_indices
 
@@ -546,17 +550,20 @@ def _dual_pass(problem, evaluation: Evaluation, blocks: list, multiplier_values=
     return primal_lagrangian, dual_lagrangian, signals, indices, weights
 
 
-def _primal_pass(problem, evaluation: Evaluation, blocks: list, weights: list) -> np.ndarray:
-    """The checked primal gradient: grad_f plus each block's Jacobian rows times its weights.
+def _grad_f_copy(problem, evaluation: Evaluation) -> Optional[np.ndarray]:
+    """A float copy of grad_f to compose on, or None (``_checked_gradient`` raises) if not (dim,)."""
+    try:
+        gradient = np.array(evaluation.grad_f, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return gradient if gradient.shape == (problem.dim,) else None
 
-    Composed on a copy of grad_f whose shape is checked; the finiteness
-    check of the sum also covers grad_f.
-    """
-    gradient = np.array(evaluation.grad_f, dtype=np.float64)
-    if gradient.shape != (problem.dim,):
-        raise ValueError(f"grad_f shape {gradient.shape} != ({problem.dim},)")
-    for (_, _, _, jacobian), block_weights in zip(blocks, weights):
-        _add_weighted_rows(gradient, block_weights, jacobian)
+
+def _checked_gradient(problem, evaluation: Evaluation, gradient) -> np.ndarray:
+    """The composed ``gradient``, checked: grad_f's shape, then the finiteness of the sum."""
+    if gradient is None:
+        shape = np.array(evaluation.grad_f, dtype=np.float64).shape  # or the conversion's error
+        raise ValueError(f"grad_f shape {shape} != ({problem.dim},)")
     # a non-finite entry of grad_f stays non-finite in the sum
     if not _all_finite(gradient):
         if not _all_finite(np.asarray(evaluation.grad_f, dtype=np.float64)):
@@ -692,21 +699,24 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     """Dual step first on x_t signals; the primal step then uses m_{t+1}.
 
     Both updates come from the single x_t evaluation: the dual pass at m_t,
-    then the primal pass at the previewed multiplier entries, before
+    then the gradient composed at the previewed multiplier entries, before
     anything commits.
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
-    blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both passes
+    blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both loops
     primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(problem, ev, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices)
-    for i, (gid, cstate, group, _) in enumerate(blocks):
+    gradient = _grad_f_copy(problem, ev)
+    for (gid, cstate, group, jacobian), block_weights in zip(blocks, weights):
         if gid in dual_updates:
             penalty = group.penalty  # None on a Lagrangian group, whose weights take none
             c = None if penalty is None else _gathered(penalty._full(group.size), cstate)
             # the preview holds the entries at this evaluation's indices, in their order
-            weights[i] = _weights(group, cstate, dual_updates[gid].preview, c)
-    gradient = _primal_pass(problem, ev, blocks, weights)
+            block_weights = _weights(group, cstate, dual_updates[gid].preview, c)
+        if gradient is not None:
+            _add_weighted_rows(gradient, block_weights, jacobian)
+    gradient = _checked_gradient(problem, ev, gradient)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     return _roll_out(ev.state, primal_lagrangian, dual_lagrangian)

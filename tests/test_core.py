@@ -80,6 +80,12 @@ class TestConstraintState:
 
 
 class TestConstraintGroup:
+    @pytest.mark.parametrize("size", [1.5, 1.0, True], ids=repr)
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(ValueError, match=f"group size must be an integer, got {size!r}"):
+            ConstraintGroup("g", INEQ, size)
+        assert ConstraintGroup("g", INEQ, np.int64(3)).size == 3
+
     def test_quadratic_penalty_forbids_multiplier(self):
         qp = dict(
             name="g",
@@ -190,6 +196,18 @@ class TestConstraintGroup:
                 formulation=Formulation.QUADRATIC_PENALTY,
                 penalty=PenaltyCoefficient([1.0, 2.0]),
             )
+
+
+class TestProblemDimension:
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True], ids=repr)
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"problem dimension must be an integer, got {dim!r}"):
+            ConstrainedMinimizationProblem(dim)
+        assert ConstrainedMinimizationProblem(np.int64(2)).dim == 2
+
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError, match="problem dimension must be >= 1, got 0"):
+            ConstrainedMinimizationProblem(0)
 
 
 class TestRegisterGroup:

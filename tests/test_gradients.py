@@ -204,6 +204,20 @@ class TestDifferentiableFunction:
         with pytest.raises(ValueError, match=r"fused: eval returned shape \(2,\), expected \(1,\)"):
             fun.value_and_jacobian(np.zeros(2))
 
+    def test_zero_dim_value_accepted_and_one_by_one_rejected(self):
+        values, _ = self._fused(2.5, [[0.0, 0.0]]).value_and_jacobian(np.zeros(2))
+        assert values.shape == (1,) and values.tolist() == [2.5]
+        fun = self._fused([[2.5]], [[0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"fused: eval returned shape \(1, 1\), expected \(1,\)"):
+            fun.value_and_jacobian(np.zeros(2))
+
+    @pytest.mark.parametrize("size", [1.5, 1.0, True, None], ids=repr)
+    def test_non_integer_output_size_rejected(self, size):
+        with pytest.raises(ValueError, match=f"output_size must be an integer, got {size!r}"):
+            DifferentiableFunction(eval=abs, val_jac=abs, output_size=size)
+        fun = DifferentiableFunction(eval=abs, val_jac=abs, output_size=np.int64(2))
+        assert fun.output_size == 2 and type(fun.output_size) is int
+
     def test_fused_jacobian_shape_enforced(self):
         fun = self._fused([1.0], np.zeros((3, 2)))
         with pytest.raises(ValueError, match=r"fused: Jacobian shape \(3, 2\), expected \(1, 2\)"):

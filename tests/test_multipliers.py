@@ -167,6 +167,12 @@ class TestInitialization:
         with pytest.raises(ValueError):
             DenseMultiplier(1, INEQ, values=[-1.0])
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True], ids=repr)
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(ValueError, match=f"multiplier size must be an integer, got {size!r}"):
+            DenseMultiplier(size, INEQ)
+        assert DenseMultiplier(np.int32(2), INEQ).size == 2
+
     def test_base_class_is_shared(self):
         assert isinstance(DenseMultiplier(1, INEQ), Multiplier)
         assert isinstance(IndexedMultiplier(1, INEQ), Multiplier)

@@ -7,6 +7,7 @@ scalar reference implementation of the standard bias-corrected update.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lagrangekit import (
     ConstraintType,
     DifferentiableFunction,
     EvaluationError,
+    Formulation,
     GradientAscent,
     GradientDescent,
     Momentum,
@@ -1042,6 +1044,83 @@ class TestTwoPasses:
         assert self.snapshot(problem, optimizers) == before
 
 
+class TestOneLoop:
+    """``assemble`` composes the gradient in its dual pass, with every check in its old order."""
+
+    @staticmethod
+    def problem(*groups):
+        problem = lk.ConstrainedMinimizationProblem(1)
+        for name, formulation, penalty, initial in groups:
+            problem.register_group(ConstraintGroup(
+                name=name, constraint_type=ConstraintType.EQUALITY, size=1,
+                formulation=formulation, penalty=penalty, initial_multiplier=[initial],
+            ))
+        return problem
+
+    @staticmethod
+    def evaluation(states, grad_f, jacobians):
+        state = lk.CMPState(loss=0.0, observed_constraints=states)
+        return lk.Evaluation(state=state, grad_f=grad_f, jacobians=jacobians)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_lagrangian_error_comes_before_the_grad_f_shape_error(self):
+        problem = self.problem(("h", Formulation.LAGRANGIAN, None, 1e308))
+        ev = self.evaluation(
+            {"h": ConstraintState(violation=[1e308])}, np.zeros(2), {"h": np.ones((1, 1))}
+        )
+        with pytest.raises(EvaluationError, match="non-finite primal Lagrangian inf"):
+            lk.assemble(problem, ev)
+        finite = self.evaluation(
+            {"h": ConstraintState(violation=[1.0])}, np.zeros(2), {"h": np.ones((1, 1))}
+        )
+        with pytest.raises(ValueError, match=r"grad_f shape \(2,\) != \(1,\)"):
+            lk.assemble(problem, finite)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "grad_f", [[[0.0], [0.0, 0.0]], ["one"]], ids=["ragged", "not-a-number"]
+    )
+    def test_an_unconvertible_grad_f_fails_after_the_lagrangian(self, grad_f):
+        problem = self.problem(("h", Formulation.LAGRANGIAN, None, 1e308))
+        states = {"h": ConstraintState(violation=[1e308])}
+        with pytest.raises(EvaluationError, match="non-finite primal Lagrangian"):
+            lk.assemble(problem, self.evaluation(states, grad_f, {"h": np.ones((1, 1))}))
+        with pytest.raises(ValueError) as expected:
+            np.array(grad_f, dtype=np.float64)
+        states = {"h": ConstraintState(violation=[1.0])}
+        with pytest.raises(ValueError) as got:
+            lk.assemble(problem, self.evaluation(states, grad_f, {"h": np.ones((1, 1))}))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_later_groups_jacobian_error_comes_before_an_earlier_dual_signal(self):
+        problem = self.problem(
+            ("al", Formulation.AUGMENTED_LAGRANGIAN, 1e308, 0.0),
+            ("h", Formulation.LAGRANGIAN, None, 0.0),
+        )
+        states = {"al": ConstraintState(violation=[-10.0]), "h": ConstraintState(violation=[0.0])}
+        good = {"al": np.ones((1, 1)), "h": np.ones((1, 1))}
+        with pytest.raises(EvaluationError, match="non-finite dual signal for group 'al'"):
+            lk.assemble(problem, self.evaluation(states, np.zeros(1), good))
+        bad = dict(good, h=np.array([[np.nan]]))
+        with pytest.raises(EvaluationError, match="non-finite Jacobian for group 'h'") as info:
+            lk.assemble(problem, self.evaluation(states, np.zeros(1), bad))
+        assert info.value.group_id == "h"
+
+    @pytest.mark.parametrize("strict", [None, [0.1]], ids=["violation", "strict"])
+    def test_lagrangian_dual_term_is_the_dot_of_the_multiplier_and_the_signal(self, strict):
+        m = 0.3
+        problem = self.problem(("h", Formulation.LAGRANGIAN, None, m))
+        state = ConstraintState(violation=[0.7], strict_violation=strict)
+        ev = self.evaluation({"h": state}, np.zeros(1), {"h": np.ones((1, 1))})
+        asm = lk.assemble(problem, ev)
+        expected = 0.0 + float(np.dot(np.array([m]), state.dual_violation))
+        assert asm.dual_lagrangian.hex() == expected.hex()
+        assert asm.primal_lagrangian == 0.0 + float(np.dot(np.array([m]), state.violation))
+        if strict is not None:
+            assert asm.dual_lagrangian != asm.primal_lagrangian
+
+
 def _assembled_bytes(asm):
     """An assembled record's contents, as comparable bytes."""
     return (
@@ -1199,12 +1278,19 @@ class TestAssembleSlot:
 
     @staticmethod
     def counted_run(monkeypatch, tmp_path, scheme, steps):
-        counts = {"_checked_blocks": 0, "_dual_pass": 0, "_primal_pass": 0, "maxima": 0}
-        for name in ("_checked_blocks", "_dual_pass", "_primal_pass"):
+        # "composing" counts the dual passes that add the gradient in their loop
+        counts = {
+            "_checked_blocks": 0, "_dual_pass": 0, "composing": 0, "_checked_gradient": 0,
+            "maxima": 0,
+        }
+        for name in ("_checked_blocks", "_dual_pass", "_checked_gradient"):
             original = getattr(lk.optim, name)
 
             def counted(*args, _original=original, _name=name):
                 counts[_name] += 1
+                if _name == "_dual_pass":
+                    bound = inspect.signature(_original).bind(*args)
+                    counts["composing"] += bound.arguments.get("gradient") is not None
                 return _original(*args)
 
             monkeypatch.setattr(lk.optim, name, counted)
@@ -1225,15 +1311,18 @@ class TestAssembleSlot:
         n = 7
         counts = self.counted_run(monkeypatch, tmp_path, "alt-pd", n)
         # x_0, then one evaluation per step: each checked once; a dual pass at
-        # x_{t+1} in the roll and at m_{t+1} in the row; the row's primal pass
-        # is the next roll's; each row's violation maxima are computed once
+        # x_{t+1} in the roll and at m_{t+1} in the row; the row's gradient,
+        # composed in its dual pass, is the next roll's; each row's violation
+        # maxima are computed once
         assert counts == {
-            "_checked_blocks": n + 1, "_dual_pass": 2 * n + 1, "_primal_pass": n + 1, "maxima": n,
+            "_checked_blocks": n + 1, "_dual_pass": 2 * n + 1, "composing": n + 1,
+            "_checked_gradient": n + 1, "maxima": n,
         }
 
     def test_traced_simultaneous_run_takes_the_row_gradient(self, monkeypatch, tmp_path, capsys):
         n = 7
         counts = self.counted_run(monkeypatch, tmp_path, "simultaneous", n)
         assert counts == {
-            "_checked_blocks": n + 1, "_dual_pass": n + 1, "_primal_pass": n + 1, "maxima": n,
+            "_checked_blocks": n + 1, "_dual_pass": n + 1, "composing": n + 1,
+            "_checked_gradient": n + 1, "maxima": n,
         }
