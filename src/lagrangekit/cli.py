@@ -286,16 +286,15 @@ def cmd_run(config: RunConfig) -> int:
             if trace_handle is not None:
                 row, figures = _trace_row(problem, optimizers, evaluate)
                 trace_handle.write(row + "\n")
-            if (
-                config.checkpoint_every is not None
-                and optimizers.step % config.checkpoint_every == 0
-            ):
+            every = config.checkpoint_every
+            saved = every is not None and optimizers.step % every == 0
+            if saved:
                 ckpt.save(problem, optimizers, config.checkpoint_out)
         if trace_handle is None:
             # without a trace only the summary needs a row; a failure at x_{t+1}
             # shows here or in the next roll's evaluation
             _, figures = _trace_row(problem, optimizers, evaluate)
-        if config.checkpoint_out is not None:
+        if config.checkpoint_out is not None and not saved:  # the last step's save holds it
             ckpt.save(problem, optimizers, config.checkpoint_out)
     except EvaluationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -87,10 +87,10 @@ def _note_write() -> None:
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """``np.isfinite(arr).all()`` for a numeric array, without numpy's overhead when small."""
+    """``np.isfinite(arr).all()`` for a numeric array, without numpy's Python helpers."""
     if arr.size < _SMALL:
         return all(map(math.isfinite, arr.ravel().tolist()))
-    return bool(np.isfinite(arr).all())
+    return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
 
 
 def _max_abs(arr: np.ndarray) -> float:
@@ -135,7 +135,7 @@ def _index_scan(idx: np.ndarray) -> tuple[bool, int, int]:
     """(any duplicate, lowest, highest) of a non-empty int64 index list, from one sort."""
     ordered = idx.copy()
     ordered.sort()
-    return bool((ordered[1:] == ordered[:-1]).any()), int(ordered[0]), int(ordered[-1])
+    return bool(np.count_nonzero(ordered[1:] == ordered[:-1])), int(ordered[0]), int(ordered[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,9 +318,9 @@ class ConstraintGroup:
                 )
         else:
             idx = cstate.observed_indices
-            if idx.size and idx.max() >= self.size:
+            if idx.size and np.maximum.reduce(idx) >= self.size:
                 raise ValueError(
-                    f"group {self.name!r}: observed index {int(idx.max())} out of "
+                    f"group {self.name!r}: observed index {int(np.maximum.reduce(idx))} out of "
                     f"range for size {self.size}"
                 )
 

@@ -5,7 +5,9 @@ formulation and returns a checked ContributionPair: the scalar added to the
 primal Lagrangian (differentiable in x through the violation), the
 per-constraint signal the dual optimizer ascends on, and the weights that
 multiply the constraint Jacobian rows in the primal gradient. ``_terms``
-holds each formula once; the rolls call it unchecked through ``assemble``.
+holds each term and signal formula once and returns the multiplier and penalty
+entries it gathered, which ``_weights``, the one copy of each weight formula,
+takes. The rolls call both unchecked, ``_weights`` only where they compose.
 
 ``_terms`` re-checks nothing it reads; each piece is checked once where it
 enters: a group's multiplier and penalty by the group, a state's fit by the
@@ -153,47 +155,46 @@ def _checked_values(group: ConstraintGroup, values) -> np.ndarray:
 
 
 def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
-    """Unchecked (primal term, dual signal, primal weights, gathered multiplier).
+    """Unchecked (primal term, dual signal, gathered multiplier, gathered penalty).
 
-    The one copy of each formula, under the group's formulation, over what
-    the group and the callers have checked: ``state`` fits the group,
-    ``values`` is a float vector of the group's size (unread by quadratic
-    penalty) and ``penalty`` a coefficient that fits it (unread by the
-    Lagrangian). The gathered multiplier is None for quadratic penalty.
-    ``assemble`` checks what these derive once per step;
-    ``group_contribution`` checks it through ``ContributionPair``.
+    The one copy of each term and signal formula, over what the group and
+    the callers have checked: ``state`` fits the group, ``values`` is a float
+    vector of the group's size and ``penalty`` a coefficient that fits it.
+    Quadratic penalty gathers no multiplier, the Lagrangian no penalty (None
+    in their place); ``_weights`` takes both. ``assemble`` checks what these
+    derive once per step; ``group_contribution`` through ``ContributionPair``.
     """
     v = state.violation
     formulation = group.formulation
     if formulation is Formulation.LAGRANGIAN:
         m = _gathered(values, state)
-        return m.dot(v), state.dual_violation, m, m
+        return m.dot(v), state.dual_violation, m, None
     c = _gathered(penalty._full(group.size), state)
     if formulation is Formulation.QUADRATIC_PENALTY:
         if group.constraint_type is ConstraintType.INEQUALITY:
             v = np.maximum(v, 0.0)
-        return 0.5 * np.sum(c * v * v), np.empty(0), c * v, None
+        return 0.5 * np.add.reduce(c * v * v), np.empty(0), None, c
     m = _gathered(values, state)
     if group.constraint_type is ConstraintType.INEQUALITY:
         ratio = m / c
         active = np.maximum(v + ratio, 0.0)
-        primal = 0.5 * np.sum(c * (active * active - ratio * ratio))
+        primal = 0.5 * np.add.reduce(c * (active * active - ratio * ratio))
     else:
-        primal = m.dot(v) + 0.5 * np.sum(c * v * v)
-    return primal, c * state.dual_violation, _weights(group, state, m, c), m
+        primal = m.dot(v) + 0.5 * np.add.reduce(c * v * v)
+    return primal, c * state.dual_violation, m, c
 
 
-def _weights(group: ConstraintGroup, state: ConstraintState, m: np.ndarray, c) -> np.ndarray:
-    """The primal weights of a multiplier group at the gathered multiplier ``m``.
+def _weights(group: ConstraintGroup, state: ConstraintState, m, c) -> np.ndarray:
+    """The primal weights at the gathered multiplier ``m`` and penalty ``c``.
 
-    ``c`` is the gathered penalty, unread by the Lagrangian; the rolls call
-    this alone for a gradient at other multipliers than the terms.
+    The rolls take a Lagrangian group's ``m`` itself, without this call.
     """
+    v = state.violation
     if group.formulation is Formulation.LAGRANGIAN:
         return m
     if group.constraint_type is ConstraintType.INEQUALITY:
-        return np.maximum(c * state.violation + m, 0.0)
-    return m + c * state.violation
+        return c * np.maximum(v, 0.0) if m is None else np.maximum(c * v + m, 0.0)
+    return c * v if m is None else m + c * v
 
 
 def group_contribution(
@@ -221,8 +222,8 @@ def group_contribution(
             multiplier_values = group.multiplier
         # a copy: the pair's weights never share a caller's or the multiplier's array
         values = _checked_values(group, multiplier_values).copy()
-    primal, signal, weights, _ = _terms(group, state, values, penalty)
-    return ContributionPair(group.name, float(primal), signal, weights)
+    primal, signal, m, c = _terms(group, state, values, penalty)
+    return ContributionPair(group.name, float(primal), signal, _weights(group, state, m, c))
 
 
 def assemble_lagrangian(loss: float, contributions) -> tuple[float, dict[str, np.ndarray]]:

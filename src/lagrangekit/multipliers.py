@@ -110,14 +110,17 @@ class Multiplier:
                 )
         return delta, indices
 
-    def _preview(self, delta: np.ndarray, indices: Optional[np.ndarray]) -> np.ndarray:
+    def _preview(self, delta, indices: Optional[np.ndarray], gathered=None) -> np.ndarray:
         """The updated entries for a fitting delta at distinct in-range indices.
 
         The full new vector when ``indices`` is None, else only the addressed
-        entries, in the order of ``indices``. Checks only those entries: the
-        stored values are finite.
+        entries, in the order of ``indices``; ``gathered``, if given, holds the
+        stored entries there, already gathered. Checks only the updated
+        entries: the stored values are finite.
         """
-        updated = (self._values if indices is None else self._values[indices]) + delta
+        if gathered is None:
+            gathered = self._values if indices is None else self._values[indices]
+        updated = gathered + delta
         if self._constraint_type is ConstraintType.INEQUALITY:
             updated = np.maximum(updated, 0.0)
         if not _all_finite(updated):

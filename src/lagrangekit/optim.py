@@ -29,10 +29,11 @@ Each value is checked once, then trusted:
   grad_f whose shape is compared, the composed gradient (checked after the
   Lagrangian, which covers grad_f). ``assemble`` composes in that loop
   (simultaneous, extragradient, alt-pd at x_t); alt-dp composes at m_{t+1}
-  in a loop of its own after the dual pass at m_t; alt-pd's dual pass at
-  x_{t+1} composes nothing. A gradient a scheme does not use (alt-dp's at
-  m_t, alt-pd's at x_{t+1}) is not computed; alt-pd's next roll takes, and
-  checks, the one at x_{t+1};
+  in a loop of its own. A gradient a scheme does not use (alt-dp's at m_t,
+  alt-pd's at x_{t+1}) is not computed, nor are its weights; alt-pd's next
+  roll takes, and checks, the one at x_{t+1}. The loop hands on the (m, c)
+  that ``_terms`` gathered: at the stored multipliers, alt-dp's and alt-pd's
+  previews add their deltas to that m, and alt-dp composes with that c;
 - proposals before commit: x_new and each multiplier preview.
 
 What one evaluation yields is also computed once: the problem's slot holds
@@ -71,7 +72,7 @@ import numpy as np
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
 from .core import _WRITES, _all_finite, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
-from .formulations import _checked_values, _gathered, _terms, _weights
+from .formulations import _checked_values, _terms, _weights
 from .formulations import assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
 from .multipliers import Multiplier, _check_indices, multiplier_values_for  # noqa: F401
@@ -284,12 +285,19 @@ class AdamLike(PrimalOptimizer):
 class DualOptimizer(_Optimizer):
     """Ascending optimizer producing multiplier deltas, with preview/commit.
 
-    ``step`` checks the indices, then runs ``_step``, which the rolls call
-    directly. Subclasses implement either.
+    ``step`` checks the indices and the signal (a finite float vector, one
+    entry per index, or ``size`` entries without indices), then runs
+    ``_step``, which the rolls call directly. Subclasses implement either.
     """
 
     def step(self, signal: np.ndarray, indices, size: int) -> tuple[np.ndarray, object]:
         idx = None if indices is None else _check_indices(indices, size)
+        signal = np.asarray(signal, dtype=np.float64)
+        expected = (size,) if idx is None else idx.shape
+        if signal.shape != expected:
+            raise ValueError(f"dual signal shape {signal.shape} != {expected}")
+        if not _all_finite(signal):
+            raise EvaluationError("non-finite dual signal")
         return self._step(signal, idx, size)
 
     def _step(self, signal, indices, size):
@@ -516,24 +524,26 @@ def _dual_pass(problem, evaluation, blocks: list, multiplier_values=None, gradie
     """The scalars and dual signals of ``_checked_blocks(problem, evaluation)``.
 
     Returns ``(primal_lagrangian, dual_lagrangian, dual_signals,
-    observed_indices, weights)`` and checks what it derives: the primal
-    Lagrangian and a dual signal c * v. The same loop adds each block's rows
-    times its weights into ``gradient``, a ``_grad_f_copy``, when given.
+    observed_indices, gathered)``, ``gathered`` each block's ``(m, c)`` from
+    ``_terms`` by id, and checks the primal Lagrangian and a dual signal c * v.
+    Only when given ``gradient``, a ``_grad_f_copy``, does the same loop take
+    each block's weights (m itself on a Lagrangian group) and add its rows.
     """
     primal_lagrangian = evaluation.state.loss
     dual_lagrangian = 0.0
     signals: dict[str, np.ndarray] = {}
     indices: dict[str, Optional[np.ndarray]] = {}
-    weights = []
+    gathered = {}
     for gid, cstate, group, jacobian in blocks:
         values = None if multiplier_values is None else multiplier_values.get(gid)
         if values is None and group.multiplier is not None:
             values = group.multiplier._values  # read live: nothing in the pass writes it
-        term, signal, block_weights, m = _terms(group, cstate, values, group.penalty)
+        term, signal, m, c = _terms(group, cstate, values, group.penalty)
         primal_lagrangian += term
-        weights.append(block_weights)
+        gathered[gid] = m, c
         if gradient is not None:
-            _add_weighted_rows(gradient, block_weights, jacobian)
+            weights = m if c is None else _weights(group, cstate, m, c)
+            _add_weighted_rows(gradient, weights, jacobian)
         if m is not None:
             # a derived signal (c * v) can overflow to -inf, which the projection
             # would clamp to 0; the plain signal is the checked violation itself
@@ -547,7 +557,7 @@ def _dual_pass(problem, evaluation, blocks: list, multiplier_values=None, gradie
     primal_lagrangian = float(primal_lagrangian)
     if not math.isfinite(primal_lagrangian):
         raise EvaluationError(f"non-finite primal Lagrangian {primal_lagrangian}")
-    return primal_lagrangian, dual_lagrangian, signals, indices, weights
+    return primal_lagrangian, dual_lagrangian, signals, indices, gathered
 
 
 def _grad_f_copy(problem, evaluation: Evaluation) -> Optional[np.ndarray]:
@@ -631,14 +641,18 @@ def _preview_primal(optimizer, x, grad):
     return x_new, staged
 
 
-def _preview_dual(multiplier, optimizer, signal, indices) -> _DualUpdate:
+def _preview_dual(multiplier, optimizer, signal, indices, stored=None) -> _DualUpdate:
     delta, staged = optimizer._step(signal, indices, multiplier.size)
-    preview = multiplier._preview(delta, indices)
+    preview = multiplier._preview(delta, indices, stored)
     return _DualUpdate(multiplier, optimizer, indices, staged, preview)
 
 
-def _preview_duals(problem, optimizers, signals: dict, indices: dict) -> dict:
-    """Previewed dual updates keyed by group id, for groups with a non-empty signal."""
+def _preview_duals(problem, optimizers, signals: dict, indices: dict, gathered=None) -> dict:
+    """Previewed dual updates keyed by group id, for groups with a non-empty signal.
+
+    A preview adds its delta to the entries in ``gathered``, from a dual pass
+    that read the stored multipliers, never overrides.
+    """
     updates = {}
     for gid, signal in signals.items():
         if signal.size == 0:
@@ -647,7 +661,8 @@ def _preview_duals(problem, optimizers, signals: dict, indices: dict) -> dict:
         if optimizer is None:
             raise ValueError(f"no dual optimizer bound for group {gid!r}")
         multiplier = problem.group(gid).multiplier
-        updates[gid] = _preview_dual(multiplier, optimizer, signal, indices[gid])
+        stored = None if gathered is None else gathered[gid][0]
+        updates[gid] = _preview_dual(multiplier, optimizer, signal, indices[gid], stored)
     return updates
 
 
@@ -688,8 +703,8 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
     blocks = _checked_blocks(problem, ev_new)
-    _, dual_lagrangian, signals, indices, _ = _dual_pass(problem, ev_new, blocks)
-    dual_updates = _preview_duals(problem, optimizers, signals, indices)
+    _, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev_new, blocks)
+    dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
     problem._slot = (ev_new, blocks, None, None)
     return _roll_out(ev.state, asm.primal_lagrangian, dual_lagrangian)
@@ -700,22 +715,22 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
 
     Both updates come from the single x_t evaluation: the dual pass at m_t,
     then the gradient composed at the previewed multiplier entries, before
-    anything commits.
+    anything commits. Both read the entries and penalties the pass gathered.
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both loops
-    primal_lagrangian, dual_lagrangian, signals, indices, weights = _dual_pass(problem, ev, blocks)
-    dual_updates = _preview_duals(problem, optimizers, signals, indices)
+    primal_lagrangian, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev, blocks)
+    dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
     gradient = _grad_f_copy(problem, ev)
-    for (gid, cstate, group, jacobian), block_weights in zip(blocks, weights):
+    for gid, cstate, group, jacobian in blocks:
+        m, c = gathered[gid]
         if gid in dual_updates:
-            penalty = group.penalty  # None on a Lagrangian group, whose weights take none
-            c = None if penalty is None else _gathered(penalty._full(group.size), cstate)
             # the preview holds the entries at this evaluation's indices, in their order
-            block_weights = _weights(group, cstate, dual_updates[gid].preview, c)
+            m = dual_updates[gid].preview
         if gradient is not None:
-            _add_weighted_rows(gradient, block_weights, jacobian)
+            weights = m if c is None else _weights(group, cstate, m, c)
+            _add_weighted_rows(gradient, weights, jacobian)
     gradient = _checked_gradient(problem, ev, gradient)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)

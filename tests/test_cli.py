@@ -303,6 +303,36 @@ class TestCheckpointFlags:
         assert path.exists()
         assert path.read_text().splitlines()[0].startswith("LAGRANGEKIT-CKPT")
 
+    @pytest.mark.parametrize("steps, saves", [(4, 2), (5, 3)])
+    def test_rolling_checkpoint_of_the_last_step_is_the_final_one(
+        self, tmp_path, monkeypatch, steps, saves
+    ):
+        # saved at steps 2 and 4, and at 5 when the last step is not a rolling one
+        common = ["run", "--problem", "equality_qp", "--scheme", "alt-dp", "--steps", str(steps)]
+        plain = tmp_path / "plain.ckpt"
+        assert run_cli(*common, "--checkpoint-out", str(plain)) == 0
+        save = cli.ckpt.save
+        saved = []
+
+        def counted_save(problem, optimizers, path):
+            saved.append(optimizers.step)
+            return save(problem, optimizers, path)
+
+        monkeypatch.setattr(cli.ckpt, "save", counted_save)
+        rolling = tmp_path / "rolling.ckpt"
+        assert run_cli(*common, "--checkpoint-every", "2", "--checkpoint-out", str(rolling)) == 0
+        assert len(saved) == saves and saved[-1] == steps
+        assert rolling.read_bytes() == plain.read_bytes()
+        config = cli.RunConfig(problem="equality_qp", scheme="alt-dp", steps=steps)
+        states = []
+        for path in (rolling, plain):
+            problem = cli._build_problem(config)
+            optimizers = cli._build_optimizers(config, problem)
+            cli.ckpt.load(path, problem, optimizers)
+            multipliers = [g.multiplier.values.tolist() for g in problem.groups.values()]
+            states.append((optimizers.step, problem.x.tolist(), multipliers))
+        assert states[0] == states[1] and states[0][0] == steps
+
     def test_checkpoint_every_requires_out(self, capsys):
         assert run_cli("run", "--steps", "2", "--checkpoint-every", "1") == 1
         assert "checkpoint" in capsys.readouterr().err

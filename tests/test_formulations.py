@@ -252,6 +252,16 @@ class TestQuadraticPenaltyContribution:
         assert pair.primal_term == pytest.approx(0.5)
         assert pair.primal_weights.tolist() == [2.0, 0.0]
 
+    def test_indexed_inequality_weights_are_clamped(self):
+        # c=(1, 2, 3, 4) gathered at (3, 0, 2): g=(0.5, -1, 2) -> weights (2, 0, 6),
+        # term (4 * 0.25 + 3 * 4) / 2 = 6.5
+        group = qp_group(size=4, c=np.array([1.0, 2.0, 3.0, 4.0]))
+        state = ConstraintState(violation=[0.5, -1.0, 2.0], observed_indices=[3, 0, 2])
+        pair = group_contribution(group, state)
+        assert pair.primal_term == 6.5
+        assert pair.primal_weights.tolist() == [2.0, 0.0, 6.0]
+        assert pair.dual_signal.size == 0
+
     def test_equality_value(self):
         # c=1, h=2: (1/2)*4 = 2, weight c*h = 2
         pair = group_contribution(

@@ -199,10 +199,12 @@ class TestGradientAscent:
         assert m.values.tolist() == [0.0]
 
     def test_signal_length_validated(self):
-        # the multiplier rejects a delta of the wrong length
+        # the optimizer rejects a signal of the wrong length, the multiplier a delta
         m = lk.DenseMultiplier(2, INEQ)
-        with pytest.raises(ValueError, match="delta length"):
+        with pytest.raises(ValueError, match=r"dual signal shape \(1,\) != \(2,\)"):
             ascend(GradientAscent(0.1), m, np.array([1.0]))
+        with pytest.raises(ValueError, match="delta length"):
+            m.apply_dual_delta(np.array([0.1]))
 
     def test_non_finite_signal_rejected(self):
         # the multiplier rejects the non-finite value the delta would leave
@@ -210,6 +212,30 @@ class TestGradientAscent:
         with pytest.raises(EvaluationError):
             ascend(GradientAscent(0.1), m, np.array([np.inf]))
         assert m.values.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("make", [lambda: GradientAscent(0.1), lambda: NuPI(0.1)],
+                         ids=["gradient_ascent", "nupi"])
+class TestDualStepChecks:
+    """The public ``DualOptimizer.step`` checks its signal; the rolls call ``_step``."""
+
+    def test_signal_longer_than_indices(self, make):
+        with pytest.raises(ValueError, match=r"dual signal shape \(3,\) != \(2,\)"):
+            make().step(np.ones(3), [0, 1], 10)
+
+    def test_signal_shorter_than_size(self, make):
+        with pytest.raises(ValueError, match=r"dual signal shape \(2,\) != \(3,\)"):
+            make().step(np.ones(2), None, 3)
+
+    def test_list_signal_is_converted(self, make):
+        delta, _ = make().step([1.0, 2.0], [4, 1], 10)
+        assert delta.tolist() == make().step(np.array([1.0, 2.0]), [4, 1], 10)[0].tolist()
+        assert delta.tolist() == [0.1, 0.2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signal(self, make, bad):
+        with pytest.raises(EvaluationError, match="non-finite dual signal"):
+            make().step(np.array([1.0, bad]), None, 2)
 
 
 class TestNuPI:
@@ -727,11 +753,12 @@ class SubsetBoxProblem(lk.ConstrainedMinimizationProblem):
     multiplier.
     """
 
-    def __init__(self):
+    def __init__(self, formulation=Formulation.LAGRANGIAN, penalty=None):
         super().__init__(4)
         self.gid = self.register_group(
             ConstraintGroup(
-                name="box", constraint_type=INEQ, size=4, indexed=True
+                name="box", constraint_type=INEQ, size=4, indexed=True,
+                formulation=formulation, penalty=penalty,
             )
         )
         self.freeze_registration()
@@ -1326,3 +1353,83 @@ class TestAssembleSlot:
             "_checked_blocks": n + 1, "_dual_pass": n + 1, "composing": n + 1,
             "_checked_gradient": n + 1, "maxima": n,
         }
+
+
+class TestIndexedGathers:
+    """A roll gathers each observed multiplier and penalty entry once.
+
+    The dual pass gathers m and c for each block; the dual preview and
+    alt-dp's gradient at m_{t+1} read those arrays, and weights are computed
+    only where a gradient is composed.
+    """
+
+    class CountedGathers(np.ndarray):
+        """A stored multiplier that counts the index-array gathers made from it."""
+
+        gathers = 0
+
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                TestIndexedGathers.CountedGathers.gathers += 1
+            return super().__getitem__(key).view(np.ndarray)
+
+    @staticmethod
+    def setup(monkeypatch):
+        problem = SubsetBoxProblem(
+            Formulation.AUGMENTED_LAGRANGIAN, np.array([1.0, 2.0, 3.0, 4.0])
+        )
+        optimizers = PrimalDualOptimizers(
+            primal=GradientDescent(0.01),
+            duals=make_dual_optimizers(problem, lambda: NuPI(0.1)),
+        )
+        counts = {"_full": 0, "_weights": 0}
+        full = lk.PenaltyCoefficient._full
+        weights = lk.formulations._weights
+        weighed = []
+
+        def counted_full(self, size):
+            counts["_full"] += 1
+            return full(self, size)
+
+        def counted_weights(group, state, m, c):
+            counts["_weights"] += 1
+            weighed.append(state)
+            return weights(group, state, m, c)
+
+        monkeypatch.setattr(lk.PenaltyCoefficient, "_full", counted_full)
+        monkeypatch.setattr(lk.formulations, "_weights", counted_weights)
+        monkeypatch.setattr(lk.optim, "_weights", counted_weights)
+        return problem, optimizers, counts, weighed
+
+    def test_alt_dp_gathers_the_penalty_once_and_weighs_once(self, monkeypatch):
+        problem, optimizers, counts, _ = self.setup(monkeypatch)
+        roll(problem, optimizers, scheme="alt-dp")
+        assert optimizers.step == 1
+        assert counts == {"_full": 1, "_weights": 1}
+
+    def test_alt_pd_weighs_only_at_x_t(self, monkeypatch):
+        problem, optimizers, counts, weighed = self.setup(monkeypatch)
+        states = []
+
+        def evaluate(x):
+            ev = problem.evaluate_with_gradients(x)
+            states.append(ev.state.observed_constraints["box"])
+            return ev
+
+        roll(problem, optimizers, scheme="alt-pd", evaluate=evaluate)
+        assert optimizers.step == 1 and len(states) == 2
+        # the dual-only pass at x_{t+1} composes no gradient, so it takes no weights
+        assert weighed == [states[0]]
+        assert counts == {"_full": 2, "_weights": 1}
+
+    def test_alt_dp_preview_reads_the_entries_the_pass_gathered(self, monkeypatch):
+        problem, optimizers, _, _ = self.setup(monkeypatch)
+        multiplier = problem.group("box").multiplier
+        multiplier._values = multiplier._values.view(self.CountedGathers)
+        for step in range(1, 4):
+            self.CountedGathers.gathers = 0
+            roll(problem, optimizers, scheme="alt-dp")
+            assert optimizers.step == step
+            # the dual pass's gather is the only one
+            assert self.CountedGathers.gathers == 1
+        assert multiplier.values.tolist() != [0.0] * 4
