@@ -28,6 +28,7 @@ from .core import (
     EvaluationError,
     Formulation,
     _all_finite,
+    _as_size,
     _max_abs,
     _record,
 )
@@ -298,6 +299,8 @@ def two_gaussian_dataset(seed: int, n_points: int = 200, dim: int = 5):
 
     Returns (features, labels) with shapes (n_points, dim) and (n_points,).
     """
+    n_points = _as_size(n_points, "n_points")
+    dim = _as_size(dim, "dim")
     if n_points < 1 or dim < 1:
         raise ValueError("n_points and dim must be >= 1")
     center = np.ones(dim, dtype=np.float64) / math.sqrt(dim)
@@ -467,18 +470,21 @@ def _logistic_loss_grad(features, labels, w, b):
     n = features.shape[0]
     z = np.dot(features, w) + b
     margins = labels * z
-    softplus_neg = np.logaddexp(0.0, -margins)
-    loss = softplus_neg.sum() / n
-    # log(1 + e^m) = m + log(1 + e^-m) bit for bit when m >= 0: numpy's logaddexp
-    # makes the same exp/log1p call for both; only m < 0 needs its own pass
-    softplus = softplus_neg + margins
-    neg = margins < 0
-    softplus[neg] = np.logaddexp(0.0, margins[neg])
-    # sigma(-margin) without overflow
-    slope = np.exp(-softplus)
-    gz = -(labels * slope) / n
+    # log(1 + e^-m) and log(1 + e^m) are the shared tail log(1 + e^-|m|) plus max(-m, 0)
+    # or max(m, 0), bit for bit: numpy's logaddexp(0, t) makes that one log1p(exp(.))
+    # call and adds 0 or t exactly, so one pass over |m| serves both signs
+    tail = np.logaddexp(0.0, -np.abs(margins))
+    loss = np.add.reduce(tail + np.maximum(-margins, 0.0)) / n
+    # gz = -labels * sigma(-margin) / n without overflow; one buffer, which timed faster at
+    # n = 200 and n = 10 000 (the other temporaries did not)
+    gz = np.maximum(margins, 0.0)
+    gz += tail
+    np.negative(gz, out=gz)
+    np.exp(gz, out=gz)
+    gz *= labels
+    gz /= -n
     grad_w = np.dot(gz, features)
-    grad_b = gz.sum()
+    grad_b = np.add.reduce(gz)
     return loss, grad_w, grad_b
 
 
@@ -499,8 +505,8 @@ def problem_norm_constrained_logreg(
     -threshold.
     """
     threshold = float(threshold)
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
     formulation = _as_formulation(formulation)
     features, labels = two_gaussian_dataset(dataset_seed, n_points=n_points, dim=dim)
     n_vars = dim + 1

@@ -118,6 +118,12 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_infinite_threshold_exits_one_at_build(self, capsys):
+        assert run_cli("run", "--problem", "norm_logreg", "--threshold", "inf") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threshold must be finite and > 0, got inf\n"
+
     @pytest.mark.parametrize("trace", [False, True])
     def test_trace_rows_built_only_when_written(self, trace, tmp_path, monkeypatch, capsys):
         calls = []

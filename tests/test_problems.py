@@ -170,6 +170,16 @@ class TestNormConstrainedLogreg:
     def test_no_certificate(self):
         assert problem_norm_constrained_logreg(0, 1.0).certified_solution is None
 
+    @pytest.mark.parametrize("threshold", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # an infinite bound would make every violation -inf, a failure at the first roll
+        with pytest.raises(ValueError, match="threshold must be finite and > 0"):
+            problem_norm_constrained_logreg(0, threshold)
+
+    def test_non_integer_dim_rejected(self):
+        with pytest.raises(ValueError, match="dim must be an integer, got True"):
+            problem_norm_constrained_logreg(1, 1.0, dim=True)
+
 
 class TestBilinearGame:
     def test_lagrangian_value_at_start(self):
@@ -353,6 +363,15 @@ class TestTwoGaussianDataset:
         f1, l1 = two_gaussian_dataset(11, n_points=20, dim=3)
         f2, l2 = two_gaussian_dataset(11, n_points=20, dim=3)
         assert f1.tobytes() == f2.tobytes() and l1.tolist() == l2.tolist()
+
+    def test_non_integer_n_points_rejected(self):
+        with pytest.raises(ValueError, match="n_points must be an integer, got 2.5"):
+            two_gaussian_dataset(1, n_points=2.5)
+
+    def test_numpy_integer_sizes_accepted(self):
+        features, labels = two_gaussian_dataset(11, n_points=np.int64(20), dim=np.int32(3))
+        reference, _ = two_gaussian_dataset(11, n_points=20, dim=3)
+        assert features.tobytes() == reference.tobytes() and labels.shape == (20,)
 
 
 class TestEvaluationErrors:

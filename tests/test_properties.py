@@ -37,7 +37,7 @@ from lagrangekit.core import (
 )
 from lagrangekit.multipliers import _check_indices
 from lagrangekit.optim import SCHEMES
-from lagrangekit.problems import PROBLEM_NAMES, _logistic_loss_grad
+from lagrangekit.problems import PROBLEM_NAMES, _logistic_loss_grad, two_gaussian_dataset
 from test_checkpoint import _state_bytes
 
 _EDGE_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0])
@@ -164,11 +164,29 @@ def _logistic_inputs(draw):
     return features, labels, w, b
 
 
+def _alternating_labels(n):
+    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+
+# n in the thousands, so numpy's long-array ufunc loops are compared too
+_WIDE = np.append(np.linspace(-800.0, 800.0, 4097), [-0.0, 745.0, -745.0])  # 4097 holds 0.0
+_NEAR_ZERO = np.linspace(-2.0, 2.0, 6001)
+_NEAR_ZERO[3000] = -0.0
+_FIT_FEATURES, _FIT_LABELS = two_gaussian_dataset(0, n_points=10_000, dim=4)
+
+
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(_logistic_inputs())
 @example((np.array([[0.0], [-0.0], [800.0], [-800.0], [1.0]]),
           np.array([1.0, -1.0, 1.0, -1.0, -1.0]), np.array([1.0]), 0.0))
 @example((np.linspace(-2.0, 2.0, 41)[:, None], np.ones(41), np.array([1.0]), 0.0))
+@example((_WIDE[:, None], _alternating_labels(_WIDE.size), np.array([1.0]), 0.0))
+@example((_WIDE[:, None], np.ones(_WIDE.size), np.array([-1.0]), -0.0))
+@example((_NEAR_ZERO[:, None], _alternating_labels(_NEAR_ZERO.size), np.array([1.0]), 0.0))
+@example((np.column_stack([_WIDE, -_WIDE, _WIDE / 7.0]), _alternating_labels(_WIDE.size),
+          np.array([0.5, 0.25, 1.0]), -0.0))
+# mostly positive margins with a minority of negatives, as mid-way through a fit
+@example((_FIT_FEATURES, _FIT_LABELS, np.array([0.9, 0.7, 0.5, 0.3]), 0.01))
 def test_logistic_loss_grad_equals_two_pass_formula(inputs):
     # margins of both signs, exact zeros and |m| up to 800; equal bit for bit
     features, labels, w, b = inputs
@@ -177,6 +195,22 @@ def test_logistic_loss_grad_equals_two_pass_formula(inputs):
     assert _bits(loss) == _bits(ref_loss)
     assert grad_w.tobytes() == ref_grad_w.tobytes()
     assert _bits(grad_b) == _bits(ref_grad_b)
+
+
+def test_logistic_loss_grad_is_pure():
+    # the CLI's evaluator calls the oracle again at the same point and expects the same bits
+    features, labels = two_gaussian_dataset(3, n_points=2000, dim=5)
+    w = np.array([0.4, -0.3, 0.2, 0.0, -0.0])
+    inputs = (features, labels, w)
+    before = [arr.tobytes() for arr in inputs]
+    for arr in inputs:
+        arr.flags.writeable = False  # a write into an input raises
+    first = _logistic_loss_grad(features, labels, w, -0.25)
+    second = _logistic_loss_grad(features, labels, w, -0.25)
+    assert [arr.tobytes() for arr in inputs] == before
+    assert _bits(first[0]) == _bits(second[0]) and _bits(first[2]) == _bits(second[2])
+    assert first[1].tobytes() == second[1].tobytes()
+    assert first[1] is not second[1] and not np.shares_memory(first[1], w)
 
 
 def _parent_state_checks(indices):
