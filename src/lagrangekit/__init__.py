@@ -35,7 +35,6 @@ from .gradients import (
     with_finite_difference_gradient,
 )
 from .multipliers import (
-    DenseMultiplier,
     IndexedMultiplier,
     Multiplier,
     multiplier_values_for,
@@ -106,7 +105,6 @@ __all__ = [
     "finite_difference_gradient",
     "with_finite_difference_gradient",
     # multipliers
-    "DenseMultiplier",
     "IndexedMultiplier",
     "Multiplier",
     "multiplier_values_for",

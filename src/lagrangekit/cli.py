@@ -267,6 +267,9 @@ def cmd_run(config: RunConfig) -> int:
                 raise _ConfigError("checkpoint-every must be >= 1")
             if config.checkpoint_out is None:
                 raise _ConfigError("checkpoint-every requires checkpoint-out")
+        for flag, path in (("trace", config.trace), ("checkpoint-out", config.checkpoint_out)):
+            if path is not None and "\0" in str(path):  # open would reject it only mid-run
+                raise _ConfigError(f"{flag} path contains a null byte")
         problem = _build_problem(config)
         optimizers = _build_optimizers(config, problem)
         if config.checkpoint_in is not None:
@@ -425,7 +428,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(path) as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or JSON
             raise _ConfigError(f"cannot read config {path!r}: {exc}") from None
         if not isinstance(data, dict):
             raise _ConfigError("config file must hold a JSON object")

@@ -238,7 +238,7 @@ class ConstraintGroup:
         PenaltyCoefficient.
     indexed : bool
         Build an IndexedMultiplier (per-index update counters) instead of a
-        DenseMultiplier.
+        plain Multiplier.
     initial_multiplier : array_like, optional
         Initial multiplier values overriding the zero default.
 
@@ -285,9 +285,9 @@ class ConstraintGroup:
         penalty = self._checked_penalty(penalty)
         multiplier = None
         if formulation is not Formulation.QUADRATIC_PENALTY:
-            from .multipliers import DenseMultiplier, IndexedMultiplier
+            from .multipliers import IndexedMultiplier, Multiplier
 
-            cls = IndexedMultiplier if indexed else DenseMultiplier
+            cls = IndexedMultiplier if indexed else Multiplier
             multiplier = cls(size, constraint_type, values=initial_multiplier)
         self.__dict__.update(penalty=penalty, multiplier=multiplier)
 
@@ -400,6 +400,7 @@ class ConstrainedMinimizationProblem:
         self._dim = dim
         self._groups: dict[str, ConstraintGroup] = {}
         self._frozen = False
+        self._maxima = None
         self._adopt(np.zeros(dim) if x0 is None else self._check_point(x0).copy())
 
     @property
@@ -417,13 +418,11 @@ class ConstrainedMinimizationProblem:
     def _adopt(self, x: np.ndarray) -> None:
         """Commit checked x that nothing else holds, read-only, so evaluations may trust it.
 
-        Empties the caches that belong to the point being replaced:
-        ``optim.assemble``'s slot and the ``_violation_maxima`` of one state.
+        Touches no cache: a problem's caches are keyed by what they were
+        computed from (an evaluation, a state, the write stamp), never by x.
         """
         x.flags.writeable = False
         self._x = x
-        self._slot = None
-        self._maxima = None
 
     def _check_point(self, x) -> np.ndarray:
         """``x`` as a checked float vector of shape (dim,); may share memory with x."""
@@ -500,8 +499,8 @@ class ConstrainedMinimizationProblem:
     def _violation_maxima(self, state: CMPState) -> tuple[float, float]:
         """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none.
 
-        Cached for the last state asked for until the next commit: a trace
-        row and its KKT residual ask for the same one.
+        Cached for the last state asked for: a trace row and its KKT
+        residual ask for the same one.
         """
         cached = self._maxima
         if cached is not None and cached[0] is state:

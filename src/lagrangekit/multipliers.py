@@ -20,7 +20,6 @@ from .core import _note_write
 
 __all__ = [
     "Multiplier",
-    "DenseMultiplier",
     "IndexedMultiplier",
     "multiplier_values_for",
 ]
@@ -38,7 +37,7 @@ def _check_indices(indices, size: int) -> np.ndarray:
 
 
 class Multiplier:
-    """Common storage and update semantics for dual variables."""
+    """A dual-variable vector, updated in full or at explicit indices."""
 
     def __init__(self, size: int, constraint_type: ConstraintType, values=None):
         size = _as_size(size, "multiplier size")
@@ -158,10 +157,6 @@ class Multiplier:
         """Replace values wholesale (checkpoint restore); invariants still checked."""
         self._values = self._checked(values)
         _note_write()
-
-
-class DenseMultiplier(Multiplier):
-    """Plain multiplier vector, updated in full (or at explicit indices)."""
 
 
 class IndexedMultiplier(Multiplier):

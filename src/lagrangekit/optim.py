@@ -37,16 +37,15 @@ Each value is checked once, then trusted:
 - proposals before commit: x_new and each multiplier preview.
 
 What one evaluation yields is also computed once: the problem's slot holds
-one evaluation's checked blocks and its ``assemble`` record at the stored
-multipliers. ``assemble`` without ``multiplier_values`` fills the slot and
-serves a repeated call from it while the same evaluation object is asked
-for and the write stamp (``core._WRITES``, renewed by every multiplier
-commit or load and every group attribute assignment) has not moved; a call
-with ``multiplier_values`` neither reads nor writes it. Every commit,
-``set_x`` and checkpoint load empties the slot; alt-pd then refills it with
-the x_{t+1} blocks its dual pass checked. So in ``lagrangekit run`` the
-trace row's record at (x_{t+1}, m_{t+1}) is the next roll's record at
-(x_t, m_t).
+one evaluation object's checked blocks and its ``assemble`` record at the
+stored multipliers, the record valid while the write stamp (``core._WRITES``,
+renewed by every multiplier commit or load and penalty assignment) has not
+moved; neither reads x. ``assemble`` without overrides fills it; alt-pd
+stores the x_{t+1} blocks it checks. ``_blocks_for``, the one reader of
+oracle output, serves ``assemble``, alt-dp's roll and the KKT residual from
+it. So a trace row's record at (x_{t+1}, m_{t+1}) is the next roll's at
+(x_t, m_t): a traced n-step run checks oracle output n + 1 times (2n + 1
+under extragradient, whose x_hat is new each step).
 
 A dual preview of an indexed update holds only the addressed entries, and
 the commit writes them, and NuPI's buffer entries, in place: O(observed),
@@ -445,18 +444,17 @@ def assemble(
     any other entry whose id is not a registered group, or names a group
     without a multiplier, raises ``ValueError``.
 
-    At the stored multipliers the record is cached in the problem's slot
-    until the next commit: a second call with the same ``evaluation`` object
-    and no multiplier or penalty written in between returns the same record,
-    whose arrays and dicts are shared. Treat them, and the evaluation, as
-    read-only, like ``Multiplier.values``. A call with ``multiplier_values``
-    is neither served from the slot nor stored in it.
+    At the stored multipliers the record is cached in the problem's slot: a
+    second call with the same ``evaluation`` object and no multiplier or
+    penalty written in between returns the same record, whose arrays and
+    dicts are shared. Treat them, and the evaluation, as read-only, like
+    ``Multiplier.values``. A call with ``multiplier_values`` is neither
+    served from the slot nor stored in it; it takes the slot's blocks.
     """
-    # The slot, ``problem._slot``, is None or ``(evaluation, blocks, assembled,
-    # stamp)``: one evaluation's ``_checked_blocks`` and its record at the
-    # stored multipliers, valid while ``core._WRITES`` reads ``stamp`` (both
-    # None when alt-pd filled it). Only this module fills it; every commit of
-    # x empties it. The stamp is read first: a write that finishes while the
+    # The slot, ``problem._slot``, is absent or ``(evaluation, blocks,
+    # assembled, stamp)``: the blocks, and the record while ``core._WRITES``
+    # reads ``stamp`` (both None when alt-pd filled it). Only this module
+    # fills it. The stamp is read first: a write that finishes while the
     # record is computed leaves it stale.
     stamp = _WRITES[0]
     if multiplier_values is not None:
@@ -465,13 +463,11 @@ def assemble(
             for gid, values in multiplier_values.items()
             if values is not None
         }
-    slot = None if multiplier_values is not None else problem._slot
-    if slot is not None and slot[0] is evaluation:
-        _, blocks, assembled, slot_stamp = slot
-        if slot_stamp == stamp:
-            return assembled
     else:
-        blocks = _checked_blocks(problem, evaluation)
+        slot = getattr(problem, "_slot", None)
+        if slot is not None and slot[0] is evaluation and slot[3] == stamp:
+            return slot[2]
+    blocks = _blocks_for(problem, evaluation)
     gradient = _grad_f_copy(problem, evaluation)
     primal_lagrangian, dual_lagrangian, signals, indices, _ = _dual_pass(
         problem, evaluation, blocks, multiplier_values, gradient
@@ -496,6 +492,14 @@ def _override_group(problem: ConstrainedMinimizationProblem, gid):
     if group.multiplier is None:
         raise ValueError(f"multiplier_values: group {gid!r} has no multiplier")
     return group
+
+
+def _blocks_for(problem: ConstrainedMinimizationProblem, evaluation: Evaluation) -> list:
+    """``evaluation``'s checked blocks: the slot's if it holds that object, else checked now."""
+    slot = getattr(problem, "_slot", None)
+    if slot is not None and slot[0] is evaluation:
+        return slot[1]
+    return _checked_blocks(problem, evaluation)
 
 
 def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluation) -> list:
@@ -694,8 +698,8 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     """Primal step first, then the dual step on signals measured at x_{t+1}.
 
     Only the dual pass runs at x_{t+1}: its gradient would not be used. The
-    blocks it checked there go into the slot after the commit, for the next
-    ``assemble`` of that evaluation (the next roll's, or a trace row's).
+    blocks it checks there go into the slot, for the next ``assemble`` of
+    that evaluation (the next roll's, or a trace row's).
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
@@ -703,10 +707,10 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
     blocks = _checked_blocks(problem, ev_new)
+    problem._slot = (ev_new, blocks, None, None)
     _, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev_new, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    problem._slot = (ev_new, blocks, None, None)
     return _roll_out(ev.state, asm.primal_lagrangian, dual_lagrangian)
 
 
@@ -719,7 +723,7 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
-    blocks = _checked_blocks(problem, ev)  # the oracle output is checked once for both loops
+    blocks = _blocks_for(problem, ev)  # the oracle output is checked once for both loops
     primal_lagrangian, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
     gradient = _grad_f_copy(problem, ev)

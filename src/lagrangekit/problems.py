@@ -32,8 +32,9 @@ from .core import (
     _max_abs,
     _record,
 )
-from .formulations import PenaltyCoefficient
-from .gradients import DifferentiableFunction, _check_rows
+from .formulations import PenaltyCoefficient, _gathered
+from .gradients import DifferentiableFunction, _add_weighted_rows
+from .optim import _blocks_for, _checked_gradient, _grad_f_copy
 
 __all__ = [
     "ConstraintBlock",
@@ -201,35 +202,28 @@ def _split_concat(problem, vector, ctype, what):
 
 
 def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
-    """The residual at ``evaluation``; ``values_by_gid`` None means the stored multipliers."""
-    state = evaluation.state
-    stationarity_vec = np.array(evaluation.grad_f, dtype=np.float64)
-    if stationarity_vec.shape != (problem.dim,):
-        raise ValueError(f"grad_f shape {stationarity_vec.shape} != ({problem.dim},)")
+    """The residual at ``evaluation``; ``values_by_gid`` None means the stored multipliers.
+
+    Reads the oracle output as the rolls do, through ``optim._blocks_for``
+    (a trace row's blocks come from the slot), and composes grad_f + sum m J
+    with their helpers, so it makes their checks and none of its own.
+    """
+    gradient = _grad_f_copy(problem, evaluation)
     complementarity = 0.0
-    for gid, cstate in state.observed_constraints.items():
-        group = problem._checked_group(gid, cstate)
+    for gid, cstate, group, jacobian in _blocks_for(problem, evaluation):
         if values_by_gid is None:
             values = None if group.multiplier is None else group.multiplier.values
         else:
             values = values_by_gid.get(gid)
-        if values is None:
-            values = np.zeros(group.size)
-        values = np.asarray(values, dtype=np.float64)
-        if cstate.observed_indices is not None:
-            values = values[cstate.observed_indices]
-        jac = evaluation.jacobians.get(gid)
-        if jac is None:
-            raise ValueError(f"evaluation has no Jacobian for group {gid!r}")
-        jac = np.asarray(jac, dtype=np.float64)
-        if values.size:
-            _check_rows(jac, values.size, problem.dim)
-            stationarity_vec += np.dot(values, jac)
-        v = cstate.violation
-        if group.constraint_type is ConstraintType.INEQUALITY and v.size:
-            complementarity = max(complementarity, _max_abs(values * v))
-    feasibility = max(problem._violation_maxima(state))
-    stationarity = _max_abs(stationarity_vec) if stationarity_vec.size else 0.0
+        if values is None or not cstate.violation.size:
+            continue  # a zero or empty multiplier adds nothing
+        values = _gathered(values, cstate)
+        if gradient is not None:
+            _add_weighted_rows(gradient, values, jacobian)
+        if group.constraint_type is ConstraintType.INEQUALITY:
+            complementarity = max(complementarity, _max_abs(values * cstate.violation))
+    stationarity = _max_abs(_checked_gradient(problem, evaluation, gradient))
+    feasibility = max(problem._violation_maxima(evaluation.state))
     return KKTResidual(stationarity, feasibility, complementarity)
 
 
@@ -465,16 +459,19 @@ def problem_equality_qp(
     )
 
 
-def _logistic_loss_grad(features, labels, w, b):
-    # mean binary logistic loss with labels in {-1, +1}, stable via logaddexp
-    n = features.shape[0]
-    z = np.dot(features, w) + b
-    margins = labels * z
+def _logistic_loss(features, labels, w, b):
+    """Mean binary logistic loss, labels in {-1, +1}, plus the margins and tail it took."""
+    margins = labels * (np.dot(features, w) + b)
     # log(1 + e^-m) and log(1 + e^m) are the shared tail log(1 + e^-|m|) plus max(-m, 0)
     # or max(m, 0), bit for bit: numpy's logaddexp(0, t) makes that one log1p(exp(.))
     # call and adds 0 or t exactly, so one pass over |m| serves both signs
     tail = np.logaddexp(0.0, -np.abs(margins))
-    loss = np.add.reduce(tail + np.maximum(-margins, 0.0)) / n
+    return np.add.reduce(tail + np.maximum(-margins, 0.0)) / features.shape[0], margins, tail
+
+
+def _logistic_loss_grad(features, labels, w, b):
+    loss, margins, tail = _logistic_loss(features, labels, w, b)
+    n = features.shape[0]
     # gz = -labels * sigma(-margin) / n without overflow; one buffer, which timed faster at
     # n = 200 and n = 10 000 (the other temporaries did not)
     gz = np.maximum(margins, 0.0)
@@ -523,7 +520,8 @@ def problem_norm_constrained_logreg(
         return np.array([loss]), jac
 
     objective = DifferentiableFunction(
-        eval=lambda x: obj_val_jac(x)[0], val_jac=obj_val_jac, output_size=1, name="objective"
+        eval=lambda x: np.array([_logistic_loss(features, labels, *split(x))[0]]),
+        val_jac=obj_val_jac, output_size=1, name="objective",
     )
 
     norm = DifferentiableFunction(

@@ -550,7 +550,7 @@ def snapshots_equal(a, b):
 
 def test_acceptance_10_invariant_suites(capsys):
     from lagrangekit import (
-        DenseMultiplier,
+        Multiplier,
         assemble_lagrangian,
         group_contribution,
     )
@@ -561,7 +561,7 @@ def test_acceptance_10_invariant_suites(capsys):
     # projection idempotence
     ok = True
     for _ in range(100):
-        m = DenseMultiplier(4, INEQ)
+        m = Multiplier(4, INEQ)
         m.apply_dual_delta(rng.normal(size=4))
         # a zero delta only projects
         once = m.apply_dual_delta(np.zeros(4)).copy_values()

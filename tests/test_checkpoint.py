@@ -364,6 +364,50 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             checkpoint.load(path, problem, optimizers)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: lines + [next(line for line in lines if line.startswith("step="))],
+                "corrupt section 'step': duplicate key",
+            ),
+            (
+                lambda lines: [line for line in lines if not line.startswith("version=")],
+                "corrupt section 'version': missing",
+            ),
+            (
+                lambda lines: [line for line in lines if not line.startswith("signature=")],
+                "corrupt section 'signature': missing",
+            ),
+            (
+                lambda lines: [
+                    "groups.ball.multiplier=v 1 0x0p+0"
+                    if line == "groups.ball.multiplier=absent" else line
+                    for line in lines
+                ],
+                "corrupt section 'groups.ball.multiplier': group has no multiplier",
+            ),
+        ],
+        ids=["duplicate-key", "no-version", "no-signature", "multiplier-of-a-penalty-group"],
+    )
+    def test_malformed_file_rejected_with_state_untouched(self, tmp_path, edit, message):
+        def setup():
+            return ball_setup(formulation="quadratic_penalty", penalty=2.0)
+
+        path = tmp_path / "state.ckpt"
+        source, source_optimizers = setup()
+        for _ in range(2):
+            roll(source, source_optimizers)
+        checkpoint.save(source, source_optimizers, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        target, target_optimizers = setup()
+        roll(target, target_optimizers)
+        before = _state_bytes(target, target_optimizers)
+        with pytest.raises(CheckpointError) as info:
+            checkpoint.load(path, target, target_optimizers)
+        assert str(info.value) == message
+        assert _state_bytes(target, target_optimizers) == before
+
     def test_failed_save_leaves_no_file(self, tmp_path):
         problem, optimizers = ball_setup()
         missing_dir = tmp_path / "not" / "there" / "state.ckpt"

@@ -209,6 +209,43 @@ class TestConfigFile:
     def test_missing_config_file_rejected(self, capsys):
         assert run_cli("run", "--config", "/nonexistent/run.json") == 1
 
+    @staticmethod
+    def rejected(config, capsys, monkeypatch):
+        """The one stderr line of a run that exits 1 before its first roll."""
+        rolls = []
+        monkeypatch.setattr(cli, "roll", lambda *args, **kwargs: rolls.append(args))
+        assert run_cli("run", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert rolls == []
+        return captured.err
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"steps": 1, "trace": "\xff"}')
+        err = self.rejected(config, capsys, monkeypatch)
+        assert err.startswith(f"error: cannot read config {str(config)!r}: 'utf-8' codec")
+
+    def test_deeply_nested_config_exits_one(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.json"
+        config.write_text('{"kappa_p": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        err = self.rejected(config, capsys, monkeypatch)
+        assert err.startswith(f"error: cannot read config {str(config)!r}: maximum recursion")
+
+    @pytest.mark.parametrize(
+        "field, flag", [("trace", "trace"), ("checkpoint_out", "checkpoint-out")]
+    )
+    def test_null_byte_in_an_output_path_exits_one(
+        self, field, flag, tmp_path, capsys, monkeypatch
+    ):
+        # open would raise ValueError: the trace's before the first roll, the
+        # checkpoint's only after the last
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 2, field: str(tmp_path / "out\u0000.csv")}))
+        err = self.rejected(config, capsys, monkeypatch)
+        assert err == f"error: {flag} path contains a null byte\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -342,6 +379,21 @@ class TestCheckpointFlags:
     def test_checkpoint_every_requires_out(self, capsys):
         assert run_cli("run", "--steps", "2", "--checkpoint-every", "1") == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--steps", "0"], "steps must be >= 1, got 0"),
+            (["--checkpoint-every", "0"], "checkpoint-every must be >= 1"),
+        ],
+        ids=["steps", "checkpoint-every"],
+    )
+    def test_zero_count_exits_one_with_one_line(self, flags, message, tmp_path, capsys):
+        path = tmp_path / "state.ckpt"
+        assert run_cli("run", *flags, "--checkpoint-out", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not path.exists()
 
     def test_resume_reproduces_unbroken_trace(self, tmp_path):
         # one 40-step run against a 25-step leg checkpointed and resumed

@@ -105,7 +105,7 @@ class TestConstraintGroup:
         group = ConstraintGroup(
             name="g", constraint_type=EQ, size=2, indexed=indexed, initial_multiplier=[1.0, -2.0]
         )
-        cls = lk.IndexedMultiplier if indexed else lk.DenseMultiplier
+        cls = lk.IndexedMultiplier if indexed else lk.Multiplier
         assert type(group.multiplier) is cls
         assert group.multiplier.size == 2 and group.multiplier.constraint_type is EQ
         assert group.multiplier.values.tolist() == [1.0, -2.0]
@@ -140,7 +140,7 @@ class TestConstraintGroup:
         before = getattr(group, attr, None)
         stamp = lk.core._WRITES[0]
         with pytest.raises(AttributeError, match="only the penalty can be reassigned"):
-            setattr(group, attr, lk.DenseMultiplier(1, INEQ) if attr == "multiplier" else 2)
+            setattr(group, attr, lk.Multiplier(1, INEQ) if attr == "multiplier" else 2)
         assert getattr(group, attr, None) is before
         assert lk.core._WRITES[0] == stamp
 

@@ -11,9 +11,9 @@ from lagrangekit import (
     ConstraintGroup,
     ConstraintState,
     ConstraintType,
-    DenseMultiplier,
     EvaluationError,
     Formulation,
+    Multiplier,
     PenaltyCoefficient,
     assemble_lagrangian,
     group_contribution,
@@ -120,7 +120,7 @@ class TestLagrangianContribution:
         assert not np.shares_memory(pair.primal_weights, group.multiplier.values)
 
     def test_multiplier_object_is_gathered(self):
-        m = DenseMultiplier(3, INEQ)
+        m = Multiplier(3, INEQ)
         m.load_values([1.0, 2.0, 3.0])
         state = ConstraintState(violation=[0.5, 0.5], observed_indices=[2, 0])
         pair = group_contribution(lag_group(size=3), state, m)
@@ -316,7 +316,7 @@ class TestGroupContributionDispatch:
         with pytest.raises(ValueError, match="observed index 2 out of range for size 2"):
             group_contribution(group, indexed)
 
-    @pytest.mark.parametrize("override", [np.array([1.0]), DenseMultiplier(3, INEQ)])
+    @pytest.mark.parametrize("override", [np.array([1.0]), Multiplier(3, INEQ)])
     def test_multiplier_override_of_the_wrong_size_rejected(self, override):
         with pytest.raises(ValueError, match=r"multiplier values shape \((1|3),\) != \(2,\)"):
             group_contribution(al_group(size=2), ConstraintState(violation=[1.0, 2.0]), override)

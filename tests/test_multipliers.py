@@ -8,7 +8,6 @@ from lagrangekit import (
     ConstraintGroup,
     ConstraintState,
     ConstraintType,
-    DenseMultiplier,
     EvaluationError,
     GradientAscent,
     IndexedMultiplier,
@@ -24,21 +23,21 @@ EQ = ConstraintType.EQUALITY
 
 class TestProject:
     def test_inequality_clips_negatives(self):
-        m = DenseMultiplier(2, INEQ)
+        m = Multiplier(2, INEQ)
         m.load_values([1.0, 2.0])
         # drive a negative entry in via a delta, then check the clip
         m.apply_dual_delta(np.array([-3.0, 0.0]))
         assert m.values.tolist() == [0.0, 2.0]
 
     def test_equality_multiplier_unconstrained(self):
-        m = DenseMultiplier(1, EQ)
+        m = Multiplier(1, EQ)
         m.load_values([-3.0])
         assert m.apply_dual_delta(np.zeros(1)).values.tolist() == [-3.0]
 
     def test_idempotence_over_random_values(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            m = DenseMultiplier(4, INEQ)
+            m = Multiplier(4, INEQ)
             m.apply_dual_delta(rng.normal(size=4))
             # a zero delta only projects
             once = m.apply_dual_delta(np.zeros(4)).copy_values()
@@ -48,7 +47,7 @@ class TestProject:
 
 class TestApplyDualDelta:
     def test_dense_inequality_clips_at_zero(self):
-        m = DenseMultiplier(1, INEQ)
+        m = Multiplier(1, INEQ)
         m.load_values([1.0])
         m.apply_dual_delta(np.array([-2.0]))
         assert m.values.tolist() == [0.0]
@@ -61,7 +60,7 @@ class TestApplyDualDelta:
         assert m.update_count.tolist() == [1, 0, 1]
 
     def test_dense_equality_goes_negative(self):
-        m = DenseMultiplier(1, EQ)
+        m = Multiplier(1, EQ)
         m.apply_dual_delta(np.array([-0.7]))
         assert m.values.tolist() == [-0.7]
 
@@ -74,7 +73,7 @@ class TestApplyDualDelta:
         "indices", [[1.5], [True], np.array([2.9])], ids=["fractional", "bool", "array"]
     )
     def test_non_integer_indices_rejected(self, indices):
-        m = DenseMultiplier(3, INEQ)
+        m = Multiplier(3, INEQ)
         with pytest.raises(ValueError, match="integers"):
             m.preview_delta(np.array([1.0]), indices=indices)
         with pytest.raises(ValueError, match="integers"):
@@ -96,12 +95,12 @@ class TestApplyDualDelta:
             m.apply_dual_delta(np.array([1.0, 1.0]), indices=np.array([1, 1]))
 
     def test_delta_length_must_match(self):
-        m = DenseMultiplier(3, INEQ)
+        m = Multiplier(3, INEQ)
         with pytest.raises(ValueError):
             m.apply_dual_delta(np.array([1.0]))
 
     def test_non_finite_delta_rejected_without_mutation(self):
-        m = DenseMultiplier(2, INEQ)
+        m = Multiplier(2, INEQ)
         m.load_values([1.0, 2.0])
         with pytest.raises(EvaluationError):
             m.apply_dual_delta(np.array([np.nan, 0.0]))
@@ -110,7 +109,7 @@ class TestApplyDualDelta:
     def test_nonnegativity_preserved_under_random_sequences(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            m = DenseMultiplier(3, INEQ)
+            m = Multiplier(3, INEQ)
             for _ in range(10):
                 m.apply_dual_delta(rng.normal(scale=2.0, size=3))
                 assert m.values.min() >= 0.0
@@ -118,7 +117,7 @@ class TestApplyDualDelta:
 
 class TestPreviewDelta:
     def test_preview_does_not_mutate(self):
-        m = DenseMultiplier(2, INEQ)
+        m = Multiplier(2, INEQ)
         m.load_values([1.0, 1.0])
         preview = m.preview_delta(np.array([0.5, -3.0]))
         assert preview.tolist() == [1.5, 0.0]
@@ -134,13 +133,13 @@ class TestPreviewDelta:
 
 class TestMultiplierValuesFor:
     def test_gather_by_observed_indices(self):
-        m = DenseMultiplier(3, INEQ)
+        m = Multiplier(3, INEQ)
         m.load_values([1.0, 2.0, 3.0])
         state = ConstraintState(violation=[0.0, 0.0], observed_indices=[2, 0])
         assert multiplier_values_for(state, m).tolist() == [3.0, 1.0]
 
     def test_absent_indices_full_copy(self):
-        m = DenseMultiplier(3, INEQ)
+        m = Multiplier(3, INEQ)
         m.load_values([1.0, 2.0, 3.0])
         state = ConstraintState(violation=[0.0, 0.0, 0.0])
         got = multiplier_values_for(state, m)
@@ -149,7 +148,7 @@ class TestMultiplierValuesFor:
         assert m.values[0] == 1.0
 
     def test_out_of_range_index_rejected(self):
-        m = DenseMultiplier(3, INEQ)
+        m = Multiplier(3, INEQ)
         state = ConstraintState(violation=[0.0], observed_indices=[5])
         with pytest.raises(ValueError):
             multiplier_values_for(state, m)
@@ -157,24 +156,23 @@ class TestMultiplierValuesFor:
 
 class TestInitialization:
     def test_starts_at_exact_zero(self):
-        assert DenseMultiplier(4, INEQ).values.tolist() == [0.0] * 4
+        assert Multiplier(4, INEQ).values.tolist() == [0.0] * 4
 
     def test_override_at_construction(self):
-        m = DenseMultiplier(2, EQ, values=[1.5, -2.0])
+        m = Multiplier(2, EQ, values=[1.5, -2.0])
         assert m.values.tolist() == [1.5, -2.0]
 
     def test_negative_initial_inequality_rejected(self):
         with pytest.raises(ValueError):
-            DenseMultiplier(1, INEQ, values=[-1.0])
+            Multiplier(1, INEQ, values=[-1.0])
 
     @pytest.mark.parametrize("size", [2.5, 2.0, True], ids=repr)
     def test_non_integer_size_rejected(self, size):
         with pytest.raises(ValueError, match=f"multiplier size must be an integer, got {size!r}"):
-            DenseMultiplier(size, INEQ)
-        assert DenseMultiplier(np.int32(2), INEQ).size == 2
+            Multiplier(size, INEQ)
+        assert Multiplier(np.int32(2), INEQ).size == 2
 
     def test_base_class_is_shared(self):
-        assert isinstance(DenseMultiplier(1, INEQ), Multiplier)
         assert isinstance(IndexedMultiplier(1, INEQ), Multiplier)
 
 
@@ -182,7 +180,7 @@ class TestDenseIndexedEquivalence:
     def test_full_observation_trajectories_bitwise_identical(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            dense = DenseMultiplier(3, INEQ)
+            dense = Multiplier(3, INEQ)
             indexed = IndexedMultiplier(3, INEQ)
             all_idx = np.arange(3)
             for _ in range(20):

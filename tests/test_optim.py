@@ -189,18 +189,18 @@ class TestAdamLike:
 
 class TestGradientAscent:
     def test_delta_is_rate_times_signal(self):
-        m = lk.DenseMultiplier(1, INEQ, values=[1.0])
+        m = lk.Multiplier(1, INEQ, values=[1.0])
         ascend(GradientAscent(0.1), m, np.array([0.5]))
         assert m.values.tolist() == [1.05]
 
     def test_projection_applied_after_delta(self):
-        m = lk.DenseMultiplier(1, INEQ, values=[0.5])
+        m = lk.Multiplier(1, INEQ, values=[0.5])
         ascend(GradientAscent(1.0), m, np.array([-2.0]))
         assert m.values.tolist() == [0.0]
 
     def test_signal_length_validated(self):
         # the optimizer rejects a signal of the wrong length, the multiplier a delta
-        m = lk.DenseMultiplier(2, INEQ)
+        m = lk.Multiplier(2, INEQ)
         with pytest.raises(ValueError, match=r"dual signal shape \(1,\) != \(2,\)"):
             ascend(GradientAscent(0.1), m, np.array([1.0]))
         with pytest.raises(ValueError, match="delta length"):
@@ -208,7 +208,7 @@ class TestGradientAscent:
 
     def test_non_finite_signal_rejected(self):
         # the multiplier rejects the non-finite value the delta would leave
-        m = lk.DenseMultiplier(1, INEQ)
+        m = lk.Multiplier(1, INEQ)
         with pytest.raises(EvaluationError):
             ascend(GradientAscent(0.1), m, np.array([np.inf]))
         assert m.values.tolist() == [0.0]
@@ -244,8 +244,8 @@ class TestNuPI:
         for nu in (0.0, 0.5, 0.9):
             for _ in range(34):
                 signals = rng.normal(size=(15, 3))
-                m_pi = lk.DenseMultiplier(3, INEQ)
-                m_ga = lk.DenseMultiplier(3, INEQ)
+                m_pi = lk.Multiplier(3, INEQ)
+                m_ga = lk.Multiplier(3, INEQ)
                 pi = NuPI(0.05, kappa_p=0.0, nu=nu)
                 ga = GradientAscent(0.05)
                 for e in signals:
@@ -259,7 +259,7 @@ class TestNuPI:
         #   e=1:  ema 1 -> 1,     delta = lr*(1 + (1 - 1))      = lr*1
         #   e=2:  ema 1 -> 1.5,   delta = lr*(2 + (1.5 - 1))    = lr*2.5
         #   e=-1: ema 1.5 -> .25, delta = lr*(-1 + (.25 - 1.5)) = lr*(-2.25)
-        m = lk.DenseMultiplier(1, ConstraintType.EQUALITY)
+        m = lk.Multiplier(1, ConstraintType.EQUALITY)
         opt = NuPI(0.1, kappa_p=1.0, nu=0.5)
         for e in (1.0, 2.0, -1.0):
             ascend(opt, m, np.array([e]))
@@ -330,6 +330,32 @@ def test_load_buffer_state_takes_an_infinite_adam_second_moment():
     other = AdamLike(0.1)
     other.load_buffer_state(optimizer.buffer_state())
     assert other.v.tolist() == [np.inf, optimizer.v[1]]
+
+
+@pytest.mark.parametrize(
+    "optimizer, state, message",
+    [
+        (Momentum(0.1), {"v": None}, "momentum: expected buffers ['velocity'], got ['v']"),
+        (NuPI(0.1), {"ema": None}, "nupi: expected buffers ['ema', 'seen'], got ['ema']"),
+        (GradientDescent(0.1), {"velocity": None}, "gd: expected buffers [], got ['velocity']"),
+    ],
+    ids=["momentum", "nupi", "gd"],
+)
+def test_load_buffer_state_rejects_other_keys(optimizer, state, message):
+    before = optimizer.buffer_state()
+    with pytest.raises(ValueError) as info:
+        optimizer.load_buffer_state(state)
+    assert str(info.value) == message
+    assert optimizer.buffer_state() == before
+
+
+def test_nupi_buffer_of_another_size_rejected():
+    dual = NuPI(0.1)
+    dual.load_buffer_state({"ema": np.zeros(3), "seen": np.zeros(3, dtype=bool)})
+    with pytest.raises(ValueError) as info:
+        dual.step(np.array([0.5, 0.5]), None, 2)
+    assert str(info.value) == "nupi buffer size 3 != multiplier size 2"
+    assert dual.ema.tolist() == [0.0] * 3
 
 
 class TestMakeDualOptimizers:
@@ -788,6 +814,57 @@ class SubsetBoxProblem(lk.ConstrainedMinimizationProblem):
         )
 
 
+class FullBoxProblem(lk.ConstrainedMinimizationProblem):
+    """Three box constraints x_i <= 1, all observed at every evaluation."""
+
+    def __init__(self, indexed):
+        super().__init__(3, x0=[2.0, 3.0, 4.0])
+        self.register_group(ConstraintGroup("box", INEQ, 3, indexed=indexed))
+        self.freeze_registration()
+
+    def evaluate_with_gradients(self, x):
+        state = lk.CMPState(loss=float(0.5 * x @ x), observed_constraints={
+            "box": ConstraintState(violation=x - 1.0)
+        })
+        return lk.Evaluation(state=state, grad_f=x.copy(), jacobians={"box": np.eye(3)})
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_indexed_group_observed_in_full_rolls_like_a_plain_one(scheme):
+    # a full observation commits the whole vector: IndexedMultiplier._store with no indices
+    trajectories = []
+    for indexed in (False, True):
+        problem = FullBoxProblem(indexed)
+        optimizers = PrimalDualOptimizers(
+            primal=GradientDescent(0.1), duals=make_dual_optimizers(problem, lambda: NuPI(0.3))
+        )
+        multiplier = problem.group("box").multiplier
+        trajectory = []
+        for step in range(1, 6):
+            roll(problem, optimizers, scheme=scheme)
+            buffers = optimizers.duals["box"].buffer_state()
+            trajectory.append((
+                problem.x.tobytes(), multiplier.values.tobytes(),
+                buffers["ema"].tobytes(), buffers["seen"].tobytes(),
+            ))
+            if indexed:
+                assert multiplier.update_count.tolist() == [step] * 3
+        trajectories.append(trajectory)
+    assert trajectories[0] == trajectories[1]
+    assert multiplier.values.min() > 0.0
+
+
+def test_roll_without_a_dual_optimizer_for_a_group_rejected():
+    problem = problem_projection_ball(np.array([3.0, 4.0]))
+    optimizers = PrimalDualOptimizers(primal=GradientDescent(0.1))
+    for scheme in SCHEMES:
+        with pytest.raises(ValueError) as info:
+            roll(problem, optimizers, scheme=scheme)
+        assert str(info.value) == "no dual optimizer bound for group 'ball'"
+    assert problem.x.tolist() == [0.0, 0.0] and optimizers.step == 0
+    assert problem.group("ball").multiplier.values.tolist() == [0.0]
+
+
 class TestUnobservedGroupFreeze:
     def test_only_observed_indices_move(self):
         problem = SubsetBoxProblem()
@@ -1163,7 +1240,8 @@ class TestAssembleSlot:
     """``assemble`` serves a repeated call on one evaluation from the problem's slot.
 
     A hit needs the same ``Evaluation`` object and no write in between: a
-    multiplier commit or load, a group's penalty assigned, or a commit of x (``set_x``, a roll, a checkpoint load) emptying the slot.
+    multiplier commit or load, or a group's penalty assigned. x is no key of
+    the slot, so ``set_x`` alone keeps the record.
     """
 
     @staticmethod
@@ -1206,9 +1284,12 @@ class TestAssembleSlot:
         first = lk.assemble(problem, ev)
         self.WRITES[write](problem, tmp_path)
         second = lk.assemble(problem, ev)
-        assert second is not first
         assert _assembled_bytes(second) == _assembled_bytes(self.fresh(problem, ev))
-        if write != "set_x":  # the others change what ev assembles to
+        if write == "set_x":
+            # ev assembles to the same record at any x: the slot keeps it
+            assert second is first
+        else:  # the others change what ev assembles to
+            assert second is not first
             assert _assembled_bytes(second) != _assembled_bytes(first)
 
     def test_no_write_returns_the_same_record(self):
@@ -1353,6 +1434,45 @@ class TestAssembleSlot:
             "_checked_blocks": n + 1, "_dual_pass": n + 1, "composing": n + 1,
             "_checked_gradient": n + 1, "maxima": n,
         }
+
+    def test_traced_alt_dp_run_takes_the_row_blocks(self, monkeypatch, tmp_path, capsys):
+        n = 7
+        counts = self.counted_run(monkeypatch, tmp_path, "alt-dp", n)
+        # each roll's dual pass at m_t reads the blocks of the row before it and
+        # composes at m_{t+1} in a loop of its own; each row assembles at m_{t+1}
+        assert counts == {
+            "_checked_blocks": n + 1, "_dual_pass": 2 * n, "composing": n,
+            "_checked_gradient": 2 * n, "maxima": n,
+        }
+
+    def test_traced_extragradient_run_checks_x_hat_afresh(self, monkeypatch, tmp_path, capsys):
+        n = 7
+        counts = self.counted_run(monkeypatch, tmp_path, "extragradient", n)
+        # the row's record is the next roll's at (x_t, m_t); x_hat is a new
+        # evaluation at overridden multipliers, checked and assembled each step
+        assert counts == {
+            "_checked_blocks": 2 * n + 1, "_dual_pass": 2 * n + 1, "composing": 2 * n + 1,
+            "_checked_gradient": 2 * n + 1, "maxima": n,
+        }
+
+    def test_trace_row_kkt_residual_takes_the_slot_blocks(self, monkeypatch):
+        problem, optimizers = self.setup()
+        roll(problem, optimizers)
+        checks = []
+        original = lk.optim._checked_blocks
+        monkeypatch.setattr(
+            lk.optim, "_checked_blocks", lambda *args: checks.append(args) or original(*args)
+        )
+        evaluate = cli._evaluator(problem)
+        row, figures = cli._trace_row(problem, optimizers, evaluate)
+        ev = evaluate(problem.x)
+        assert len(checks) == 1 and checks[0][1] is ev  # the row's assemble, not its KKT
+        assert lk.current_kkt_residual(problem, ev) == figures["kkt"]
+        assert len(checks) == 1
+        # an evaluation of the same point that the slot does not hold is checked afresh
+        other = problem.evaluate_with_gradients(problem.x)
+        assert lk.current_kkt_residual(problem, other) == figures["kkt"]
+        assert len(checks) == 2 and checks[1][1] is other
 
 
 class TestIndexedGathers:

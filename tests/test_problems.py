@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lagrangekit as lk
 from lagrangekit import (
     Evaluation,
     EvaluationError,
@@ -170,6 +171,16 @@ class TestNormConstrainedLogreg:
     def test_no_certificate(self):
         assert problem_norm_constrained_logreg(0, 1.0).certified_solution is None
 
+    @pytest.mark.parametrize("n_points", [200, 10_000])
+    def test_objective_values_are_the_loss_alone(self, n_points, monkeypatch):
+        # eval stops after the loss; its bits are val_jac's
+        problem = problem_norm_constrained_logreg(3, 1.0, dim=20, n_points=n_points)
+        x = normal_stream(11, problem.dim) * 0.5
+        values, _ = problem.objective.val_jac(x)
+        monkeypatch.setattr(lk.problems, "_logistic_loss_grad", None)
+        assert problem.objective.eval(x).tobytes() == values.tobytes()
+        assert problem.compute_cmp_state(x).loss == float(values[0])
+
     @pytest.mark.parametrize("threshold", [np.inf, -np.inf, np.nan, 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
         # an infinite bound would make every violation -inf, a failure at the first roll
@@ -277,6 +288,36 @@ class TestKKTResidual:
         with pytest.raises(ValueError) as info:
             current_kkt_residual(problem, bad)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("m", [0.0, 0.5])
+    def test_non_finite_jacobian_names_its_group(self, m, monkeypatch):
+        # assemble's check: a product with m = 0 would drop the NaN row (BLAS skips zero weights)
+        problem = problem_projection_ball(np.array([3.0, 4.0]))
+        problem.group("ball").multiplier.load_values([m])
+        ev = problem.evaluate_with_gradients(problem.x)
+        jacobians = {"ball": np.array([[np.nan, 0.0]])}
+        bad = Evaluation(state=ev.state, grad_f=ev.grad_f, jacobians=jacobians)
+        monkeypatch.setattr(problem, "evaluate_with_gradients", lambda x: bad)
+        for residual in (
+            lambda: current_kkt_residual(problem, bad),
+            lambda: current_kkt_residual(problem),
+            lambda: kkt_residual(problem, problem.x, np.array([m])),
+        ):
+            with pytest.raises(EvaluationError) as info:
+                residual()
+            assert str(info.value) == "non-finite Jacobian for group 'ball'"
+            assert info.value.group_id == "ball"
+        with pytest.raises(EvaluationError, match="non-finite Jacobian for group 'ball'"):
+            assemble(problem, bad)
+
+    def test_non_finite_objective_gradient_rejected(self):
+        problem = problem_projection_ball(np.array([3.0, 4.0]))
+        ev = problem.evaluate_with_gradients(problem.x)
+        bad = Evaluation(state=ev.state, grad_f=np.array([np.inf, 0.0]), jacobians=ev.jacobians)
+        with pytest.raises(EvaluationError) as info:
+            current_kkt_residual(problem, bad)
+        assert str(info.value) == "non-finite objective gradient"
+        assert info.value.group_id is None
 
     def test_quadratic_penalty_problems_use_zero_multipliers(self):
         problem = problem_projection_ball(
