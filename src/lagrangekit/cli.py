@@ -109,8 +109,10 @@ def _check_config_types(data: dict) -> None:
         expected = [_TYPE_NAMES[kind] for kind in kinds]
         if name == "a":
             expected.append("a list of numbers")
+        got = json.dumps(value)  # cut, so that a long list cannot flood the error line
         raise _ConfigError(
-            f"config field {name!r} must be {' or '.join(expected)}, got {json.dumps(value)}"
+            f"config field {name!r} must be {' or '.join(expected)}, got "
+            f"{got if len(got) <= 60 else got[:57] + '...'}"
         )
 
 

@@ -74,7 +74,7 @@ class DifferentiableFunction:
         return out
 
     def _checked_jacobian(self, J, dim: int) -> np.ndarray:
-        J = np.asarray(J, dtype=np.float64)
+        J = np.asarray(J, dtype=np.float64, order="C")  # the layout the rolls' row products read
         if J.shape != (self.output_size, dim):
             raise ValueError(
                 f"{self.name or 'function'}: Jacobian shape {J.shape}, "

@@ -20,10 +20,9 @@ Each value is checked once, then trusted:
 - a group's multiplier and penalty by the group, when it is built and when
   its penalty is reassigned; the passes read both unchecked. Overrides a
   caller passes to ``assemble`` (``multiplier_values``) are checked on entry;
-- oracle output once per evaluation: x, loss and violations with the
-  evaluation; then ``_checked_blocks``, one pass before any formula, checks
-  each group's size or index range and each Jacobian (present, finite,
-  (k, dim) unless k = 0);
+- oracle output once per evaluation: x, loss and violations with it; Jacobians
+  where a ``BenchmarkProblem``'s oracles return them, else in ``_checked_blocks``
+  with each group's fit (present, finite, (k, dim) unless k = 0);
 - what one loop over the blocks, ``_dual_pass``, derives at given
   multipliers: the primal Lagrangian, a dual signal c * v and, on a copy of
   grad_f whose shape is compared, the composed gradient (checked after the
@@ -40,12 +39,12 @@ What one evaluation yields is also computed once: the problem's slot holds
 one evaluation object's checked blocks and its ``assemble`` record at the
 stored multipliers, the record valid while the write stamp (``core._WRITES``,
 renewed by every multiplier commit or load and penalty assignment) has not
-moved; neither reads x. ``assemble`` without overrides fills it; alt-pd
-stores the x_{t+1} blocks it checks. ``_blocks_for``, the one reader of
-oracle output, serves ``assemble``, alt-dp's roll and the KKT residual from
-it. So a trace row's record at (x_{t+1}, m_{t+1}) is the next roll's at
-(x_t, m_t): a traced n-step run checks oracle output n + 1 times (2n + 1
-under extragradient, whose x_hat is new each step).
+moved; neither reads x. ``_store_blocks`` puts blocks there with no record
+(a ``BenchmarkProblem`` evaluation, which arrives checked; alt-pd's x_{t+1});
+``assemble`` without overrides adds the record. ``_blocks_for`` serves the
+rolls and the KKT residual from it, and checks any evaluation it does not hold:
+so no roll re-checks a library evaluation, a trace row's record at (x_{t+1},
+m_{t+1}) is the next roll's at (x_t, m_t), and a user's is checked once.
 
 A dual preview of an indexed update holds only the addressed entries, and
 the commit writes them, and NuPI's buffer entries, in place: O(observed),
@@ -453,9 +452,9 @@ def assemble(
     """
     # The slot, ``problem._slot``, is absent or ``(evaluation, blocks,
     # assembled, stamp)``: the blocks, and the record while ``core._WRITES``
-    # reads ``stamp`` (both None when alt-pd filled it). Only this module
-    # fills it. The stamp is read first: a write that finishes while the
-    # record is computed leaves it stale.
+    # reads ``stamp`` (both None when ``_store_blocks`` filled it: a library
+    # evaluation, alt-pd's x_{t+1}). The stamp is read first: a write that
+    # finishes while the record is computed leaves it stale.
     stamp = _WRITES[0]
     if multiplier_values is not None:
         multiplier_values = {
@@ -502,12 +501,19 @@ def _blocks_for(problem: ConstrainedMinimizationProblem, evaluation: Evaluation)
     return _checked_blocks(problem, evaluation)
 
 
+def _store_blocks(problem: ConstrainedMinimizationProblem, evaluation, blocks: list) -> None:
+    problem._slot = (evaluation, blocks, None, None)
+
+
+def _jacobian_error(gid: str) -> EvaluationError:
+    return EvaluationError(f"non-finite Jacobian for group {gid!r}", group_id=gid)
+
+
 def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluation) -> list:
     """``(gid, state, group, jacobian)`` per observed group, once the oracle output checks out.
 
-    The checks that do not depend on multipliers, made once per evaluation:
-    each group's fit, and its Jacobian's presence, finiteness and (k, dim)
-    shape (none for an empty observation), as C-contiguous float64.
+    Each group's fit, and its Jacobian's presence, finiteness and (k, dim) shape
+    (none for an empty observation), as C-contiguous float64; once per evaluation.
     """
     blocks = []
     for gid, cstate in evaluation.state.observed_constraints.items():
@@ -517,7 +523,7 @@ def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluat
             raise ValueError(f"evaluation has no Jacobian for group {gid!r}")
         jacobian = np.ascontiguousarray(jacobian, dtype=np.float64)
         if not _all_finite(jacobian):
-            raise EvaluationError(f"non-finite Jacobian for group {gid!r}", group_id=gid)
+            raise _jacobian_error(gid)
         if cstate.violation.size:
             _check_rows(jacobian, cstate.violation.size, problem.dim)
         blocks.append((gid, cstate, group, jacobian))
@@ -697,17 +703,16 @@ def _roll_simultaneous(problem, optimizers, evaluate) -> RollOut:
 def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     """Primal step first, then the dual step on signals measured at x_{t+1}.
 
-    Only the dual pass runs at x_{t+1}: its gradient would not be used. The
-    blocks it checks there go into the slot, for the next ``assemble`` of
-    that evaluation (the next roll's, or a trace row's).
+    Only the dual pass runs at x_{t+1}: its gradient would not be used. Its
+    blocks there go into the slot, for the next roll's or trace row's ``assemble``.
     """
     evaluate = _resolve_evaluate(problem, evaluate)
     ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
-    blocks = _checked_blocks(problem, ev_new)
-    problem._slot = (ev_new, blocks, None, None)
+    blocks = _blocks_for(problem, ev_new)
+    _store_blocks(problem, ev_new, blocks)
     _, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev_new, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)

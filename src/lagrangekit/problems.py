@@ -34,7 +34,7 @@ from .core import (
 )
 from .formulations import PenaltyCoefficient, _gathered
 from .gradients import DifferentiableFunction, _add_weighted_rows
-from .optim import _blocks_for, _checked_gradient, _grad_f_copy
+from .optim import _blocks_for, _checked_gradient, _grad_f_copy, _jacobian_error, _store_blocks
 
 __all__ = [
     "ConstraintBlock",
@@ -117,6 +117,11 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
         self._block_by_gid = {}
         self._all_rows = {}  # per indexed group: its full, read-only observed_indices
         for block in self.blocks:
+            if block.function.output_size != block.group.size:  # so each evaluation fits
+                raise ValueError(
+                    f"group {block.group.name!r}: oracle output size "
+                    f"{block.function.output_size} != group size {block.group.size}"
+                )
             gid = self.register_group(block.group)
             self._block_by_gid[gid] = block
             if block.group.indexed:
@@ -160,17 +165,25 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
         return CMPState._trusted(loss, observed)
 
     def evaluate_with_gradients(self, x) -> Evaluation:
+        """Evaluation at x, stored in the slot with its blocks; raises on a non-finite Jacobian."""
         if x is not self._x:  # the committed x is read-only and was checked when stored
             x = self._check_point(x)
         obj_values, obj_jac = self.objective.value_and_jacobian(x)
         observed = {}
         jacobians = {}
+        blocks = []
         for gid, block in self._block_by_gid.items():
             values, jac = block.function.value_and_jacobian(x)
-            observed[gid] = self._observed(block, values, x)
+            observed[gid] = cstate = self._observed(block, values, x)
             jacobians[gid] = jac
+            blocks.append((gid, cstate, block.group, jac))
         state = CMPState._trusted(float(obj_values[0]), observed)
-        return _record(Evaluation, {"state": state, "grad_f": obj_jac[0], "jacobians": jacobians})
+        for gid, _, _, jac in blocks:  # after the state, whose errors come first
+            if not _all_finite(jac):
+                raise _jacobian_error(gid)
+        ev = _record(Evaluation, {"state": state, "grad_f": obj_jac[0], "jacobians": jacobians})
+        _store_blocks(self, ev, blocks)
+        return ev
 
     def oracle_functions(self) -> dict:
         """Named differentiable oracles for gradient checking."""

@@ -271,6 +271,21 @@ class TestConfigFile:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "text",
+        ["[" + "0, " * 99_999 + "0]", "[" * 600 + "0" + "]" * 600],
+        ids=["100000-entry-list", "600-deep-list"],
+    )
+    def test_mistyped_long_value_is_cut_in_its_error_line(
+        self, text, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "run.json"
+        config.write_text('{"kappa_p": ' + text + "}")
+        err = self.rejected(config, capsys, monkeypatch)
+        assert err.startswith("error: config field 'kappa_p' must be a number, got ")
+        assert len(err.encode()) <= 200
+        assert err.endswith("...\n")
+
+    @pytest.mark.parametrize(
         "data",
         [{"lr_primal": 1}, {"a": [3, 4]}, {"a": "3,4"}, {"checkpoint_every": None}],
         ids=json.dumps,

@@ -723,6 +723,51 @@ class TestRollAtomicity:
         assert info.value.group_id == group_id
         assert self.snapshot(problem, optimizers) == before
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_non_finite_jacobian_raises_in_the_problems_evaluation(self, scheme):
+        parts = dict(self.CLEAN)
+        problem = self.fault_problem(parts)
+        optimizers = PrimalDualOptimizers(
+            primal=Momentum(2.0, beta=0.9),
+            duals=make_dual_optimizers(problem, lambda: NuPI(2.0)),
+        )
+        for _ in range(2):
+            roll(problem, optimizers, scheme=scheme)
+        before = self.snapshot(problem, optimizers)
+        parts["eq_jac"] = [[np.inf, 0.0]]
+        raised = []
+
+        def evaluate(x):
+            try:
+                return problem.evaluate_with_gradients(x)
+            except EvaluationError as exc:
+                raised.append(exc)
+                raise
+
+        with pytest.raises(EvaluationError) as info:
+            roll(problem, optimizers, scheme=scheme, evaluate=evaluate)
+        assert str(info.value) == "non-finite Jacobian for group 'eq'"
+        assert info.value.group_id == "eq"
+        assert raised == [info.value]  # the evaluation raised it, not a check in the roll
+        assert self.snapshot(problem, optimizers) == before
+
+    @pytest.mark.parametrize(
+        "earlier, group_id, message",
+        [
+            ({"loss": np.nan}, None, "non-finite loss nan"),
+            ({"al": [-0.5, np.inf, -0.5]}, "al", "non-finite constraint violation"),
+            ({"ineq_strict": [np.nan]}, "ineq", "non-finite strict violation"),
+        ],
+        ids=["loss", "later-violation", "strict-violation"],
+    )
+    def test_state_errors_come_before_a_jacobian_error(self, earlier, group_id, message):
+        # the first group's Jacobian is non-finite; the state's errors still win
+        problem = self.fault_problem(dict(self.CLEAN, ineq_jac=[[np.nan, 0.0]], **earlier))
+        with pytest.raises(EvaluationError) as info:
+            problem.evaluate_with_gradients(problem.x)
+        assert str(info.value) == message
+        assert info.value.group_id == group_id
+
 
 class TestGroupFitCheck:
     """The public per-group path and every roll reject a state that does not fit its group."""
@@ -1385,12 +1430,18 @@ class TestAssembleSlot:
         assert runs[0] == runs[1]
 
     @staticmethod
-    def counted_run(monkeypatch, tmp_path, scheme, steps):
+    def counted_run(monkeypatch, tmp_path, scheme, steps, made=None):
+        """Call counts of a traced ``norm_logreg`` run and the evaluations ``_checked_blocks`` took.
+
+        Given a list ``made``, the problem's evaluations are rebuilt as user-built
+        ``Evaluation`` objects, each appended to ``made``.
+        """
         # "composing" counts the dual passes that add the gradient in their loop
         counts = {
             "_checked_blocks": 0, "_dual_pass": 0, "composing": 0, "_checked_gradient": 0,
             "maxima": 0,
         }
+        checked = []
         for name in ("_checked_blocks", "_dual_pass", "_checked_gradient"):
             original = getattr(lk.optim, name)
 
@@ -1399,6 +1450,8 @@ class TestAssembleSlot:
                 if _name == "_dual_pass":
                     bound = inspect.signature(_original).bind(*args)
                     counts["composing"] += bound.arguments.get("gradient") is not None
+                if _name == "_checked_blocks":
+                    checked.append(args[1])
                 return _original(*args)
 
             monkeypatch.setattr(lk.optim, name, counted)
@@ -1409,51 +1462,84 @@ class TestAssembleSlot:
             return maxima(self, state)
 
         monkeypatch.setattr(lk.ConstrainedMinimizationProblem, "_computed_maxima", counted_maxima)
+        if made is not None:
+            build = cli._build_problem
+
+            def build_user_evaluated(config):
+                problem = build(config)
+                library = problem.evaluate_with_gradients
+
+                def evaluate(x):
+                    ev = library(x)
+                    made.append(lk.Evaluation(
+                        state=ev.state, grad_f=ev.grad_f, jacobians=dict(ev.jacobians)
+                    ))
+                    return made[-1]
+
+                problem.evaluate_with_gradients = evaluate
+                return problem
+
+            monkeypatch.setattr(cli, "_build_problem", build_user_evaluated)
         config = cli.RunConfig(
             problem="norm_logreg", scheme=scheme, steps=steps, trace=str(tmp_path / "t.csv")
         )
         assert cli.cmd_run(config) == 0
-        return counts
+        return counts, checked
+
+    # A library evaluation arrives checked (``BenchmarkProblem.evaluate_with_gradients``
+    # fills the slot), so no roll, trace row or KKT residual of these runs checks one.
 
     def test_traced_alt_pd_run_checks_each_evaluation_once(self, monkeypatch, tmp_path, capsys):
         n = 7
-        counts = self.counted_run(monkeypatch, tmp_path, "alt-pd", n)
-        # x_0, then one evaluation per step: each checked once; a dual pass at
-        # x_{t+1} in the roll and at m_{t+1} in the row; the row's gradient,
-        # composed in its dual pass, is the next roll's; each row's violation
-        # maxima are computed once
+        counts, _ = self.counted_run(monkeypatch, tmp_path, "alt-pd", n)
+        # x_0, then one evaluation per step, each checked where it is made; a
+        # dual pass at x_{t+1} in the roll and at m_{t+1} in the row; the row's
+        # gradient, composed in its dual pass, is the next roll's; each row's
+        # violation maxima are computed once
         assert counts == {
-            "_checked_blocks": n + 1, "_dual_pass": 2 * n + 1, "composing": n + 1,
+            "_checked_blocks": 0, "_dual_pass": 2 * n + 1, "composing": n + 1,
             "_checked_gradient": n + 1, "maxima": n,
         }
 
     def test_traced_simultaneous_run_takes_the_row_gradient(self, monkeypatch, tmp_path, capsys):
         n = 7
-        counts = self.counted_run(monkeypatch, tmp_path, "simultaneous", n)
+        counts, _ = self.counted_run(monkeypatch, tmp_path, "simultaneous", n)
         assert counts == {
-            "_checked_blocks": n + 1, "_dual_pass": n + 1, "composing": n + 1,
+            "_checked_blocks": 0, "_dual_pass": n + 1, "composing": n + 1,
             "_checked_gradient": n + 1, "maxima": n,
         }
 
     def test_traced_alt_dp_run_takes_the_row_blocks(self, monkeypatch, tmp_path, capsys):
         n = 7
-        counts = self.counted_run(monkeypatch, tmp_path, "alt-dp", n)
+        counts, _ = self.counted_run(monkeypatch, tmp_path, "alt-dp", n)
         # each roll's dual pass at m_t reads the blocks of the row before it and
         # composes at m_{t+1} in a loop of its own; each row assembles at m_{t+1}
         assert counts == {
-            "_checked_blocks": n + 1, "_dual_pass": 2 * n, "composing": n,
+            "_checked_blocks": 0, "_dual_pass": 2 * n, "composing": n,
             "_checked_gradient": 2 * n, "maxima": n,
         }
 
     def test_traced_extragradient_run_checks_x_hat_afresh(self, monkeypatch, tmp_path, capsys):
         n = 7
-        counts = self.counted_run(monkeypatch, tmp_path, "extragradient", n)
+        counts, _ = self.counted_run(monkeypatch, tmp_path, "extragradient", n)
         # the row's record is the next roll's at (x_t, m_t); x_hat is a new
-        # evaluation at overridden multipliers, checked and assembled each step
+        # evaluation, checked where it is made, assembled at overridden multipliers
         assert counts == {
-            "_checked_blocks": 2 * n + 1, "_dual_pass": 2 * n + 1, "composing": 2 * n + 1,
+            "_checked_blocks": 0, "_dual_pass": 2 * n + 1, "composing": 2 * n + 1,
             "_checked_gradient": 2 * n + 1, "maxima": n,
         }
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_traced_run_checks_each_user_built_evaluation_once(
+        self, scheme, monkeypatch, tmp_path, capsys
+    ):
+        # across the roll, the row's assemble and its KKT residual
+        n = 7
+        made = []
+        counts, checked = self.counted_run(monkeypatch, tmp_path, scheme, n, made)
+        assert len(made) == (2 * n + 1 if scheme == "extragradient" else n + 1)
+        assert counts["_checked_blocks"] == len(made)
+        assert sorted(map(id, checked)) == sorted(map(id, made))
 
     def test_trace_row_kkt_residual_takes_the_slot_blocks(self, monkeypatch):
         problem, optimizers = self.setup()
@@ -1466,13 +1552,19 @@ class TestAssembleSlot:
         evaluate = cli._evaluator(problem)
         row, figures = cli._trace_row(problem, optimizers, evaluate)
         ev = evaluate(problem.x)
-        assert len(checks) == 1 and checks[0][1] is ev  # the row's assemble, not its KKT
+        assert checks == []  # a library evaluation: neither the row's assemble nor its KKT
         assert lk.current_kkt_residual(problem, ev) == figures["kkt"]
-        assert len(checks) == 1
-        # an evaluation of the same point that the slot does not hold is checked afresh
-        other = problem.evaluate_with_gradients(problem.x)
+        assert checks == []
+        # a user-built evaluation of the same point: the row's assemble checks
+        # it, and the KKT residual takes those blocks from the slot
+        other = lk.Evaluation(state=ev.state, grad_f=ev.grad_f, jacobians=ev.jacobians)
+        assert lk.assemble(problem, other).primal_lagrangian == float(row.split(",")[2])
         assert lk.current_kkt_residual(problem, other) == figures["kkt"]
-        assert len(checks) == 2 and checks[1][1] is other
+        assert len(checks) == 1 and checks[0][1] is other
+        # one the slot does not hold is checked afresh
+        another = lk.Evaluation(state=ev.state, grad_f=ev.grad_f, jacobians=ev.jacobians)
+        assert lk.current_kkt_residual(problem, another) == figures["kkt"]
+        assert len(checks) == 2 and checks[1][1] is another
 
 
 class TestIndexedGathers:

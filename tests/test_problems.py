@@ -425,3 +425,100 @@ class TestEvaluationErrors:
         problem = problem_norm_constrained_logreg(0, 1.0)
         oracles = problem.oracle_functions()
         assert set(oracles) == {"objective", "norm"}
+
+
+class TestOracleOutputCheckedAtTheOracle:
+    """``BenchmarkProblem`` checks its oracles' output where they return it."""
+
+    A = np.array([[1.0, 2.0, 0.5], [-1.0, 0.3, 2.0]])
+    TARGET = np.array([1.0, -2.0, 0.5])
+
+    @classmethod
+    def rows_problem(cls, layout, formulation=lk.Formulation.LAGRANGIAN, penalty=None):
+        A, target = cls.A, cls.TARGET
+
+        def loss(x):
+            return np.array([0.5 * np.dot(x - target, x - target)])
+
+        objective = lk.DifferentiableFunction(
+            eval=loss, val_jac=lambda x: (loss(x), (x - target)[None, :]), output_size=1
+        )
+        rows = lk.DifferentiableFunction(
+            eval=lambda x: A @ x - 1.0,
+            val_jac=lambda x: (A @ x - 1.0, layout(A)),
+            output_size=2,
+            name="rows",
+        )
+        group = lk.ConstraintGroup(
+            name="rows",
+            constraint_type=lk.ConstraintType.INEQUALITY,
+            size=2,
+            formulation=formulation,
+            penalty=penalty,
+        )
+        return lk.BenchmarkProblem(
+            "rows", 3, objective, blocks=(lk.ConstraintBlock(group=group, function=rows),)
+        )
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+    def test_block_size_mismatch_rejected_at_construction(self, indexed):
+        # rejected before any evaluation, so that every evaluation fits its groups
+        objective = lk.DifferentiableFunction(
+            eval=lambda x: np.zeros(1), val_jac=lambda x: (np.zeros(1), np.zeros((1, 2))),
+            output_size=1,
+        )
+        function = lk.DifferentiableFunction(
+            eval=lambda x: np.zeros(2), val_jac=lambda x: (np.zeros(2), np.zeros((2, 2))),
+            output_size=2,
+        )
+        group = lk.ConstraintGroup(
+            name="g", constraint_type=lk.ConstraintType.INEQUALITY, size=3, indexed=indexed
+        )
+        block = lk.ConstraintBlock(group=group, function=function)
+        with pytest.raises(ValueError) as info:
+            lk.BenchmarkProblem("mismatch", 2, objective, blocks=(block,))
+        assert str(info.value) == "group 'g': oracle output size 2 != group size 3"
+
+    def test_non_finite_jacobian_raises_in_the_evaluation(self):
+        jacobian = self.A.copy()
+        problem = self.rows_problem(lambda A: jacobian)
+        problem.evaluate_with_gradients(problem.x)
+        jacobian[1, 2] = np.inf
+        with pytest.raises(EvaluationError) as info:
+            problem.evaluate_with_gradients(problem.x)
+        assert str(info.value) == "non-finite Jacobian for group 'rows'"
+        assert info.value.group_id == "rows"
+
+    @pytest.mark.parametrize(
+        "formulation, penalty",
+        [(lk.Formulation.LAGRANGIAN, None), (lk.Formulation.AUGMENTED_LAGRANGIAN, 2.0)],
+        ids=["lagrangian", "augmented"],
+    )
+    @pytest.mark.parametrize("scheme", lk.SCHEMES)
+    def test_fortran_ordered_or_strided_jacobian_rolls_like_its_c_ordered_copy(
+        self, scheme, formulation, penalty
+    ):
+        layouts = {
+            "C": np.copy,
+            "F": np.asfortranarray,
+            "strided": lambda A: np.repeat(A, 2, axis=1)[:, ::2],
+        }
+        runs = {}
+        for name, layout in layouts.items():
+            assert layout(self.A).flags.c_contiguous == (name == "C")
+            problem = self.rows_problem(layout, formulation, penalty)
+            jacobian = problem.evaluate_with_gradients(problem.x).jacobians["rows"]
+            assert jacobian.flags.c_contiguous and jacobian.tobytes() == self.A.tobytes()
+            optimizers = PrimalDualOptimizers(
+                primal=lk.Momentum(0.1, beta=0.5),
+                duals=make_dual_optimizers(problem, lambda: lk.NuPI(0.3)),
+            )
+            trajectory = []
+            for _ in range(6):
+                out = roll(problem, optimizers, scheme=scheme)
+                trajectory.append((
+                    out.primal_lagrangian.hex(), out.dual_lagrangian.hex(), problem.x.tobytes(),
+                    problem.group("rows").multiplier.values.tobytes(),
+                ))
+            runs[name] = trajectory
+        assert runs["F"] == runs["C"] and runs["strided"] == runs["C"]
