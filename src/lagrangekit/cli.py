@@ -94,6 +94,18 @@ class _ConfigError(ValueError):
     pass
 
 
+def _cut(text: str, limit: int = 60) -> str:
+    """``text`` cut to ``limit`` characters, ending in ``...``, so that it cannot flood a line."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _check_name(what: str, name, valid: tuple) -> None:
+    if name not in valid:
+        raise _ConfigError(
+            f"unknown {what} {_cut(ascii(name))}; valid {what}s: {', '.join(valid)}"
+        )
+
+
 def _check_config_types(data: dict) -> None:
     """Reject a JSON config value whose type does not fit its RunConfig field.
 
@@ -109,10 +121,8 @@ def _check_config_types(data: dict) -> None:
         expected = [_TYPE_NAMES[kind] for kind in kinds]
         if name == "a":
             expected.append("a list of numbers")
-        got = json.dumps(value)  # cut, so that a long list cannot flood the error line
         raise _ConfigError(
-            f"config field {name!r} must be {' or '.join(expected)}, got "
-            f"{got if len(got) <= 60 else got[:57] + '...'}"
+            f"config field {name!r} must be {' or '.join(expected)}, got {_cut(json.dumps(value))}"
         )
 
 
@@ -123,21 +133,14 @@ def _parse_vector(text) -> np.ndarray:
         parts = [tok for tok in str(text).replace(",", " ").split() if tok]
         return np.asarray([float(tok) for tok in parts], dtype=np.float64)
     except ValueError:
-        raise _ConfigError(f"cannot parse vector from {text!r}") from None
+        raise _ConfigError(f"cannot parse vector from {_cut(ascii(text))}") from None
 
 
 def _build_problem(config: RunConfig, formulation=None):
     name = config.problem
-    if name not in PROBLEM_NAMES:
-        raise _ConfigError(
-            f"unknown problem {name!r}; valid problems: {', '.join(PROBLEM_NAMES)}"
-        )
+    _check_name("problem", name, PROBLEM_NAMES)
     if formulation is None:
-        if config.formulation not in FORMULATIONS:
-            raise _ConfigError(
-                f"unknown formulation {config.formulation!r}; "
-                f"valid formulations: {', '.join(FORMULATIONS)}"
-            )
+        _check_name("formulation", config.formulation, FORMULATIONS)
         formulation = config.formulation
     kwargs = {"formulation": formulation, "penalty": config.penalty}
     if formulation == "lagrangian":
@@ -165,11 +168,7 @@ def _build_problem(config: RunConfig, formulation=None):
 
 def _build_optimizers(config: RunConfig, problem) -> PrimalDualOptimizers:
     kind = config.primal_optimizer
-    if kind not in PRIMAL_OPTIMIZERS:
-        raise _ConfigError(
-            f"unknown primal optimizer {kind!r}; "
-            f"valid primal optimizers: {', '.join(PRIMAL_OPTIMIZERS)}"
-        )
+    _check_name("primal optimizer", kind, PRIMAL_OPTIMIZERS)
     if kind == "gd":
         primal = GradientDescent(config.lr_primal)
     elif kind == "momentum":
@@ -179,11 +178,7 @@ def _build_optimizers(config: RunConfig, problem) -> PrimalDualOptimizers:
             config.lr_primal, beta1=config.beta1, beta2=config.beta2, eps=config.eps
         )
     dual_kind = config.dual_optimizer
-    if dual_kind not in DUAL_OPTIMIZERS:
-        raise _ConfigError(
-            f"unknown dual optimizer {dual_kind!r}; "
-            f"valid dual optimizers: {', '.join(DUAL_OPTIMIZERS)}"
-        )
+    _check_name("dual optimizer", dual_kind, DUAL_OPTIMIZERS)
     if dual_kind == "gradient_ascent":
         factory = lambda: GradientAscent(config.lr_dual)
     else:
@@ -260,10 +255,7 @@ def cmd_run(config: RunConfig) -> int:
     try:
         if config.steps < 1:
             raise _ConfigError(f"steps must be >= 1, got {config.steps}")
-        if config.scheme not in SCHEMES:
-            raise _ConfigError(
-                f"unknown scheme {config.scheme!r}; valid schemes: {', '.join(SCHEMES)}"
-            )
+        _check_name("scheme", config.scheme, SCHEMES)
         if config.checkpoint_every is not None:
             if config.checkpoint_every < 1:
                 raise _ConfigError("checkpoint-every must be >= 1")
@@ -378,7 +370,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error like any configuration error: one line, exit 1."""
 
     def error(self, message):
-        raise _ConfigError(message)
+        raise _ConfigError(_cut(ascii(message)[1:-1], 150))  # argparse may echo any argument
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -437,7 +429,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         known = {f.name for f in fields(RunConfig)}
         unknown = set(data) - known
         if unknown:
-            raise _ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+            names = _cut(", ".join(map(ascii, sorted(unknown))))
+            raise _ConfigError(f"{len(unknown)} unknown config field(s): {names}")
         _check_config_types(data)
         config = replace(config, **data)
     overrides = {

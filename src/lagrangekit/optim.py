@@ -22,7 +22,8 @@ Each value is checked once, then trusted:
   caller passes to ``assemble`` (``multiplier_values``) are checked on entry;
 - oracle output once per evaluation: x, loss and violations with it; Jacobians
   where a ``BenchmarkProblem``'s oracles return them, else in ``_checked_blocks``
-  with each group's fit (present, finite, (k, dim) unless k = 0);
+  with each group's fit (present, finite, (k, dim) unless k = 0). A library
+  output takes one fast test; the full checks run only to explain a miss;
 - what one loop over the blocks, ``_dual_pass``, derives at given
   multipliers: the primal Lagrangian, a dual signal c * v and, on a copy of
   grad_f whose shape is compared, the composed gradient (checked after the
@@ -40,7 +41,7 @@ one evaluation object's checked blocks and its ``assemble`` record at the
 stored multipliers, the record valid while the write stamp (``core._WRITES``,
 renewed by every multiplier commit or load and penalty assignment) has not
 moved; neither reads x. ``_store_blocks`` puts blocks there with no record
-(a ``BenchmarkProblem`` evaluation, which arrives checked; alt-pd's x_{t+1});
+(a ``BenchmarkProblem`` evaluation, which arrives checked; a user's at x_{t+1});
 ``assemble`` without overrides adds the record. ``_blocks_for`` serves the
 rolls and the KKT residual from it, and checks any evaluation it does not hold:
 so no roll re-checks a library evaluation, a trace row's record at (x_{t+1},
@@ -712,7 +713,8 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
     blocks = _blocks_for(problem, ev_new)
-    _store_blocks(problem, ev_new, blocks)
+    if problem._slot[0] is not ev_new:  # a user's evaluation, checked just now
+        _store_blocks(problem, ev_new, blocks)
     _, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev_new, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
     _commit(problem, optimizers, x_new, staged_primal, dual_updates)

@@ -27,6 +27,7 @@ from .core import (
     Evaluation,
     EvaluationError,
     Formulation,
+    _SMALL,
     _all_finite,
     _as_size,
     _max_abs,
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 CERTIFICATE_TOL = 1e-10
+_FLOAT64 = np.dtype(np.float64)
 
 PROBLEM_NAMES = ("projection_ball", "equality_qp", "norm_logreg", "bilinear")
 
@@ -128,6 +130,10 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
                 self._all_rows[gid] = np.arange(block.group.size, dtype=np.int64)
                 self._all_rows[gid].flags.writeable = False
         self.freeze_registration()
+        self._plan = ((1, dim), tuple(  # the shapes and objects the fast test and records read
+            (gid, b, b.function.val_jac, b.strict_function, b.group, (b.group.size,),
+             (b.group.size, dim), self._all_rows.get(gid)) for gid, b in self._block_by_gid.items()
+        ))
         if feasible_start is None:
             feasible_start = np.zeros(dim, dtype=np.float64)
         self.feasible_start = np.asarray(feasible_start, dtype=np.float64).copy()
@@ -146,39 +152,56 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
                     f"complementarity={res.complementarity:.3e}"
                 )
 
-    def _observed(self, block, violation, x):
-        group = block.group
-        strict = None
+    def _observed(self, gid, block, violation, strict):
         if block.strict_function is not None:
-            strict = np.asarray(block.strict_function(x), dtype=np.float64)
+            strict = np.asarray(strict, dtype=np.float64)
         try:
-            return ConstraintState._trusted(violation, strict, self._all_rows.get(group.name))
+            return ConstraintState._trusted(violation, strict, self._all_rows.get(gid))
         except EvaluationError as exc:
-            raise EvaluationError(str(exc), group_id=group.name) from None
+            raise EvaluationError(str(exc), group_id=gid) from None
 
     def compute_cmp_state(self, x) -> CMPState:
         x = self._check_point(x)
         loss = float(self.objective.values(x)[0])
         observed = {}
         for gid, block in self._block_by_gid.items():
-            observed[gid] = self._observed(block, block.function.values(x), x)
+            strict = None if block.strict_function is None else block.strict_function(x)
+            observed[gid] = self._observed(gid, block, block.function.values(x), strict)
         return CMPState._trusted(loss, observed)
 
     def evaluate_with_gradients(self, x) -> Evaluation:
-        """Evaluation at x, stored in the slot with its blocks; raises on a non-finite Jacobian."""
+        """Evaluation at x, stored in the slot with its blocks; raises on a non-finite Jacobian.
+
+        An oracle output that passes ``_passes`` goes into the records as returned;
+        only a miss runs the checks, to convert it or raise, state errors first.
+        """
         if x is not self._x:  # the committed x is read-only and was checked when stored
             x = self._check_point(x)
-        obj_values, obj_jac = self.objective.value_and_jacobian(x)
-        observed = {}
-        jacobians = {}
-        blocks = []
-        for gid, block in self._block_by_gid.items():
-            values, jac = block.function.value_and_jacobian(x)
-            observed[gid] = cstate = self._observed(block, values, x)
+        jac_shape, plan = self._plan
+        obj_values, obj_jac = self.objective.val_jac(x)
+        # no check of an evaluation reads grad_f's entries: a roll checks the composed gradient
+        if not (_passes(obj_values, (1,)) and _passes(obj_jac, jac_shape, finite=False)):
+            obj_values = self.objective._checked_values(obj_values)
+            obj_jac = self.objective._checked_jacobian(obj_jac, x.size)
+        observed, jacobians, blocks, missed = {}, {}, [], []  # missed: Jacobians checked last
+        for gid, block, val_jac, strict_function, group, shape, jac_shape, rows in plan:
+            values, jac = val_jac(x)
+            hit = _passes(values, shape) and _passes(jac, jac_shape)
+            if not hit:
+                values = block.function._checked_values(values)
+                jac = block.function._checked_jacobian(jac, x.size)
+                missed.append((gid, jac))
+            strict = None if strict_function is None else strict_function(x)
+            if hit and (strict_function is None or _passes(strict, shape)):
+                cstate = _record(ConstraintState, {"violation": values, "strict_violation": strict,
+                                                   "observed_indices": rows})
+            else:
+                cstate = self._observed(gid, block, values, strict)
+            observed[gid] = cstate
             jacobians[gid] = jac
-            blocks.append((gid, cstate, block.group, jac))
+            blocks.append((gid, cstate, group, jac))
         state = CMPState._trusted(float(obj_values[0]), observed)
-        for gid, _, _, jac in blocks:  # after the state, whose errors come first
+        for gid, jac in missed:  # after the state, whose errors come first
             if not _all_finite(jac):
                 raise _jacobian_error(gid)
         ev = _record(Evaluation, {"state": state, "grad_f": obj_jac[0], "jacobians": jacobians})
@@ -191,6 +214,18 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
         for gid, block in self._block_by_gid.items():
             oracles[gid] = block.function
         return oracles
+
+
+def _passes(arr, shape, finite=True) -> bool:
+    """The fast test: True only if every check of an oracle output passes and returns ``arr``."""
+    if (type(arr) is not np.ndarray or arr.dtype is not _FLOAT64 or arr.shape != shape
+            or not arr.flags.c_contiguous):
+        return False
+    if not finite:
+        return True
+    if arr.size < _SMALL:  # a NaN or an infinite entry makes the sum non-finite
+        return math.isfinite(sum(arr.ravel().tolist()))
+    return _all_finite(arr)  # np.add.reduce would warn when the sum overflows
 
 
 # ---------------------------------------------------------------------------

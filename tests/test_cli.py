@@ -285,6 +285,35 @@ class TestConfigFile:
         assert len(err.encode()) <= 200
         assert err.endswith("...\n")
 
+    def test_many_unknown_fields_are_counted_in_one_short_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({f"k{i}": 1 for i in range(100_000)}))
+        err = self.rejected(config, capsys, monkeypatch)
+        assert err.startswith("error: 100000 unknown config field(s): 'k0', 'k1', 'k10', ")
+        assert len(err.encode()) <= 200 and err.endswith("...\n")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("problem", "unknown problem"),
+            ("scheme", "unknown scheme"),
+            ("formulation", "unknown formulation"),
+            ("primal_optimizer", "unknown primal optimizer"),
+            ("dual_optimizer", "unknown dual optimizer"),
+            ("a", "cannot parse vector from"),
+        ],
+    )
+    def test_long_unknown_name_is_cut_in_its_error_line(
+        self, field, message, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({field: "x" * 100_000}))
+        err = self.rejected(config, capsys, monkeypatch)
+        assert err.startswith(f"error: {message} '{'x' * 56}...")
+        assert len(err.encode()) <= 200 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "data",
         [{"lr_primal": 1}, {"a": [3, 4]}, {"a": "3,4"}, {"checkpoint_every": None}],
@@ -341,6 +370,22 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert fragment in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, fragment",
+        [
+            ("--scheme", "unknown scheme 'xxx"),
+            ("--problem", "unknown problem 'xxx"),
+            ("--steps", "argument --steps: invalid int value: 'xxx"),
+            ("--bogus", "unrecognized arguments: --bogus xxx"),
+        ],
+    )
+    def test_long_value_on_argv_is_cut_in_its_error_line(self, flag, fragment, capsys):
+        assert cli.main(["run", flag, "x" * 100_000]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {fragment}") and "xxx..." in captured.err
+        assert len(captured.err.encode()) <= 200 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])
     def test_help_exits_zero(self, argv, capsys):

@@ -1566,6 +1566,40 @@ class TestAssembleSlot:
         assert lk.current_kkt_residual(problem, another) == figures["kkt"]
         assert len(checks) == 2 and checks[1][1] is another
 
+    @pytest.mark.parametrize("user_built", [False, True], ids=["library", "user-built"])
+    def test_alt_pd_stores_each_evaluations_blocks_once(self, user_built, monkeypatch):
+        # a library evaluation stores its own blocks; the roll stores only those it checked
+        problem, optimizers = self.setup()
+        stores = []
+        original = lk.optim._store_blocks
+
+        def counted(problem, evaluation, blocks):
+            stores.append(evaluation)
+            original(problem, evaluation, blocks)
+
+        monkeypatch.setattr(lk.optim, "_store_blocks", counted)
+        monkeypatch.setattr(lk.problems, "_store_blocks", counted)
+        made = []
+
+        def evaluate(x):
+            ev = problem.evaluate_with_gradients(x)
+            if user_built:
+                ev = lk.Evaluation(state=ev.state, grad_f=ev.grad_f, jacobians=ev.jacobians)
+            made.append(ev)
+            return ev
+
+        for _ in range(3):
+            roll(problem, optimizers, scheme="alt-pd", evaluate=evaluate)
+        assert len(made) == 6
+        stored = [id(ev) for ev in stores]
+        if not user_built:
+            assert stored == [id(ev) for ev in made]  # one store per evaluation
+        else:
+            # each library evaluation underneath stores once, and the roll stores the
+            # x_{t+1} one it checked; assemble stores the x_t one's blocks with its record
+            assert len(stores) == 6 + 3
+            assert [i for i in stored if i in set(map(id, made))] == [id(ev) for ev in made[1::2]]
+
 
 class TestIndexedGathers:
     """A roll gathers each observed multiplier and penalty entry once.

@@ -15,6 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 from lagrangekit import (
     AdamLike,
+    BenchmarkProblem,
+    ConstraintBlock,
+    DifferentiableFunction,
     NuPI,
     PrimalDualOptimizers,
     checkpoint,
@@ -31,12 +34,14 @@ from lagrangekit.core import (
     ConstraintGroup,
     ConstraintState,
     ConstraintType,
+    Evaluation,
+    EvaluationError,
     _all_finite,
     _as_indices,
     _max_abs,
 )
 from lagrangekit.multipliers import _check_indices
-from lagrangekit.optim import SCHEMES
+from lagrangekit.optim import SCHEMES, _jacobian_error, _store_blocks
 from lagrangekit.problems import PROBLEM_NAMES, _logistic_loss_grad, two_gaussian_dataset
 from test_checkpoint import _state_bytes
 
@@ -502,3 +507,183 @@ def test_dense_resume_is_bit_exact(config, k, tmp_path):
     for _ in range(n - k):
         roll(*resumed, config.scheme)
     assert _state_bytes(*resumed) == _state_bytes(*straight)
+
+
+# ---------------------------------------------------------------------------
+# a library evaluation: the fast test on oracle output changes no result and no error
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+def _edited(arr, edit, where):
+    """``arr``, an oracle output, changed by ``edit``; ``where`` picks the entry to spoil."""
+    if edit in ("nan", "inf", "-inf"):
+        arr = arr.copy()
+        arr.flat[where % arr.size] = float(edit)
+        return arr
+    return {
+        "none": lambda: arr,
+        "overflow": lambda: np.full(arr.shape, 1e308 if where % 2 else -1e308),  # finite
+        "float32": lambda: arr.astype(np.float32),
+        "int": lambda: arr.astype(np.int64),
+        "object": lambda: arr.astype(object),
+        "big-endian": lambda: arr.astype(">f8"),
+        "list": lambda: arr.tolist(),
+        "0-d": lambda: arr.reshape(()) if arr.size == 1 else arr[..., 0],
+        "shape": lambda: np.append(arr, 0.0) if arr.ndim == 1 else arr[:, 1:],
+        "fortran": lambda: np.asfortranarray(arr),  # not C-ordered when both dims exceed 1
+        "strided": lambda: np.repeat(arr, 2, axis=-1)[..., ::2],
+        "subclass": lambda: arr.view(_Sub),
+    }[edit]()
+
+
+_EDITS = st.sampled_from([
+    "none", "nan", "inf", "-inf", "overflow", "float32", "int", "object", "big-endian",
+    "list", "0-d", "shape", "fortran", "strided", "subclass",
+])
+_ENTRIES = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _oracle_outputs(draw):
+    """``(dim, blocks, outputs)``: per block (size, indexed, strict), and each oracle's output.
+
+    ``outputs`` maps the oracle (``"objective"``, ``"g0"``, ``"g0.strict"``, ...) to
+    what it returns; a dim or a size of 33 takes the numpy branch of the sum test.
+    """
+    dim = draw(st.sampled_from([1, 2, 33]))
+    blocks = draw(st.lists(
+        st.tuples(st.sampled_from([1, 2, 33]), st.booleans(), st.booleans()),
+        min_size=1, max_size=2,
+    ))
+    shapes = {"objective": ((1,), (1, dim))}
+    for i, (size, _, strict) in enumerate(blocks):
+        shapes[f"g{i}"] = ((size,), (size, dim))
+        if strict:
+            shapes[f"g{i}.strict"] = ((size,),)
+    outputs = {}
+    for name, parts in shapes.items():
+        edited = []
+        for shape in parts:
+            arr = draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
+            edit = draw(_EDITS) if draw(st.integers(0, 3)) == 2 else "none"  # most outputs pass
+            edited.append(_edited(arr, edit, draw(st.integers(0, 2**16))))
+        outputs[name] = edited[0] if name.endswith(".strict") else tuple(edited)
+    if draw(st.integers(0, 9)) == 5:  # a val_jac that returns no pair
+        name = draw(st.sampled_from([n for n in outputs if not n.endswith(".strict")]))
+        outputs[name] = outputs[name] + (None,)
+    return dim, blocks, outputs
+
+
+def _counted_problem(dim, blocks, outputs):
+    """A ``BenchmarkProblem`` whose oracles return ``outputs`` and count their calls."""
+    calls = dict.fromkeys(outputs, 0)
+
+    def oracle(name):
+        def call(x):
+            calls[name] += 1
+            return outputs[name]
+        return call
+
+    def function(name, size):
+        return DifferentiableFunction(
+            eval=lambda x: outputs[name][0], val_jac=oracle(name), output_size=size, name=name
+        )
+
+    made = []
+    for i, (size, indexed, strict) in enumerate(blocks):
+        group = ConstraintGroup(f"g{i}", ConstraintType.INEQUALITY, size, indexed=indexed)
+        made.append(ConstraintBlock(
+            group=group, function=function(f"g{i}", size),
+            strict_function=oracle(f"g{i}.strict") if strict else None,
+        ))
+    problem = BenchmarkProblem("outputs", dim, function("objective", 1), blocks=made)
+    return problem, calls
+
+
+def _array_bits(arr):
+    if arr is None:
+        return None
+    return type(arr), arr.dtype.str, arr.shape, arr.flags.c_contiguous, arr.tobytes()
+
+
+def _evaluation_bits(problem, ev):
+    """What an evaluation and the slot blocks it stored hold, as comparable bytes."""
+    states = [
+        (gid, _array_bits(c.violation), _array_bits(c.strict_violation),
+         _array_bits(c.observed_indices), c.observed_indices is problem._all_rows.get(gid))
+        for gid, c in ev.state.observed_constraints.items()
+    ]
+    jacobians = [(gid, _array_bits(jac)) for gid, jac in ev.jacobians.items()]
+    slot_evaluation, blocks, *_ = problem._slot
+    assert slot_evaluation is ev and [gid for gid, *_ in blocks] == list(ev.jacobians)
+    for gid, cstate, group, jac in blocks:
+        assert cstate is ev.state.observed_constraints[gid] and jac is ev.jacobians[gid]
+        assert group is problem.group(gid)
+    return (
+        type(ev.state.loss), _bits(ev.state.loss), dict(ev.state.misc), states,
+        _array_bits(ev.grad_f), jacobians,
+    )
+
+
+def _parent_evaluate_with_gradients(problem, x):
+    """``BenchmarkProblem.evaluate_with_gradients`` as it was, every check on every output."""
+    if x is not problem.x:
+        x = problem._check_point(x)
+    obj_values, obj_jac = problem.objective.value_and_jacobian(x)
+    observed, jacobians, blocks = {}, {}, []
+    for gid, block in problem._block_by_gid.items():
+        values, jac = block.function.value_and_jacobian(x)
+        strict = None
+        if block.strict_function is not None:
+            strict = np.asarray(block.strict_function(x), dtype=np.float64)
+        try:
+            cstate = ConstraintState._trusted(values, strict, problem._all_rows.get(gid))
+        except EvaluationError as exc:
+            raise EvaluationError(str(exc), group_id=gid) from None
+        observed[gid] = cstate
+        jacobians[gid] = jac
+        blocks.append((gid, cstate, block.group, jac))
+    state = CMPState._trusted(float(obj_values[0]), observed)
+    for gid, _, _, jac in blocks:
+        if not _all_finite(jac):
+            raise _jacobian_error(gid)
+    ev = Evaluation(state=state, grad_f=obj_jac[0], jacobians=jacobians)
+    _store_blocks(problem, ev, blocks)
+    return ev
+
+
+def _outcome(problem, evaluate, x):
+    try:
+        return "ok", _evaluation_bits(problem, evaluate(x))
+    except Exception as exc:  # noqa: BLE001 - the error itself is what is compared
+        return "raised", type(exc), str(exc), getattr(exc, "group_id", None)
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(case=_oracle_outputs(), fresh_x=st.booleans())
+@example(case=(2, [(2, False, True)], {
+    "objective": (np.array([1.0]), np.array([[1.0, 2.0]])),
+    "g0": (np.array([1e308, 1e308]), np.array([[1.0, 2.0], [3.0, 4.0]])),  # the sum overflows
+    "g0.strict": np.array([np.inf, -np.inf]),
+}), fresh_x=False)
+@example(case=(33, [(1, True, False), (33, False, True)], {
+    "objective": (np.array([1.0]), np.ones((1, 33))),
+    "g0": (np.array([0.5]), np.full((1, 33), 1e308)),
+    "g1": (np.zeros(33), np.eye(33)),
+    "g1.strict": np.append(np.zeros(32), np.nan),
+}), fresh_x=True)
+def test_fast_test_agrees_with_every_check(case, fresh_x):
+    # the same evaluation bytes or the same error as the path that checked every
+    # output, and each oracle called as often: once, unless an earlier error stops it
+    dim, blocks, outputs = case
+    fast, fast_calls = _counted_problem(dim, blocks, outputs)
+    checked, checked_calls = _counted_problem(dim, blocks, outputs)
+    x = fast.x.copy() if fresh_x else fast.x
+    got = _outcome(fast, fast.evaluate_with_gradients, x)
+    expected = _outcome(checked, lambda x: _parent_evaluate_with_gradients(checked, x), checked.x)
+    assert got == expected
+    assert fast_calls == checked_calls
+    assert set(fast_calls.values()) <= ({1} if got[0] == "ok" else {0, 1})
