@@ -7,7 +7,8 @@ available problems, schemes, formulations, and optimizers).
 Exit codes: 0 success (``-h`` included); 1 configuration error: an unknown
 name, a flag argparse rejects, a config value of the wrong type, or an
 unreadable file; 2 numerical failure (non-finite state mid-run). Both write
-one line to stderr; a failed ``check-grad`` exits 1 with its verdict on stdout.
+one line of at most 200 bytes to stderr (``_report``); a failed ``check-grad``
+exits 1 with its verdict on stdout.
 
 Flags override values from an optional JSON config file (same field names as
 RunConfig, each value of its field's type); flags win on conflict.
@@ -99,6 +100,21 @@ def _cut(text: str, limit: int = 60) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+# control characters and line separators, printed as their Python escapes
+_ESCAPES = {c: ascii(chr(c))[1:-1] for c in (*range(32), *range(127, 160), 0x2028, 0x2029)}
+
+
+def _report(prefix: str, message) -> None:
+    """Print ``prefix: message`` to stderr as one line of at most 200 UTF-8 bytes.
+
+    An escaped message stays one line; a longer line is cut to end in ``...``.
+    """
+    line = f"{prefix}: {message}".translate(_ESCAPES).encode("utf-8", "backslashreplace")
+    if len(line) > 199:  # the newline is the 200th byte
+        line = line[:196] + b"..."
+    print(line.decode("utf-8", "ignore"), file=sys.stderr)  # drops a cut multibyte character
+
+
 def _check_name(what: str, name, valid: tuple) -> None:
     if name not in valid:
         raise _ConfigError(
@@ -109,30 +125,35 @@ def _check_name(what: str, name, valid: tuple) -> None:
 def _check_config_types(data: dict) -> None:
     """Reject a JSON config value whose type does not fit its RunConfig field.
 
-    A bool is not an integer, an integer is a valid number, null fits only an
-    Optional field, and ``a`` also takes a list of numbers.
+    A bool is not an integer, an integer within the float64 range is a valid
+    number, null fits only an Optional field, and ``a`` also takes a list of
+    numbers.
     """
     for name, value in data.items():
         kinds = get_args(_FIELD_TYPES[name]) or (_FIELD_TYPES[name],)
-        if type(value) in kinds or (type(value) is int and float in kinds):
+        if type(value) in kinds:
             continue
+        if type(value) is int and float in kinds:
+            if abs(value) <= sys.float_info.max:
+                continue
+            raise _ConfigError(f"config field {name!r} is beyond the float64 range, got {value}")
         if name == "a" and type(value) is list and all(type(v) in (int, float) for v in value):
             continue
         expected = [_TYPE_NAMES[kind] for kind in kinds]
         if name == "a":
             expected.append("a list of numbers")
         raise _ConfigError(
-            f"config field {name!r} must be {' or '.join(expected)}, got {_cut(json.dumps(value))}"
+            f"config field {name!r} must be {' or '.join(expected)}, got {json.dumps(value)}"
         )
 
 
 def _parse_vector(text) -> np.ndarray:
-    if isinstance(text, (list, tuple)):
-        return np.asarray([float(v) for v in text], dtype=np.float64)
     try:
+        if isinstance(text, (list, tuple)):
+            return np.asarray([float(v) for v in text], dtype=np.float64)
         parts = [tok for tok in str(text).replace(",", " ").split() if tok]
         return np.asarray([float(tok) for tok in parts], dtype=np.float64)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond float64
         raise _ConfigError(f"cannot parse vector from {_cut(ascii(text))}") from None
 
 
@@ -269,7 +290,7 @@ def cmd_run(config: RunConfig) -> int:
         if config.checkpoint_in is not None:
             ckpt.load(config.checkpoint_in, problem, optimizers)
     except (_ConfigError, ValueError, EvaluationError, ckpt.CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return 1
 
     evaluate = _evaluator(problem)
@@ -294,10 +315,10 @@ def cmd_run(config: RunConfig) -> int:
         if config.checkpoint_out is not None and not saved:  # the last step's save holds it
             ckpt.save(problem, optimizers, config.checkpoint_out)
     except EvaluationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _report("numerical failure", exc)
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return 1
     finally:
         if trace_handle is not None:
@@ -322,7 +343,7 @@ def cmd_check_grad(config: RunConfig) -> int:
     try:
         problem = _build_problem(config, formulation="lagrangian")
     except (_ConfigError, ValueError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return 1
     oracles = problem.oracle_functions()
     n_points = 10
@@ -370,7 +391,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error like any configuration error: one line, exit 1."""
 
     def error(self, message):
-        raise _ConfigError(_cut(ascii(message)[1:-1], 150))  # argparse may echo any argument
+        raise _ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,7 +450,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         known = {f.name for f in fields(RunConfig)}
         unknown = set(data) - known
         if unknown:
-            names = _cut(", ".join(map(ascii, sorted(unknown))))
+            names = ", ".join(map(ascii, sorted(unknown)))
             raise _ConfigError(f"{len(unknown)} unknown config field(s): {names}")
         _check_config_types(data)
         config = replace(config, **data)
@@ -477,7 +498,7 @@ def main(argv=None) -> int:
             return cmd_list()
         config = _resolve_config(args)
     except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return 1
     # a non-finite value is reported once, as the exit-2 line, not as numpy warnings
     with np.errstate(all="ignore"):

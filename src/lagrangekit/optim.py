@@ -1,9 +1,10 @@
 """Primal and dual optimizers plus the primal-dual update schemes.
 
-The dual side always ascends (multipliers maximize the Lagrangian). Every
-scheme follows the same shape: evaluate, assemble the Lagrangian, preview all
-updates, then commit. Previews are pure, so a failed evaluation or a
-non-finite value leaves x, multipliers, and optimizer buffers untouched.
+The dual side always ascends (multipliers maximize the Lagrangian). ``roll``
+evaluates at x_t and commits; a scheme only previews: it assembles the
+Lagrangian and returns its proposed updates, which ``roll`` commits last.
+Previews are pure, so a failed evaluation or a non-finite value leaves x,
+multipliers, and optimizer buffers untouched.
 
 Multiplier timing of the primal gradient per scheme:
 
@@ -74,7 +75,7 @@ from .core import _WRITES, _all_finite, _record
 from .formulations import _checked_values, _terms, _weights
 from .formulations import assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
-from .multipliers import Multiplier, _check_indices, multiplier_values_for  # noqa: F401
+from .multipliers import _check_indices, multiplier_values_for  # noqa: F401
 
 __all__ = [
     "PrimalOptimizer",
@@ -613,38 +614,6 @@ class RollOut:
     cmp_state: CMPState
 
 
-def _roll_out(state: CMPState, primal_lagrangian: float, dual_lagrangian: float) -> RollOut:
-    return _record(RollOut, {
-        "loss": state.loss,
-        "primal_lagrangian": primal_lagrangian,
-        "dual_lagrangian": dual_lagrangian,
-        "cmp_state": state,
-    })
-
-
-class _DualUpdate:
-    """A previewed dual step: the projected multiplier entries and staged buffers.
-
-    ``preview`` is the whole vector when ``indices`` is None, else the new
-    entries at ``indices``; ``commit`` writes them and the buffers in place.
-    """
-
-    __slots__ = ("multiplier", "optimizer", "indices", "staged", "preview")
-
-    def __init__(self, multiplier: Multiplier, optimizer: DualOptimizer, indices, staged, preview):
-        self.multiplier, self.optimizer, self.indices = multiplier, optimizer, indices
-        self.staged, self.preview = staged, preview
-
-    def commit(self) -> None:
-        self.multiplier._store(self.preview, self.indices)
-        self.optimizer.commit(self.staged)
-
-
-def _resolve_evaluate(problem, evaluate):
-    problem.freeze_registration()
-    return problem.evaluate_with_gradients if evaluate is None else evaluate
-
-
 def _preview_primal(optimizer, x, grad):
     x_new, staged = optimizer._step(x, grad)
     if not _all_finite(x_new):
@@ -652,16 +621,13 @@ def _preview_primal(optimizer, x, grad):
     return x_new, staged
 
 
-def _preview_dual(multiplier, optimizer, signal, indices, stored=None) -> _DualUpdate:
-    delta, staged = optimizer._step(signal, indices, multiplier.size)
-    preview = multiplier._preview(delta, indices, stored)
-    return _DualUpdate(multiplier, optimizer, indices, staged, preview)
-
-
 def _preview_duals(problem, optimizers, signals: dict, indices: dict, gathered=None) -> dict:
     """Previewed dual updates keyed by group id, for groups with a non-empty signal.
 
-    A preview adds its delta to the entries in ``gathered``, from a dual pass
+    Each is ``(multiplier, optimizer, indices, staged, preview)``: ``preview``
+    is the whole projected vector when ``indices`` is None, else the new
+    entries at ``indices``; ``roll`` commits them and the staged buffers. A
+    preview adds its delta to the entries in ``gathered``, from a dual pass
     that read the stored multipliers, never overrides.
     """
     updates = {}
@@ -673,42 +639,31 @@ def _preview_duals(problem, optimizers, signals: dict, indices: dict, gathered=N
             raise ValueError(f"no dual optimizer bound for group {gid!r}")
         multiplier = problem.group(gid).multiplier
         stored = None if gathered is None else gathered[gid][0]
-        updates[gid] = _preview_dual(multiplier, optimizer, signal, indices[gid], stored)
+        idx = indices[gid]
+        delta, staged = optimizer._step(signal, idx, multiplier.size)
+        updates[gid] = multiplier, optimizer, idx, staged, multiplier._preview(delta, idx, stored)
     return updates
 
 
-def _commit(problem, optimizers, x_new, staged_primal, dual_updates):
-    problem._adopt(x_new)  # a fresh point that _preview_primal has checked
-    optimizers.primal.commit(staged_primal)
-    for update in dual_updates.values():
-        update.commit()
-    optimizers.step += 1
-
-
-def _roll_simultaneous(problem, optimizers, evaluate) -> RollOut:
+def _roll_simultaneous(problem, optimizers, evaluate, ev):
     """Simultaneous GDA: one evaluation drives both the primal and dual step.
 
     The primal step descends grad of the Lagrangian at (x_t, m_t); the dual
     step ascends the signals from the same evaluation; inequality multipliers
     are projected element-wise onto the nonnegative orthant.
     """
-    evaluate = _resolve_evaluate(problem, evaluate)
-    ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     dual_updates = _preview_duals(problem, optimizers, asm.dual_signals, asm.observed_indices)
-    _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
+    return x_new, staged_primal, dual_updates, asm.primal_lagrangian, asm.dual_lagrangian
 
 
-def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
+def _roll_alternating_primal_dual(problem, optimizers, evaluate, ev):
     """Primal step first, then the dual step on signals measured at x_{t+1}.
 
     Only the dual pass runs at x_{t+1}: its gradient would not be used. Its
     blocks there go into the slot, for the next roll's or trace row's ``assemble``.
     """
-    evaluate = _resolve_evaluate(problem, evaluate)
-    ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
@@ -717,19 +672,16 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate) -> RollOut:
         _store_blocks(problem, ev_new, blocks)
     _, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev_new, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
-    _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return _roll_out(ev.state, asm.primal_lagrangian, dual_lagrangian)
+    return x_new, staged_primal, dual_updates, asm.primal_lagrangian, dual_lagrangian
 
 
-def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
+def _roll_alternating_dual_primal(problem, optimizers, evaluate, ev):
     """Dual step first on x_t signals; the primal step then uses m_{t+1}.
 
     Both updates come from the single x_t evaluation: the dual pass at m_t,
     then the gradient composed at the previewed multiplier entries, before
     anything commits. Both read the entries and penalties the pass gathered.
     """
-    evaluate = _resolve_evaluate(problem, evaluate)
-    ev = evaluate(problem.x)
     blocks = _blocks_for(problem, ev)  # the oracle output is checked once for both loops
     primal_lagrangian, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev, blocks)
     dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
@@ -738,17 +690,16 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate) -> RollOut:
         m, c = gathered[gid]
         if gid in dual_updates:
             # the preview holds the entries at this evaluation's indices, in their order
-            m = dual_updates[gid].preview
+            *_, m = dual_updates[gid]
         if gradient is not None:
             weights = m if c is None else _weights(group, cstate, m, c)
             _add_weighted_rows(gradient, weights, jacobian)
     gradient = _checked_gradient(problem, ev, gradient)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
-    _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return _roll_out(ev.state, primal_lagrangian, dual_lagrangian)
+    return x_new, staged_primal, dual_updates, primal_lagrangian, dual_lagrangian
 
 
-def _roll_extragradient(problem, optimizers, evaluate) -> RollOut:
+def _roll_extragradient(problem, optimizers, evaluate, ev):
     """Extrapolate with a stateless simultaneous preview, commit from gradients there.
 
     The half-point (x_hat, m_hat) comes from previews that advance no buffers;
@@ -757,20 +708,20 @@ def _roll_extragradient(problem, optimizers, evaluate) -> RollOut:
     passed as full vectors: the x_hat evaluation may observe other entries
     than the x_t one.
     """
-    evaluate = _resolve_evaluate(problem, evaluate)
-    ev = evaluate(problem.x)
     asm = assemble(problem, ev)
     x_hat, _ = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     half_updates = _preview_duals(problem, optimizers, asm.dual_signals, asm.observed_indices)
-    override = {gid: u.multiplier._merged(u.preview, u.indices) for gid, u in half_updates.items()}
+    override = {
+        gid: multiplier._merged(preview, indices)
+        for gid, (multiplier, _, indices, _, preview) in half_updates.items()
+    }
     ev_hat = evaluate(x_hat)
     asm_hat = assemble(problem, ev_hat, multiplier_values=override)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm_hat.gradient)
     dual_updates = _preview_duals(
         problem, optimizers, asm_hat.dual_signals, asm_hat.observed_indices
     )
-    _commit(problem, optimizers, x_new, staged_primal, dual_updates)
-    return _roll_out(ev.state, asm.primal_lagrangian, asm.dual_lagrangian)
+    return x_new, staged_primal, dual_updates, asm.primal_lagrangian, asm.dual_lagrangian
 
 
 _ROLLS = {
@@ -785,8 +736,11 @@ SCHEMES = tuple(_ROLLS)
 def roll(problem, optimizers, scheme: str = "simultaneous", evaluate=None) -> RollOut:
     """One step of the named scheme (see SCHEMES), the one public roll entry point.
 
-    ``evaluate`` replaces ``problem.evaluate_with_gradients`` for every
-    evaluation the step makes.
+    ``roll`` evaluates at x_t and commits; a scheme only previews. The scheme
+    returns x_{t+1}, the staged primal buffers, the dual previews and the two
+    Lagrangians; only then are x, the optimizers, the multipliers and the
+    step count written. ``evaluate`` replaces
+    ``problem.evaluate_with_gradients`` for every evaluation the step makes.
     """
     try:
         step = _ROLLS[scheme]
@@ -794,4 +748,23 @@ def roll(problem, optimizers, scheme: str = "simultaneous", evaluate=None) -> Ro
         raise ValueError(
             f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}"
         ) from None
-    return step(problem, optimizers, evaluate)
+    problem.freeze_registration()
+    if evaluate is None:
+        evaluate = problem.evaluate_with_gradients
+    ev = evaluate(problem.x)
+    x_new, staged_primal, dual_updates, primal_lagrangian, dual_lagrangian = step(
+        problem, optimizers, evaluate, ev
+    )
+    problem._adopt(x_new)  # a fresh point that _preview_primal has checked
+    optimizers.primal.commit(staged_primal)
+    for multiplier, optimizer, indices, staged, preview in dual_updates.values():
+        multiplier._store(preview, indices)
+        optimizer.commit(staged)
+    optimizers.step += 1
+    state = ev.state
+    return _record(RollOut, {
+        "loss": state.loss,
+        "primal_lagrangian": primal_lagrangian,
+        "dual_lagrangian": dual_lagrangian,
+        "cmp_state": state,
+    })

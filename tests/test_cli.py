@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, trace files, resume."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -146,6 +147,61 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err.strip() != ""
 
+    _DIVERGING = {
+        "ball-lr": ["--a", "3,4", "--lr-primal", "1e300", "--steps", "5"],
+        "bilinear-penalty": [
+            "--problem", "bilinear", "--formulation", "quadratic_penalty",
+            "--penalty", "1e8", "--lr-primal", "10", "--steps", "200",
+        ],
+        "logreg-augmented": [
+            "--problem", "norm_logreg", "--formulation", "augmented_lagrangian",
+            "--penalty", "1e3", "--lr-primal", "5", "--lr-dual", "50", "--steps", "300",
+        ],
+    }
+    _VIOLATION = "numerical failure: non-finite constraint violation\n"
+    _LAGRANGIAN = "numerical failure: non-finite primal Lagrangian inf\n"
+
+    @pytest.mark.parametrize(
+        "scheme, run, err, rows, digest",
+        [
+            ("simultaneous", "ball-lr", _VIOLATION, 0,
+             "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566"),
+            ("simultaneous", "bilinear-penalty", _LAGRANGIAN, 16,
+             "1da969b5b33bdf5516b5c1fa839bcc97238bb817ebcfc2d376f7c5450ab84ade"),
+            ("simultaneous", "logreg-augmented", _VIOLATION, 4,
+             "7140c45aebbf928aee23da26bf3b3da3ea9fff5b9559caa0511d6edb052abe7b"),
+            ("alt-pd", "ball-lr", _VIOLATION, 0,
+             "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566"),
+            ("alt-pd", "bilinear-penalty", _LAGRANGIAN, 16,
+             "1da969b5b33bdf5516b5c1fa839bcc97238bb817ebcfc2d376f7c5450ab84ade"),
+            ("alt-pd", "logreg-augmented", _LAGRANGIAN, 3,
+             "18cd03fb9f4e2d249e9f86f15c9236d2c44b59a05c61c05d9f7e19c5c67d3299"),
+            ("alt-dp", "ball-lr", _VIOLATION, 0,
+             "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566"),
+            ("alt-dp", "bilinear-penalty", _LAGRANGIAN, 16,
+             "1da969b5b33bdf5516b5c1fa839bcc97238bb817ebcfc2d376f7c5450ab84ade"),
+            ("alt-dp", "logreg-augmented", _LAGRANGIAN, 3,
+             "3888ca2cca29f4b517918e870422d3690af6a0a5743ad599155aa2a2cba14583"),
+            ("extragradient", "ball-lr", _VIOLATION, 0,
+             "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566"),
+            ("extragradient", "bilinear-penalty", _LAGRANGIAN, 8,
+             "34b177e2593b68419951a4417b4c4c290f4178cf7726cc900b94fb4634e84b24"),
+            ("extragradient", "logreg-augmented", _VIOLATION, 2,
+             "153207c61b7deb9b180b28b2952ac0f650aafd69bd6ed7d0e3df7c81d9c3ce38"),
+        ],
+    )
+    def test_diverging_run_exit_line_and_trace_pinned(
+        self, scheme, run, err, rows, digest, tmp_path, capsys
+    ):
+        # the failing step's line and every row before it, per scheme
+        trace = tmp_path / "t.csv"
+        argv = ["run", *self._DIVERGING[run], "--scheme", scheme, "--trace", str(trace)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == err
+        data = trace.read_bytes()
+        assert data.count(b"\n") == 1 + rows
+        assert hashlib.sha256(data).hexdigest() == digest
+
     @pytest.mark.parametrize("command", ["run", "check-grad"])
     def test_problem_without_finite_certificate_exits_one(self, command, capsys):
         # the ball problem certifies its solution when built; at a = 1e308 the loss overflows
@@ -285,6 +341,15 @@ class TestConfigFile:
         assert len(err.encode()) <= 200
         assert err.endswith("...\n")
 
+    @pytest.mark.parametrize("field", ["threshold", "penalty", "lr_primal", "nu"])
+    def test_integer_beyond_float64_names_its_field(self, field, tmp_path, capsys, monkeypatch):
+        # float() of such an integer raises OverflowError, which no layer below expects
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({field: -(10**400)}))
+        err = self.rejected(config, capsys, monkeypatch)
+        assert err.startswith(f"error: config field {field!r} is beyond the float64 range, got -1000")
+        assert len(err.encode()) <= 200 and err.endswith("...\n")
+
     def test_many_unknown_fields_are_counted_in_one_short_line(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -393,6 +458,82 @@ class TestUsageErrors:
             cli.main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: lagrangekit")
+
+
+class TestBoundedErrorLines:
+    """Every failure line is cut where it is printed: one line of <= 200 bytes."""
+
+    @staticmethod
+    def one_short_line(argv, capsys, start):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(start) and captured.err.endswith("...\n")
+        assert len(captured.err.encode()) <= 200
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_huge_seed(self, source, tmp_path, capsys):
+        seed = int("9" * 4000)
+        if source == "flag":
+            argv = ["run", "--seed", str(seed)]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"seed": seed}))
+            argv = ["run", "--config", str(config)]
+        self.one_short_line(argv, capsys, "error: seed must be an integer in [0, 2**64), got 999")
+
+    def test_huge_negative_steps(self, capsys):
+        argv = ["run", "--steps", "-" + "9" * 4000]
+        self.one_short_line(argv, capsys, "error: steps must be >= 1, got -999")
+
+    def test_long_config_path(self, tmp_path, capsys):
+        path = str(tmp_path / ("p" * 5000))
+        self.one_short_line(["run", "--config", path], capsys, f"error: cannot read config '{path[:40]}")
+
+    @pytest.mark.parametrize("flag", ["--trace", "--checkpoint-in"])
+    def test_long_trace_or_checkpoint_path(self, flag, tmp_path, capsys):
+        path = str(tmp_path / ("p" * 5000))
+        self.one_short_line(["run", "--steps", "1", flag, path], capsys, "error: [Errno 36] ")
+
+    @staticmethod
+    def edited_checkpoint(tmp_path, capsys, edit) -> str:
+        path = tmp_path / "state.ckpt"
+        assert run_cli("run", "--steps", "1", "--checkpoint-out", str(path)) == 0
+        capsys.readouterr()
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return str(path)
+
+    def test_checkpoint_with_a_long_key(self, tmp_path, capsys):
+        path = self.edited_checkpoint(tmp_path, capsys, lambda lines: [*lines, "k" * 100_000 + "=i 1"])
+        self.one_short_line(["run", "--checkpoint-in", path], capsys, "error: corrupt section 'kkk")
+
+    def test_checkpoint_with_a_long_signature(self, tmp_path, capsys):
+        def edit(lines):
+            return ["signature=s " + "z" * 100_000 if line.startswith("signature=") else line
+                    for line in lines]
+        path = self.edited_checkpoint(tmp_path, capsys, edit)
+        start = "error: signature mismatch: dimension differs: expected dim=2, found 'zzz"
+        self.one_short_line(["run", "--checkpoint-in", path], capsys, start)
+
+    def test_checkpoint_with_a_long_version(self, tmp_path, capsys):
+        def edit(lines):
+            return ["version=i " + "9" * 4000 if line.startswith("version=") else line
+                    for line in lines]
+        path = self.edited_checkpoint(tmp_path, capsys, edit)
+        self.one_short_line(
+            ["run", "--checkpoint-in", path], capsys, "error: unsupported format version 999"
+        )
+
+    def test_control_characters_escaped_and_a_character_never_split(self, capsys):
+        cli._report("error", "a\nb\r\x00\x85 " + "é" * 300)
+        err = capsys.readouterr().err
+        assert err.startswith("error: a\\nb\\r\\x00\\x85\\u2028éé")
+        assert err.endswith("é...\n") and len(err.encode()) <= 200
+        assert err.splitlines() == [err[:-1]]
+
+    def test_short_line_printed_in_full(self, capsys):
+        cli._report("numerical failure", "x" * 179)  # 199 bytes and the newline
+        assert capsys.readouterr().err == "numerical failure: " + "x" * 179 + "\n"
 
 
 class TestCheckpointFlags:

@@ -362,6 +362,161 @@ def test_cli_exit_is_contained(invocation, tmp_path, monkeypatch):
     assert err.getvalue().count("\n") == (1 if code else 0), (argv, config, err.getvalue())
 
 
+# property (iv): whatever the input, a failure is one stderr line of <= 200 bytes
+
+_HUGE = int("9" * 4000)
+_TEXT = st.one_of(
+    st.integers(0, 6000).map(lambda n: "x" * n),
+    st.text(max_size=40),  # any code point: null bytes and line breaks too
+    st.sampled_from(["", "\0", "a\r\nb", "é" * 3000, " ", "nan", "-5", "1e400", "3,4"]),
+    st.sampled_from([_HUGE, -_HUGE, 2**64, -1, 3]).map(str),
+)
+# relative names, none of them '.' or '..': every write stays in the working directory
+_SAFE_PATHS = st.one_of(
+    st.sampled_from(["t.csv", "c.ckpt", "run.json", "", "missing/x", "a\0b", "p" * 5000]),
+    st.text(alphabet="ab_ \n\0é", min_size=1, max_size=300),
+)
+_PATH_FIELDS = ("trace", "checkpoint_in", "checkpoint_out")
+_BAD_STEPS = st.sampled_from(["0", "-1", "-" + "9" * 4000, "nan", "1.5", "abc", "\0"])
+
+
+def _nested(depth: int):
+    return json.loads("[" * depth + "0" + "]" * depth)
+
+
+_JSON_VALUES = st.one_of(
+    _TEXT,
+    st.sampled_from([_HUGE, -_HUGE, 2**64, -1, 0, 2.5, True, None, float("nan"), float("inf")]),
+    st.integers(1, 600).map(_nested),
+    st.lists(st.integers(-(10**30), 10**30), max_size=5),
+    st.dictionaries(st.text(max_size=5), st.integers(), max_size=3),
+)
+
+
+def _argv_value(name):
+    if name in _PATH_FIELDS:
+        return _SAFE_PATHS
+    if name == "steps":  # a valid count comes first on the line; this one overrides it
+        return _BAD_STEPS
+    return st.one_of(_WELL_TYPED[name].map(str), _TEXT)
+
+
+def _config_value(name):
+    if name in _PATH_FIELDS:
+        return st.one_of(_SAFE_PATHS, _JSON_VALUES)
+    if name == "steps":
+        return st.sampled_from([1, 2, 3, 0, -1, -_HUGE, 2.5, "3", None, [3]])
+    return st.one_of(_WELL_TYPED[name], _JSON_VALUES)
+
+
+@st.composite
+def _bounded_invocations(draw):
+    """``(argv, JSON config or None)``; ``--steps`` is 1, 2 or 3 unless invalid."""
+    command = draw(st.sampled_from(["run", "run", "run", "check-grad"]))
+    flags = ["--steps", str(draw(st.integers(1, 3)))] if command == "run" else []
+    names = ["problem", "a", "threshold", "seed"] if command == "check-grad" else _FIELD_NAMES
+    for name in draw(st.lists(st.sampled_from(names), max_size=4, unique=True)):
+        flags += ["--" + name.replace("_", "-"), draw(_argv_value(name))]
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(_FIELD_NAMES), max_size=5, unique=True))
+        config = {name: draw(_config_value(name)) for name in keys}
+        config.update({f"k{i}": 0 for i in range(draw(st.sampled_from([0, 0, 3, 3000])))})
+        config = draw(st.sampled_from([config] * 6 + [[config], "x" * 300, _nested(600)]))
+    return [command, *flags], config
+
+
+def _contained(argv, capsys) -> None:
+    """``cli.main(argv)`` exits 0, 1 or 2, and a failure writes one short line."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    if code:
+        assert err.count("\n") == 1 and err.splitlines() == [err[:-1]], (argv, err)
+        assert len(err.encode()) <= 200 and "Traceback" not in err, (argv, err)
+    else:
+        assert err == "", (argv, err)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(invocation=_bounded_invocations())
+@example(invocation=(["run", "--steps", "1", "--seed", str(_HUGE)], None))
+@example(invocation=(["run", "--steps", "1"], {"threshold": _HUGE, "problem": "norm_logreg"}))
+@example(invocation=(["run", "--steps", "1"], {"a": [_HUGE, 1]}))
+@example(invocation=(["run", "--steps", "1", "--config", "p" * 5000], None))
+@example(invocation=(["check-grad", "--a", "1\n2é" * 100], None))
+@example(invocation=(["run", "--steps", "2", "--lr-primal", "1e300"], None))  # exit 2
+@example(invocation=(["run", "--steps", "1", "--trace", "missing/x\n" * 50], None))
+def test_cli_failure_line_is_bounded(invocation, tmp_path, monkeypatch, capsys):
+    argv, config = invocation
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    if config is not None:
+        with open("run.json", "w") as handle:
+            json.dump(config, handle)
+        argv = [*argv, "--config", "run.json"]
+    _contained(argv, capsys)
+
+
+_CKPT_MUTATIONS = st.tuples(
+    st.sampled_from(["payload", "key", "line", "delete", "duplicate", "insert"]),
+    st.integers(0, 40),
+    _TEXT,
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    flags=st.sampled_from([
+        [],
+        ["--problem", "norm_logreg", "--primal-optimizer", "adam", "--dual-optimizer", "nupi"],
+        ["--formulation", "augmented_lagrangian", "--penalty", "2", "--primal-optimizer", "momentum"],
+    ]),
+    mutations=st.lists(_CKPT_MUTATIONS, min_size=1, max_size=3),
+)
+# lines: the magic line, then groups.ball.multiplier, .penalty, signature, step, version, x
+@example(flags=[], mutations=[("insert", 1, "k" * 100_000)])
+@example(flags=[], mutations=[("payload", 3, "s " + "z" * 100_000)])
+@example(flags=[], mutations=[("payload", 5, "i " + "9" * 4000)])
+def test_mutated_checkpoint_failure_line_is_bounded(flags, mutations, tmp_path, capsys):
+    path = tmp_path / "state.ckpt"
+    argv = ["run", "--steps", "1", *flags]
+    assert cli.main([*argv, "--checkpoint-out", str(path)]) == 0
+    lines = path.read_text().split("\n")[:-1]
+    for what, where, text in mutations:
+        i = where % len(lines)
+        key, _, payload = lines[i].partition("=")
+        if what == "payload":
+            lines[i] = f"{key}={text}"
+        elif what == "key":
+            lines[i] = f"{text}={payload}"
+        elif what == "line":
+            lines[i] = text
+        elif what == "delete":
+            del lines[i]
+        elif what == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, f"{text}=i 1")
+        if not lines:
+            break
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    _contained([*argv, "--checkpoint-in", str(path)], capsys)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints: a corrupt key is contained, and a resume is bit-exact
 
