@@ -211,6 +211,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# a trace row in one call: "%.17g" and ``_fmt`` both print through
+# PyOS_double_to_string with 'g' and precision 17, so the bytes are the same
+_ROW = "%d," + ",".join(["%.17g"] * 8)
+
+
 def _evaluator(problem):
     """An ``evaluate`` that serves the committed x's evaluation from one slot.
 
@@ -246,21 +251,16 @@ def _trace_row(problem, optimizers, evaluate) -> tuple[str, dict]:
         "max_violation": max(max_ineq, max_eq),
         "kkt": kkt,
     }
-    row = ",".join(
-        [str(optimizers.step)]
-        + [
-            _fmt(v)
-            for v in (
-                evaluation.state.loss,
-                assembled.primal_lagrangian,
-                assembled.dual_lagrangian,
-                max_ineq,
-                max_eq,
-                mult_linf,
-                kkt.stationarity,
-                kkt.complementarity,
-            )
-        ]
+    row = _ROW % (
+        optimizers.step,
+        evaluation.state.loss,
+        assembled.primal_lagrangian,
+        assembled.dual_lagrangian,
+        max_ineq,
+        max_eq,
+        mult_linf,
+        kkt.stationarity,
+        kkt.complementarity,
     )
     return row, figures
 

@@ -268,7 +268,8 @@ class AdamLike(PrimalOptimizer):
 
     def _staged_buffers(self, state):
         t = state["t"]
-        if not isinstance(t, (int, np.integer)) or t < 0:
+        # bool is an int subclass; np.bool_ is not an np.integer
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
             raise _BadBuffer("t", f"adam step count must be an integer >= 0, got {t!r}")
         # a finite gradient entry above ~1.3e154 squares to inf, and a roll
         # commits v = inf (the step there is 0); never NaN or a negative entry
@@ -342,13 +343,15 @@ class NuPI(DualOptimizer):
         self.nu = nu
         self.ema: Optional[np.ndarray] = None
         self.seen: Optional[np.ndarray] = None
+        self._all_seen = False  # True only while every entry of ``seen`` is True
 
     def _step(self, signal, indices, size):
         """The delta and the staged ``(ema, seen, indices)`` that ``commit`` takes.
 
         Whole buffers (``indices`` None) on the first step and on a full
         step; otherwise the new ``ema`` entries at ``indices``, read without
-        copying the buffers.
+        copying the buffers. A full step once every entry is seen reads
+        ``ema`` itself and stages the live ``seen``, which ``commit`` keeps.
         """
         e = signal
         idx = slice(None) if indices is None else indices
@@ -357,11 +360,14 @@ class NuPI(DualOptimizer):
         else:
             if self.ema.size != size:
                 raise ValueError(f"nupi buffer size {self.ema.size} != multiplier size {size}")
-            prev = np.where(self.seen[idx], self.ema[idx], e)
+            full = indices is None and self._all_seen
+            prev = self.ema if full else np.where(self.seen[idx], self.ema[idx], e)
         new = self.nu * prev + (1.0 - self.nu) * e
         delta = self.learning_rate * (e + self.kappa_p * (new - prev))
         if self.ema is not None and indices is not None:
             return delta, (new, None, indices)
+        if prev is self.ema:
+            return delta, (new, self.seen, None)
         ema = np.zeros(size, dtype=np.float64)
         seen = np.zeros(size, dtype=bool)
         ema[idx] = new
@@ -370,10 +376,12 @@ class NuPI(DualOptimizer):
 
     def commit(self, staged):
         ema, seen, indices = staged
-        if indices is None:
-            self.ema, self.seen = ema, seen
-        else:
+        if indices is not None:
             self.ema[indices], self.seen[indices] = ema, True
+            return
+        self.ema = ema
+        if seen is not self.seen:
+            self.seen, self._all_seen = seen, seen is not None and bool(seen.all())
 
     def buffer_state(self):
         return {"ema": self.ema, "seen": self.seen}

@@ -28,6 +28,7 @@ from .core import (
     EvaluationError,
     Formulation,
     _SMALL,
+    _WRITES,
     _all_finite,
     _as_size,
     _max_abs,
@@ -254,11 +255,17 @@ def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
 
     Reads the oracle output as the rolls do, through ``optim._blocks_for``
     (a trace row's blocks come from the slot), and composes grad_f + sum m J
-    with their helpers, so it makes their checks and none of its own.
+    with their helpers, so it makes their checks and none of its own; or,
+    where ``current_kkt_residual`` says, reads that sum from the slot's record.
     """
-    gradient = _grad_f_copy(problem, evaluation)
+    blocks = _blocks_for(problem, evaluation)
+    slot = getattr(problem, "_slot", None) if values_by_gid is None else None
+    reuse = slot is not None and slot[0] is evaluation and slot[3] == _WRITES[0] and all(
+        block[2].formulation is Formulation.LAGRANGIAN for block in blocks
+    )
+    gradient = None if reuse else _grad_f_copy(problem, evaluation)
     complementarity = 0.0
-    for gid, cstate, group, jacobian in _blocks_for(problem, evaluation):
+    for gid, cstate, group, jacobian in blocks:
         if values_by_gid is None:
             values = None if group.multiplier is None else group.multiplier.values
         else:
@@ -270,7 +277,8 @@ def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
             _add_weighted_rows(gradient, values, jacobian)
         if group.constraint_type is ConstraintType.INEQUALITY:
             complementarity = max(complementarity, _max_abs(values * cstate.violation))
-    stationarity = _max_abs(_checked_gradient(problem, evaluation, gradient))
+    gradient = slot[2].gradient if reuse else _checked_gradient(problem, evaluation, gradient)
+    stationarity = _max_abs(gradient)
     feasibility = max(problem._violation_maxima(evaluation.state))
     return KKTResidual(stationarity, feasibility, complementarity)
 
@@ -299,6 +307,10 @@ def current_kkt_residual(problem, evaluation=None) -> KKTResidual:
 
     Groups without multipliers (quadratic penalty) count as zero multipliers.
     Reuses ``evaluation`` when the caller already has one for the current x.
+    When every observed group is Lagrangian and ``assemble(problem,
+    evaluation)`` ran with no multiplier or penalty written since, the
+    stationarity reads that record's gradient, already checked, instead of
+    composing grad f + sum m J again: the same rows added in the same order.
     """
     if evaluation is None:
         evaluation = problem.evaluate_with_gradients(problem.x)

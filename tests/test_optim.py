@@ -175,6 +175,19 @@ class TestAdamLike:
         assert opt.buffer_state()["t"] == 1
         assert opt.m is not None
 
+    @pytest.mark.parametrize("t", [True, False, np.bool_(True)], ids=repr)
+    def test_load_rejects_a_boolean_step_count(self, t):
+        # bool is an int subclass: True must not load as step count 1
+        opt = AdamLike(0.1)
+        descend(opt, np.array([1.0]), np.array([1.0]))
+        m, v = opt.m.copy(), opt.v.copy()
+        with pytest.raises(ValueError) as info:
+            opt.load_buffer_state({"m": [0.5], "v": [0.25], "t": t})
+        assert str(info.value) == f"adam step count must be an integer >= 0, got {t!r}"
+        assert info.value.buffer == "t"
+        assert opt.buffer_state()["t"] == 1
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
     def test_hyperparameters_validated(self):
         with pytest.raises(ValueError):
             AdamLike(0.1, beta1=1.0)

@@ -24,6 +24,9 @@ from lagrangekit import (
     splitmix64,
     two_gaussian_dataset,
 )
+from lagrangekit import cli
+from lagrangekit.optim import _store_blocks
+from lagrangekit.problems import _kkt_pieces
 
 LN2 = 0.6931471805599453
 
@@ -327,6 +330,127 @@ class TestKKTResidual:
         # at the origin with lam = 0: stationarity |grad f| = |-2a| = 8
         assert res.stationarity == 8.0
         assert res.complementarity == 0.0
+
+
+def _residual_bytes(res):
+    return np.array(res, dtype=np.float64).tobytes()
+
+
+def _composed_residual(problem, evaluation):
+    """The residual composed afresh: the slot keeps the blocks and drops the record."""
+    _store_blocks(problem, evaluation, problem._slot[1])
+    return _kkt_pieces(problem, evaluation)
+
+
+def _counted_rows(monkeypatch, *modules):
+    """The name of each module in ``modules`` at each ``_add_weighted_rows`` call it makes."""
+    calls = []
+    for module in modules:
+        def counted(*args, original=module._add_weighted_rows, name=module.__name__):
+            calls.append(name)
+            original(*args)
+
+        monkeypatch.setattr(module, "_add_weighted_rows", counted)
+    return calls
+
+
+def _load_multipliers(problem):
+    """Nonzero stored multipliers (positive, so inequality ones stay valid)."""
+    for i, group in enumerate(problem.groups.values()):
+        if group.multiplier is not None:
+            group.multiplier.load_values(0.25 + 0.5 * i + 0.375 * np.arange(group.size))
+
+
+def _observed_problem(formulation, observations):
+    """A user problem in dim 3: an inequality group observed at rows [3, 0] of 4 ("part"),
+    one observed at no rows ("empty"), each under ``formulation``, and a Lagrangian
+    equality group observed whole; returns it and an evaluation."""
+    rng = np.random.default_rng(23)
+    problem = lk.ConstrainedMinimizationProblem(3)
+    penalty = None if formulation is lk.Formulation.LAGRANGIAN else 2.0
+    indexed = formulation is not lk.Formulation.QUADRATIC_PENALTY
+    observed, jacobians = {}, {}
+    layouts = {"part": (4, [3, 0]), "empty": (3, [])}
+    for name in observations:
+        size, rows = layouts[name]
+        problem.register_group(lk.ConstraintGroup(
+            name=name, constraint_type=lk.ConstraintType.INEQUALITY, size=size,
+            formulation=formulation, penalty=penalty, indexed=indexed,
+        ))
+        observed[name] = lk.ConstraintState(
+            violation=rng.normal(size=len(rows)), observed_indices=rows
+        )
+        jacobians[name] = rng.normal(size=(len(rows), 3))
+    problem.register_group(lk.ConstraintGroup(
+        name="eq", constraint_type=lk.ConstraintType.EQUALITY, size=2
+    ))
+    observed["eq"] = lk.ConstraintState(violation=[0.125, -0.5])
+    jacobians["eq"] = rng.normal(size=(2, 3))
+    _load_multipliers(problem)
+    state = lk.CMPState(loss=0.75, observed_constraints=observed)
+    return problem, Evaluation(state=state, grad_f=rng.normal(size=3), jacobians=jacobians)
+
+
+class TestKKTResidualReusesTheAssembly:
+    """``current_kkt_residual`` after ``assemble`` reads the record's gradient
+    when every observed group is Lagrangian, with the bits of the composed sum."""
+
+    @pytest.mark.parametrize("formulation", cli.FORMULATIONS)
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_library_problem_residual_equals_the_composed_one(
+        self, name, formulation, monkeypatch
+    ):
+        config = cli.RunConfig(problem=name, formulation=formulation, penalty=2.0)
+        problem = cli._build_problem(config)
+        _load_multipliers(problem)
+        problem.set_x(problem.x + 0.375)
+        ev = problem.evaluate_with_gradients(problem.x)
+        assemble(problem, ev)
+        calls = _counted_rows(monkeypatch, lk.problems)
+        res = current_kkt_residual(problem, ev)
+        if formulation == "lagrangian":
+            assert calls == []  # read from the record, not composed
+        assert _residual_bytes(res) == _residual_bytes(_composed_residual(problem, ev))
+
+    @pytest.mark.parametrize("observations", [("part",), ("empty",), ("part", "empty")])
+    @pytest.mark.parametrize("formulation", list(lk.Formulation), ids=str)
+    def test_partial_and_empty_observations_equal_the_composed_residual(
+        self, formulation, observations, monkeypatch
+    ):
+        problem, ev = _observed_problem(formulation, observations)
+        assemble(problem, ev)
+        calls = _counted_rows(monkeypatch, lk.problems)
+        res = current_kkt_residual(problem, ev)
+        assert (calls == []) == (formulation is lk.Formulation.LAGRANGIAN)
+        assert _residual_bytes(res) == _residual_bytes(_composed_residual(problem, ev))
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_a_multiplier_written_after_assemble_is_composed(self, name):
+        problem = cli._build_problem(cli.RunConfig(problem=name))
+        problem.set_x(problem.x + 0.375)
+        ev = problem.evaluate_with_gradients(problem.x)
+        assemble(problem, ev)
+        _load_multipliers(problem)  # moves the write stamp: the record is stale
+        res = current_kkt_residual(problem, ev)
+        pieces = {ctype: [g.multiplier.values for g in problem.groups.values()
+                          if g.constraint_type is ctype] or [np.zeros(0)]
+                  for ctype in lk.ConstraintType}
+        lam = np.concatenate(pieces[lk.ConstraintType.INEQUALITY])
+        mu = np.concatenate(pieces[lk.ConstraintType.EQUALITY])
+        assert _residual_bytes(res) == _residual_bytes(kkt_residual(problem, problem.x, lam, mu))
+        assert max(res) > 0.0
+
+    def test_a_traced_run_adds_each_rows_jacobian_once(self, tmp_path, monkeypatch, capsys):
+        # 5 rolls and 5 rows: the first roll's assembly at x_0 plus one per row;
+        # the row's KKT residual and the next roll read the row's record
+        calls = _counted_rows(monkeypatch, lk.optim, lk.problems)
+        code = cli.main([
+            "run", "--problem", "norm_logreg", "--scheme", "alt-pd", "--steps", "5",
+            "--trace", str(tmp_path / "trace.csv"),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert calls == ["lagrangekit.optim"] * 6
 
 
 class TestProblemNames:

@@ -842,3 +842,127 @@ def test_fast_test_agrees_with_every_check(case, fresh_x):
     assert got == expected
     assert fast_calls == checked_calls
     assert set(fast_calls.values()) <= ({1} if got[0] == "ok" else {0, 1})
+
+
+class _ReferenceNuPI(NuPI):
+    """NuPI's ``_step`` and ``commit`` as they were before a full step, once
+    every entry is seen, kept its buffers: the reference a property compares to."""
+
+    def _step(self, signal, indices, size):
+        e = signal
+        idx = slice(None) if indices is None else indices
+        if self.ema is None:
+            prev = e
+        else:
+            if self.ema.size != size:
+                raise ValueError(f"nupi buffer size {self.ema.size} != multiplier size {size}")
+            prev = np.where(self.seen[idx], self.ema[idx], e)
+        new = self.nu * prev + (1.0 - self.nu) * e
+        delta = self.learning_rate * (e + self.kappa_p * (new - prev))
+        if self.ema is not None and indices is not None:
+            return delta, (new, None, indices)
+        ema = np.zeros(size, dtype=np.float64)
+        seen = np.zeros(size, dtype=bool)
+        ema[idx] = new
+        seen[idx] = True
+        return delta, (ema, seen, None)
+
+    def commit(self, staged):
+        ema, seen, indices = staged
+        if indices is None:
+            self.ema, self.seen = ema, seen
+        else:
+            self.ema[indices], self.seen[indices] = ema, True
+
+
+_NUPI_SIGNAL = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _nupi_runs(draw):
+    """(size, ops): dense and indexed steps (committed, or only previewed) and buffer loads."""
+    size = draw(st.integers(1, 6))
+    vector = st.lists(_NUPI_SIGNAL, min_size=size, max_size=size)
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["dense", "dense", "indexed", "preview", "load"]))
+        if kind == "indexed":
+            rows = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+            signal = draw(st.lists(_NUPI_SIGNAL, min_size=len(rows), max_size=len(rows)))
+            ops.append((kind, rows, signal))
+        elif kind == "load":
+            seen = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=size, max_size=size)))
+            ops.append((kind, seen, None if seen is None else draw(vector)))
+        else:
+            ops.append((kind, draw(st.booleans()) if kind == "preview" else None, draw(vector)))
+    return size, ops
+
+
+def _nupi_problem(size):
+    problem = ConstrainedMinimizationProblem(1)
+    problem.register_group(ConstraintGroup(
+        name="g", constraint_type=ConstraintType.INEQUALITY, size=size, indexed=True
+    ))
+    return problem
+
+
+def _buffer_bytes(dual):
+    return {name: None if value is None else (value.dtype.str, value.tobytes())
+            for name, value in dual.buffer_state().items()}
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(run=_nupi_runs(), kappa_p=st.sampled_from([0.0, 1.0, 2.5]), nu=st.sampled_from([0.0, 0.9]))
+def test_nupi_keeps_the_bits_of_its_reference(run, kappa_p, nu, tmp_path):
+    # every delta, buffer and checkpoint byte equals the reference's, whether
+    # a full step reads ema itself or rebuilds it behind np.where
+    size, ops = run
+    problem = _nupi_problem(size)
+    duals = [NuPI(0.05, kappa_p=kappa_p, nu=nu), _ReferenceNuPI(0.05, kappa_p=kappa_p, nu=nu)]
+    held = [PrimalDualOptimizers(primal=AdamLike(0.1), duals={"g": dual}) for dual in duals]
+    for kind, arg, values in ops:
+        deltas = []
+        for dual in duals:
+            if kind == "load":
+                state = {"ema": None, "seen": None} if arg is None else {"ema": values, "seen": arg}
+                dual.load_buffer_state(state)
+                continue
+            rows = arg if kind == "indexed" else None
+            if kind == "preview" and arg:
+                rows = list(range(size))[::-1]  # every entry, addressed by index
+            delta, staged = dual.step(np.array(values, dtype=np.float64), rows, size)
+            deltas.append(delta.tobytes())
+            if kind != "preview":
+                dual.commit(staged)
+        assert deltas[:1] == deltas[1:]
+        assert _buffer_bytes(duals[0]) == _buffer_bytes(duals[1])
+        texts = []
+        for i, optimizers in enumerate(held):
+            checkpoint.save(problem, optimizers, tmp_path / f"{i}.ckpt")
+            texts.append((tmp_path / f"{i}.ckpt").read_text())
+        assert texts[0] == texts[1]
+
+
+_ROW_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+
+
+@settings(derandomize=True, max_examples=500, database=None, deadline=None)
+@given(
+    step=st.one_of(st.integers(0, 2**63), st.sampled_from([0, 2**63 - 1, 2**63])),
+    values=st.lists(_ROW_FLOATS, min_size=8, max_size=8),
+)
+def test_trace_row_format_equals_the_joined_fields(step, values):
+    # the row's one % call against the join of str(step) and format(v, ".17g") it replaces
+    joined = ",".join([str(step)] + [format(float(v), ".17g") for v in values])
+    assert cli._ROW % (step, *values) == joined
