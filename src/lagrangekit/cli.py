@@ -34,7 +34,8 @@ from .optim import (
     Momentum,
     NuPI,
     PrimalDualOptimizers,
-    assemble,
+    _observe,
+    assemble,  # noqa: F401  (perfbench/tracing.py wraps ``cli.assemble``)
     make_dual_optimizers,
     roll,
 )
@@ -236,10 +237,8 @@ def _evaluator(problem):
     return evaluate
 
 
-def _trace_row(problem, optimizers, evaluate) -> tuple[str, dict]:
-    """One post-update trace row plus the summary figures it was built from."""
-    evaluation = evaluate(problem.x)
-    assembled = assemble(problem, evaluation)
+def _trace_row(problem, optimizers, evaluation, assembled) -> tuple[str, dict]:
+    """A roll observer's record at (x_t, m_t) as a trace row, plus the summary figures."""
     kkt = current_kkt_residual(problem, evaluation)
     max_ineq, max_eq = problem._violation_maxima(evaluation.state)
     mult_linf = 0.0
@@ -268,10 +267,10 @@ def _trace_row(problem, optimizers, evaluate) -> tuple[str, dict]:
 def cmd_run(config: RunConfig) -> int:
     """Execute rolls per config, writing a trace and a final summary line.
 
-    Each post-update point is evaluated once: the rolls, the trace rows and
-    the summary share one ``_evaluator``, so the evaluation a roll makes at
-    x_{t+1} (alt-pd) or a trace row makes there is the next roll's
-    evaluation of x_t. A resumed run evaluates its loaded point afresh.
+    Each post-update point is evaluated and assembled once: the rolls share
+    one ``_evaluator`` (alt-pd's x_{t+1} is the next roll's x_t), and row t is
+    roll t+1's opening record, handed to its observer; one more assembly gives
+    the last row. A resumed run evaluates its loaded point afresh.
     """
     try:
         if config.steps < 1:
@@ -294,25 +293,34 @@ def cmd_run(config: RunConfig) -> int:
         return 1
 
     evaluate = _evaluator(problem)
-    trace_handle = None
+    every = config.checkpoint_every
+    trace_handle = figures = None
+
+    def due():
+        return every is not None and optimizers.step % every == 0
+
+    def on_record(evaluation, assembled):
+        # at (x_t, m_t), before any preview: the figures, then row t and checkpoint t
+        nonlocal figures
+        row, figures = _trace_row(problem, optimizers, evaluation, assembled)
+        if trace_handle is not None:
+            trace_handle.write(row + "\n")
+            if due():
+                ckpt.save(problem, optimizers, config.checkpoint_out)
+
     try:
         if config.trace is not None:
             trace_handle = open(config.trace, "w", newline="\n")
             trace_handle.write(TRACE_HEADER + "\n")
-        for _ in range(config.steps):
-            roll(problem, optimizers, scheme=config.scheme, evaluate=evaluate)
-            if trace_handle is not None:
-                row, figures = _trace_row(problem, optimizers, evaluate)
-                trace_handle.write(row + "\n")
-            every = config.checkpoint_every
-            saved = every is not None and optimizers.step % every == 0
-            if saved:
+        for step in range(config.steps):
+            # the first roll opens at the initial or loaded point, which has no row
+            observer = on_record if trace_handle is not None and step else None
+            roll(problem, optimizers, scheme=config.scheme, evaluate=evaluate, observer=observer)
+            if trace_handle is None and due():
                 ckpt.save(problem, optimizers, config.checkpoint_out)
-        if trace_handle is None:
-            # without a trace only the summary needs a row; a failure at x_{t+1}
-            # shows here or in the next roll's evaluation
-            _, figures = _trace_row(problem, optimizers, evaluate)
-        if config.checkpoint_out is not None and not saved:  # the last step's save holds it
+        # the last row, at x_N; without a trace only the summary needs it
+        _observe(problem, evaluate(problem.x), on_record)
+        if config.checkpoint_out is not None and not due():  # else the last step's save holds it
             ckpt.save(problem, optimizers, config.checkpoint_out)
     except EvaluationError as exc:
         _report("numerical failure", exc)

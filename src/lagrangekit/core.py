@@ -10,7 +10,6 @@ treatment across groups.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,23 +66,6 @@ class Formulation(Enum):
 _SMALL = 32
 
 _NO_MISC: Mapping[str, Any] = MappingProxyType({})
-
-# The write stamp: every write that can change an assembled Lagrangian (a
-# multiplier's commit or load, a group's penalty assignment) calls
-# ``_note_write`` once it is done. ``optim.assemble`` keys its cached record
-# on the stamp, never on the identity of a multiplier array, which commits
-# write in place. Each write stores a stamp of its own, so the stamp never
-# takes a value twice, even when problems roll in two threads: a cached
-# record is served only while no write has finished since it was computed.
-# One stamp for the process, so a multiplier need not know the problems that
-# hold it: a write elsewhere costs a cached record a miss.
-_STAMPS = itertools.count(1)
-_WRITES = [0]
-
-
-def _note_write() -> None:
-    """Stamp a finished write that can change an assembled Lagrangian."""
-    _WRITES[0] = next(_STAMPS)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -328,7 +310,6 @@ class ConstraintGroup:
         if name != "penalty":
             raise AttributeError(f"group {self.name!r}: only the penalty can be reassigned")
         object.__setattr__(self, name, self._checked_penalty(value))
-        _note_write()  # an assembly cached over the old penalty is stale now
 
     def __repr__(self):
         return (
@@ -419,7 +400,7 @@ class ConstrainedMinimizationProblem:
         """Commit checked x that nothing else holds, read-only, so evaluations may trust it.
 
         Touches no cache: a problem's caches are keyed by what they were
-        computed from (an evaluation, a state, the write stamp), never by x.
+        computed from (an evaluation, a state), never by x.
         """
         x.flags.writeable = False
         self._x = x

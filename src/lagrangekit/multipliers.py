@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .core import ConstraintType, EvaluationError, _all_finite, _as_indices, _as_size, _index_scan
-from .core import _note_write
 
 __all__ = [
     "Multiplier",
@@ -144,19 +143,16 @@ class Multiplier:
         """Commit ``_preview`` output computed for the same ``indices``.
 
         A full vector is adopted; addressed entries are written in place, so
-        an indexed commit costs O(len(indices)), not O(size). Stamps the
-        write (``core._note_write``).
+        an indexed commit costs O(len(indices)), not O(size).
         """
         if indices is None:
             self._values = values
         else:
             self._values[indices] = values
-        _note_write()
 
     def load_values(self, values) -> None:
         """Replace values wholesale (checkpoint restore); invariants still checked."""
         self._values = self._checked(values)
-        _note_write()
 
 
 class IndexedMultiplier(Multiplier):

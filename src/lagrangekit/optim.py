@@ -26,27 +26,21 @@ Each value is checked once, then trusted:
   with each group's fit (present, finite, (k, dim) unless k = 0). A library
   output takes one fast test; the full checks run only to explain a miss;
 - what one loop over the blocks, ``_dual_pass``, derives at given
-  multipliers: the primal Lagrangian, a dual signal c * v and, on a copy of
-  grad_f whose shape is compared, the composed gradient (checked after the
-  Lagrangian, which covers grad_f). ``assemble`` composes in that loop
-  (simultaneous, extragradient, alt-pd at x_t); alt-dp composes at m_{t+1}
-  in a loop of its own. A gradient a scheme does not use (alt-dp's at m_t,
-  alt-pd's at x_{t+1}) is not computed, nor are its weights; alt-pd's next
-  roll takes, and checks, the one at x_{t+1}. The loop hands on the (m, c)
-  that ``_terms`` gathered: at the stored multipliers, alt-dp's and alt-pd's
-  previews add their deltas to that m, and alt-dp composes with that c;
+  multipliers: the primal Lagrangian, a dual signal c * v and, for
+  ``assemble``, the gradient on a copy of grad_f whose shape is compared
+  (checked after the Lagrangian, which covers grad_f). alt-dp composes in
+  ``_composed``, from the (m, c) the loop gathered, which the previews read
+  too. A gradient a scheme does not use (alt-pd's at x_{t+1}; alt-dp's at
+  m_t, unless an observer takes it) is not composed;
 - proposals before commit: x_new and each multiplier preview.
 
-What one evaluation yields is also computed once: the problem's slot holds
-one evaluation object's checked blocks and its ``assemble`` record at the
-stored multipliers, the record valid while the write stamp (``core._WRITES``,
-renewed by every multiplier commit or load and penalty assignment) has not
-moved; neither reads x. ``_store_blocks`` puts blocks there with no record
-(a ``BenchmarkProblem`` evaluation, which arrives checked; a user's at x_{t+1});
-``assemble`` without overrides adds the record. ``_blocks_for`` serves the
-rolls and the KKT residual from it, and checks any evaluation it does not hold:
-so no roll re-checks a library evaluation, a trace row's record at (x_{t+1},
-m_{t+1}) is the next roll's at (x_t, m_t), and a user's is checked once.
+The problem's slot holds one evaluation object's checked blocks, put there
+by ``_store_blocks`` (a ``BenchmarkProblem`` evaluation, which arrives
+checked; a user's at x_{t+1}) or ``assemble`` without overrides.
+``_blocks_for`` serves the rolls and the KKT residual from it, and checks any
+evaluation it does not hold. No record is kept: a trace row is the record
+``roll`` opens with, handed to its observer, and the slot holds that record
+only while the call runs (``_hand_on``).
 
 A dual preview of an indexed update holds only the addressed entries, and
 the commit writes them, and NuPI's buffer entries, in place: O(observed),
@@ -70,7 +64,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
-from .core import _WRITES, _all_finite, _record
+from .core import _all_finite, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
 from .formulations import _checked_values, _terms, _weights
 from .formulations import assemble_lagrangian, group_contribution  # noqa: F401
@@ -125,7 +119,10 @@ def _staged_vector(state: dict, name: str, finite: bool = True) -> Optional[np.n
         return None
     if np.ndim(value) != 1:
         raise _BadBuffer(name, f"{name} must be a 1-d vector, got shape {np.shape(value)}")
-    vector = np.array(value, dtype=np.float64)
+    vector = np.asarray(value)
+    if vector.dtype == np.bool_:  # would load as 0/1 floats
+        raise _BadBuffer(name, f"{name} must be a vector of numbers, got booleans")
+    vector = np.array(vector, dtype=np.float64)
     if finite and not _all_finite(vector):
         raise _BadBuffer(name, f"{name} must be finite")
     return vector
@@ -453,29 +450,16 @@ def assemble(
     any other entry whose id is not a registered group, or names a group
     without a multiplier, raises ``ValueError``.
 
-    At the stored multipliers the record is cached in the problem's slot: a
-    second call with the same ``evaluation`` object and no multiplier or
-    penalty written in between returns the same record, whose arrays and
-    dicts are shared. Treat them, and the evaluation, as read-only, like
-    ``Multiplier.values``. A call with ``multiplier_values`` is neither
-    served from the slot nor stored in it; it takes the slot's blocks.
+    At the stored multipliers the evaluation's checked blocks stay in the
+    problem's slot, so treat it as read-only; a call with
+    ``multiplier_values`` takes the slot's blocks and stores none.
     """
-    # The slot, ``problem._slot``, is absent or ``(evaluation, blocks,
-    # assembled, stamp)``: the blocks, and the record while ``core._WRITES``
-    # reads ``stamp`` (both None when ``_store_blocks`` filled it: a library
-    # evaluation, alt-pd's x_{t+1}). The stamp is read first: a write that
-    # finishes while the record is computed leaves it stale.
-    stamp = _WRITES[0]
     if multiplier_values is not None:
         multiplier_values = {
             gid: _checked_values(_override_group(problem, gid), values)
             for gid, values in multiplier_values.items()
             if values is not None
         }
-    else:
-        slot = getattr(problem, "_slot", None)
-        if slot is not None and slot[0] is evaluation and slot[3] == stamp:
-            return slot[2]
     blocks = _blocks_for(problem, evaluation)
     gradient = _grad_f_copy(problem, evaluation)
     primal_lagrangian, dual_lagrangian, signals, indices, _ = _dual_pass(
@@ -489,8 +473,25 @@ def assemble(
         "observed_indices": indices,
     })
     if multiplier_values is None:
-        problem._slot = (evaluation, blocks, assembled, stamp)
+        problem._slot = (evaluation, blocks)
     return assembled
+
+
+def _observe(problem, evaluation: Evaluation, observer) -> AssembledLagrangian:
+    """``assemble(problem, evaluation)``, handed first to ``observer`` when there is one."""
+    assembled = assemble(problem, evaluation)
+    if observer is not None:
+        _hand_on(problem, evaluation, problem._slot[1], assembled, observer)
+    return assembled
+
+
+def _hand_on(problem, evaluation: Evaluation, blocks: list, assembled, observer) -> None:
+    """``observer(evaluation, assembled)``, with the record in the slot only while it runs."""
+    problem._slot = (evaluation, blocks, assembled)
+    try:
+        observer(evaluation, assembled)
+    finally:
+        problem._slot = (evaluation, blocks)
 
 
 def _override_group(problem: ConstrainedMinimizationProblem, gid):
@@ -512,7 +513,7 @@ def _blocks_for(problem: ConstrainedMinimizationProblem, evaluation: Evaluation)
 
 
 def _store_blocks(problem: ConstrainedMinimizationProblem, evaluation, blocks: list) -> None:
-    problem._slot = (evaluation, blocks, None, None)
+    problem._slot = (evaluation, blocks)
 
 
 def _jacobian_error(gid: str) -> EvaluationError:
@@ -653,26 +654,26 @@ def _preview_duals(problem, optimizers, signals: dict, indices: dict, gathered=N
     return updates
 
 
-def _roll_simultaneous(problem, optimizers, evaluate, ev):
+def _roll_simultaneous(problem, optimizers, evaluate, ev, observer):
     """Simultaneous GDA: one evaluation drives both the primal and dual step.
 
     The primal step descends grad of the Lagrangian at (x_t, m_t); the dual
     step ascends the signals from the same evaluation; inequality multipliers
     are projected element-wise onto the nonnegative orthant.
     """
-    asm = assemble(problem, ev)
+    asm = _observe(problem, ev, observer)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     dual_updates = _preview_duals(problem, optimizers, asm.dual_signals, asm.observed_indices)
     return x_new, staged_primal, dual_updates, asm.primal_lagrangian, asm.dual_lagrangian
 
 
-def _roll_alternating_primal_dual(problem, optimizers, evaluate, ev):
+def _roll_alternating_primal_dual(problem, optimizers, evaluate, ev, observer):
     """Primal step first, then the dual step on signals measured at x_{t+1}.
 
     Only the dual pass runs at x_{t+1}: its gradient would not be used. Its
-    blocks there go into the slot, for the next roll's or trace row's ``assemble``.
+    blocks there go into the slot, for the next roll's ``assemble``.
     """
-    asm = assemble(problem, ev)
+    asm = _observe(problem, ev, observer)
     x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     ev_new = evaluate(x_new)
     blocks = _blocks_for(problem, ev_new)
@@ -683,16 +684,27 @@ def _roll_alternating_primal_dual(problem, optimizers, evaluate, ev):
     return x_new, staged_primal, dual_updates, asm.primal_lagrangian, dual_lagrangian
 
 
-def _roll_alternating_dual_primal(problem, optimizers, evaluate, ev):
+def _roll_alternating_dual_primal(problem, optimizers, evaluate, ev, observer):
     """Dual step first on x_t signals; the primal step then uses m_{t+1}.
 
     Both updates come from the single x_t evaluation: the dual pass at m_t,
     then the gradient composed at the previewed multiplier entries, before
     anything commits. Both read the entries and penalties the pass gathered.
     """
-    blocks = _blocks_for(problem, ev)  # the oracle output is checked once for both loops
+    blocks = _blocks_for(problem, ev)  # the oracle output is checked once for every loop
     primal_lagrangian, dual_lagrangian, signals, indices, gathered = _dual_pass(problem, ev, blocks)
+    if observer is not None:  # the record at m_t, its gradient from the gathered entries
+        gradient = _composed(problem, ev, blocks, gathered)
+        record = AssembledLagrangian(primal_lagrangian, dual_lagrangian, gradient, signals, indices)
+        _hand_on(problem, ev, blocks, record, observer)
     dual_updates = _preview_duals(problem, optimizers, signals, indices, gathered)
+    gradient = _composed(problem, ev, blocks, gathered, dual_updates)
+    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
+    return x_new, staged_primal, dual_updates, primal_lagrangian, dual_lagrangian
+
+
+def _composed(problem, ev, blocks: list, gathered: dict, dual_updates=()) -> np.ndarray:
+    """The checked gradient at the gathered (m, c); a group in ``dual_updates`` at its preview."""
     gradient = _grad_f_copy(problem, ev)
     for gid, cstate, group, jacobian in blocks:
         m, c = gathered[gid]
@@ -702,12 +714,10 @@ def _roll_alternating_dual_primal(problem, optimizers, evaluate, ev):
         if gradient is not None:
             weights = m if c is None else _weights(group, cstate, m, c)
             _add_weighted_rows(gradient, weights, jacobian)
-    gradient = _checked_gradient(problem, ev, gradient)
-    x_new, staged_primal = _preview_primal(optimizers.primal, problem.x, gradient)
-    return x_new, staged_primal, dual_updates, primal_lagrangian, dual_lagrangian
+    return _checked_gradient(problem, ev, gradient)
 
 
-def _roll_extragradient(problem, optimizers, evaluate, ev):
+def _roll_extragradient(problem, optimizers, evaluate, ev, observer):
     """Extrapolate with a stateless simultaneous preview, commit from gradients there.
 
     The half-point (x_hat, m_hat) comes from previews that advance no buffers;
@@ -716,7 +726,7 @@ def _roll_extragradient(problem, optimizers, evaluate, ev):
     passed as full vectors: the x_hat evaluation may observe other entries
     than the x_t one.
     """
-    asm = assemble(problem, ev)
+    asm = _observe(problem, ev, observer)
     x_hat, _ = _preview_primal(optimizers.primal, problem.x, asm.gradient)
     half_updates = _preview_duals(problem, optimizers, asm.dual_signals, asm.observed_indices)
     override = {
@@ -741,7 +751,9 @@ _ROLLS = {
 SCHEMES = tuple(_ROLLS)
 
 
-def roll(problem, optimizers, scheme: str = "simultaneous", evaluate=None) -> RollOut:
+def roll(
+    problem, optimizers, scheme: str = "simultaneous", evaluate=None, *, observer=None
+) -> RollOut:
     """One step of the named scheme (see SCHEMES), the one public roll entry point.
 
     ``roll`` evaluates at x_t and commits; a scheme only previews. The scheme
@@ -749,6 +761,11 @@ def roll(problem, optimizers, scheme: str = "simultaneous", evaluate=None) -> Ro
     Lagrangians; only then are x, the optimizers, the multipliers and the
     step count written. ``evaluate`` replaces
     ``problem.evaluate_with_gradients`` for every evaluation the step makes.
+
+    ``observer(evaluation, assembled)``, if given, gets the evaluation at x_t
+    and its ``assemble`` record at m_t, after the roll's opening assembly and
+    before any preview; it must not write the state, and if it raises the roll
+    commits nothing. ``current_kkt_residual`` reads the record's gradient then.
     """
     try:
         step = _ROLLS[scheme]
@@ -761,7 +778,7 @@ def roll(problem, optimizers, scheme: str = "simultaneous", evaluate=None) -> Ro
         evaluate = problem.evaluate_with_gradients
     ev = evaluate(problem.x)
     x_new, staged_primal, dual_updates, primal_lagrangian, dual_lagrangian = step(
-        problem, optimizers, evaluate, ev
+        problem, optimizers, evaluate, ev, observer
     )
     problem._adopt(x_new)  # a fresh point that _preview_primal has checked
     optimizers.primal.commit(staged_primal)

@@ -28,7 +28,6 @@ from .core import (
     EvaluationError,
     Formulation,
     _SMALL,
-    _WRITES,
     _all_finite,
     _as_size,
     _max_abs,
@@ -256,11 +255,12 @@ def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
     Reads the oracle output as the rolls do, through ``optim._blocks_for``
     (a trace row's blocks come from the slot), and composes grad_f + sum m J
     with their helpers, so it makes their checks and none of its own; or,
-    where ``current_kkt_residual`` says, reads that sum from the slot's record.
+    where ``current_kkt_residual`` says, reads that sum from the record that
+    the slot holds while an observer call runs (``optim._hand_on``).
     """
     blocks = _blocks_for(problem, evaluation)
-    slot = getattr(problem, "_slot", None) if values_by_gid is None else None
-    reuse = slot is not None and slot[0] is evaluation and slot[3] == _WRITES[0] and all(
+    slot = getattr(problem, "_slot", ()) if values_by_gid is None else ()
+    reuse = len(slot) == 3 and slot[0] is evaluation and all(
         block[2].formulation is Formulation.LAGRANGIAN for block in blocks
     )
     gradient = None if reuse else _grad_f_copy(problem, evaluation)
@@ -307,10 +307,10 @@ def current_kkt_residual(problem, evaluation=None) -> KKTResidual:
 
     Groups without multipliers (quadratic penalty) count as zero multipliers.
     Reuses ``evaluation`` when the caller already has one for the current x.
-    When every observed group is Lagrangian and ``assemble(problem,
-    evaluation)`` ran with no multiplier or penalty written since, the
-    stationarity reads that record's gradient, already checked, instead of
-    composing grad f + sum m J again: the same rows added in the same order.
+    Called from a ``roll`` observer with the evaluation it was handed, when
+    every observed group is Lagrangian, the stationarity reads the record's
+    gradient, already checked, instead of composing grad f + sum m J again:
+    the same rows added in the same order.
     """
     if evaluation is None:
         evaluation = problem.evaluate_with_gradients(problem.x)

@@ -202,6 +202,104 @@ class TestRun:
         assert data.count(b"\n") == 1 + rows
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # (scheme, run): the exit line, the checkpoint's sha256 with the trace off and
+    # on (None: no checkpoint was written), and the trace's sha256
+    _PARITY = {
+        ("simultaneous", "ball-lr"): (
+            _VIOLATION,
+            "606041e0070899146d154a7c1814d895bdfc6a6137bd732f4c0bac44acd0ae86",
+            None,
+            "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566",
+        ),
+        ("simultaneous", "bilinear-penalty"): (
+            _LAGRANGIAN,
+            "bdebc497fe9afd50402b00104f7dde511f95fbffa03d3a66f7cab99554c81656",
+            "b92a4df9b53f038f1fdd444aba2ec8573d8d0038aa3a7d6c2ec346258af64faf",
+            "1da969b5b33bdf5516b5c1fa839bcc97238bb817ebcfc2d376f7c5450ab84ade",
+        ),
+        ("simultaneous", "logreg-augmented"): (
+            _VIOLATION,
+            "57ae43e147ad5a36928925b0ff8fc2e4fb75e5748fd160f1998d222242b93ac8",
+            "56804dab22ebcd914b704305f726d30f6185e4d8a3e96ed2dbda24e5e8dd8260",
+            "7140c45aebbf928aee23da26bf3b3da3ea9fff5b9559caa0511d6edb052abe7b",
+        ),
+        ("alt-pd", "ball-lr"): (
+            _VIOLATION,
+            None,
+            None,
+            "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566",
+        ),
+        ("alt-pd", "bilinear-penalty"): (
+            _LAGRANGIAN,
+            "b92a4df9b53f038f1fdd444aba2ec8573d8d0038aa3a7d6c2ec346258af64faf",
+            "b92a4df9b53f038f1fdd444aba2ec8573d8d0038aa3a7d6c2ec346258af64faf",
+            "1da969b5b33bdf5516b5c1fa839bcc97238bb817ebcfc2d376f7c5450ab84ade",
+        ),
+        ("alt-pd", "logreg-augmented"): (
+            _LAGRANGIAN,
+            "7b38c4a70d383b383a1b5309f3ef8eda219793c9e9b1a9a07e67be51d5d108de",
+            "7b38c4a70d383b383a1b5309f3ef8eda219793c9e9b1a9a07e67be51d5d108de",
+            "18cd03fb9f4e2d249e9f86f15c9236d2c44b59a05c61c05d9f7e19c5c67d3299",
+        ),
+        ("alt-dp", "ball-lr"): (
+            _VIOLATION,
+            "606041e0070899146d154a7c1814d895bdfc6a6137bd732f4c0bac44acd0ae86",
+            None,
+            "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566",
+        ),
+        ("alt-dp", "bilinear-penalty"): (
+            _LAGRANGIAN,
+            "bdebc497fe9afd50402b00104f7dde511f95fbffa03d3a66f7cab99554c81656",
+            "b92a4df9b53f038f1fdd444aba2ec8573d8d0038aa3a7d6c2ec346258af64faf",
+            "1da969b5b33bdf5516b5c1fa839bcc97238bb817ebcfc2d376f7c5450ab84ade",
+        ),
+        ("alt-dp", "logreg-augmented"): (
+            _LAGRANGIAN,
+            "c4f17240925fc34e137fae807349a47eb580444afe5886f0742b756b5bc2206c",
+            "9b09b27961f26f650c27232d02626e529fa31eebd42a96b2a4e5aafd777c5d5f",
+            "3888ca2cca29f4b517918e870422d3690af6a0a5743ad599155aa2a2cba14583",
+        ),
+        ("extragradient", "ball-lr"): (
+            _VIOLATION,
+            None,
+            None,
+            "a63e5809c7ecad21c79a5c19cad15f84367018d0aef8e32cca7e74831d873566",
+        ),
+        ("extragradient", "bilinear-penalty"): (
+            _LAGRANGIAN,
+            "9b21543b5c1b1917772515476ca804d97c00d4960f4d6e95f30308794ffe858f",
+            "9b21543b5c1b1917772515476ca804d97c00d4960f4d6e95f30308794ffe858f",
+            "34b177e2593b68419951a4417b4c4c290f4178cf7726cc900b94fb4634e84b24",
+        ),
+        ("extragradient", "logreg-augmented"): (
+            _VIOLATION,
+            "7bd6a0368c4c7576124a2c20a5be879fa7fe7b2130b87dc9e81a5eeed23f7568",
+            "7bd6a0368c4c7576124a2c20a5be879fa7fe7b2130b87dc9e81a5eeed23f7568",
+            "153207c61b7deb9b180b28b2952ac0f650aafd69bd6ed7d0e3df7c81d9c3ce38",
+        ),
+    }
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("scheme, run", list(_PARITY), ids=[f"{s}-{r}" for s, r in _PARITY])
+    def test_diverging_run_checkpoint_pinned(self, scheme, run, trace, tmp_path, capsys):
+        # a step's row error comes before that step's save, and both come before
+        # the next roll's previews; untraced, the save comes before the next evaluation
+        err, *checkpoints, trace_digest = self._PARITY[scheme, run]
+        trace_path, state = tmp_path / "t.csv", tmp_path / "state.ckpt"
+        argv = [
+            "run", *self._DIVERGING[run], "--scheme", scheme,
+            "--checkpoint-out", str(state), "--checkpoint-every", "1",
+        ]
+        if trace:
+            argv += ["--trace", str(trace_path)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == err
+        digest = hashlib.sha256(state.read_bytes()).hexdigest() if state.exists() else None
+        assert digest == checkpoints[trace]
+        assert trace_path.exists() == trace
+        if trace:
+            assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == trace_digest
+
     @pytest.mark.parametrize("command", ["run", "check-grad"])
     def test_problem_without_finite_certificate_exits_one(self, command, capsys):
         # the ball problem certifies its solution when built; at a = 1e308 the loss overflows

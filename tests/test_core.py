@@ -138,11 +138,9 @@ class TestConstraintGroup:
     def test_only_the_penalty_can_be_assigned(self, attr):
         group = ConstraintGroup(name="g", constraint_type=INEQ, size=1)
         before = getattr(group, attr, None)
-        stamp = lk.core._WRITES[0]
         with pytest.raises(AttributeError, match="only the penalty can be reassigned"):
             setattr(group, attr, lk.Multiplier(1, INEQ) if attr == "multiplier" else 2)
         assert getattr(group, attr, None) is before
-        assert lk.core._WRITES[0] == stamp
 
     @pytest.mark.parametrize(
         "formulation, value, message",
@@ -162,11 +160,9 @@ class TestConstraintGroup:
         group = ConstraintGroup(
             name="g", constraint_type=INEQ, size=3, formulation=formulation, penalty=penalty
         )
-        stamp = lk.core._WRITES[0]
         with pytest.raises(ValueError, match=message):
             group.penalty = value
         assert group.penalty is penalty
-        assert lk.core._WRITES[0] == stamp
 
     def test_lagrangian_forbids_penalty(self):
         with pytest.raises(ValueError):

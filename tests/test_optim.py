@@ -333,6 +333,30 @@ def test_load_buffer_state_rejects_non_finite_and_non_flag_entries(make, state, 
     assert optimizer.buffer_state() == before
 
 
+@pytest.mark.parametrize(
+    "make, loaded, buffer",
+    [
+        (lambda: Momentum(0.1), {"velocity": [0.5, 0.25]}, "velocity"),
+        (lambda: AdamLike(0.1), {"m": [0.5, 0.25], "v": [0.25, 0.5], "t": 3}, "m"),
+        (lambda: AdamLike(0.1), {"m": [0.5, 0.25], "v": [0.25, 0.5], "t": 3}, "v"),
+        (lambda: NuPI(0.1), {"ema": [0.5, 0.25], "seen": [True, False]}, "ema"),
+    ],
+    ids=["velocity", "adam-m", "adam-v", "nupi-ema"],
+)
+@pytest.mark.parametrize("boolean", [[True, False], np.array([False, True])], ids=["list", "array"])
+def test_load_buffer_state_rejects_a_boolean_vector(make, loaded, buffer, boolean):
+    # a boolean vector used to load as 0/1 floats; the buffers stay as loaded
+    optimizer = make()
+    optimizer.load_buffer_state(loaded)
+    before = {name: np.asarray(value).tobytes() for name, value in optimizer.buffer_state().items()}
+    with pytest.raises(ValueError) as info:
+        optimizer.load_buffer_state({**loaded, buffer: boolean})
+    assert str(info.value) == f"{buffer} must be a vector of numbers, got booleans"
+    assert info.value.buffer == buffer
+    after = {name: np.asarray(value).tobytes() for name, value in optimizer.buffer_state().items()}
+    assert after == before
+
+
 def test_load_buffer_state_takes_an_infinite_adam_second_moment():
     # a finite gradient entry above ~1.3e154 squares to inf, so a step commits v = inf
     optimizer = AdamLike(0.1)
@@ -1295,11 +1319,11 @@ def _assembled_bytes(asm):
 
 
 class TestAssembleSlot:
-    """``assemble`` serves a repeated call on one evaluation from the problem's slot.
+    """``assemble`` keeps one evaluation's checked blocks in the problem's slot, never a record.
 
-    A hit needs the same ``Evaluation`` object and no write in between: a
-    multiplier commit or load, or a group's penalty assigned. x is no key of
-    the slot, so ``set_x`` alone keeps the record.
+    Each call computes its record afresh, so a write in between (a multiplier
+    commit or load, or a group's penalty assigned) is always seen; x is not
+    read, so ``set_x`` alone changes nothing.
     """
 
     @staticmethod
@@ -1343,35 +1367,16 @@ class TestAssembleSlot:
         self.WRITES[write](problem, tmp_path)
         second = lk.assemble(problem, ev)
         assert _assembled_bytes(second) == _assembled_bytes(self.fresh(problem, ev))
-        if write == "set_x":
-            # ev assembles to the same record at any x: the slot keeps it
-            assert second is first
-        else:  # the others change what ev assembles to
-            assert second is not first
+        if write != "set_x":  # ev assembles to the same record at any x; the others change it
             assert _assembled_bytes(second) != _assembled_bytes(first)
 
-    def test_no_write_returns_the_same_record(self):
+    def test_no_write_assembles_the_same_bytes(self):
         problem, _ = self.setup()
         ev = problem.evaluate_with_gradients(problem.x)
         first = lk.assemble(problem, ev)
-        assert lk.assemble(problem, ev) is first
-        # another evaluation of the same point is another key
-        assert lk.assemble(problem, problem.evaluate_with_gradients(problem.x)) is not first
-
-    def test_late_write_never_revives_a_stale_record(self):
-        # two problems rolling in two threads: one thread takes its write stamp
-        # and is pre-empted; the other stamps a write, caches a record, writes a
-        # multiplier; then the first thread stores its stamp, older than both
-        problem, _ = self.setup()
-        ev = problem.evaluate_with_gradients(problem.x)
-        late = next(lk.core._STAMPS)
-        lk.core._note_write()
-        first = lk.assemble(problem, ev)
-        problem.group("ball").multiplier.apply_dual_delta([0.5])
-        lk.core._WRITES[0] = late
-        second = lk.assemble(problem, ev)
-        assert second is not first
-        assert _assembled_bytes(second) == _assembled_bytes(self.fresh(problem, ev))
+        assert _assembled_bytes(lk.assemble(problem, ev)) == _assembled_bytes(first)
+        other = lk.assemble(problem, problem.evaluate_with_gradients(problem.x))
+        assert _assembled_bytes(other) == _assembled_bytes(first)
 
     def test_override_neither_served_nor_stored(self):
         problem, _ = self.setup()
@@ -1384,7 +1389,7 @@ class TestAssembleSlot:
         assert _assembled_bytes(stored) != _assembled_bytes(a)
         c = lk.assemble(problem, ev, multiplier_values=override)
         assert c is not a and _assembled_bytes(c) == _assembled_bytes(a)
-        assert lk.assemble(problem, ev) is stored
+        assert _assembled_bytes(lk.assemble(problem, ev)) == _assembled_bytes(stored)
 
     @pytest.mark.parametrize(
         "values, shape", [([0.5, 0.5], "(2,)"), ([[0.5]], "(1, 1)"), (0.5, "()")]
@@ -1523,12 +1528,14 @@ class TestAssembleSlot:
         }
 
     def test_traced_alt_dp_run_takes_the_row_blocks(self, monkeypatch, tmp_path, capsys):
-        n = 7
+        n = 5
         counts, _ = self.counted_run(monkeypatch, tmp_path, "alt-dp", n)
-        # each roll's dual pass at m_t reads the blocks of the row before it and
-        # composes at m_{t+1} in a loop of its own; each row assembles at m_{t+1}
+        # one dual pass per evaluation: each roll's at (x_t, m_t) gives the row
+        # before it, whose gradient at m_t is composed from the entries that pass
+        # gathered; each roll composes at m_{t+1} in a loop of its own; the last
+        # row assembles at x_n
         assert counts == {
-            "_checked_blocks": 0, "_dual_pass": 2 * n, "composing": n,
+            "_checked_blocks": 0, "_dual_pass": n + 1, "composing": 1,
             "_checked_gradient": 2 * n, "maxima": n,
         }
 
@@ -1563,7 +1570,12 @@ class TestAssembleSlot:
             lk.optim, "_checked_blocks", lambda *args: checks.append(args) or original(*args)
         )
         evaluate = cli._evaluator(problem)
-        row, figures = cli._trace_row(problem, optimizers, evaluate)
+        rows = []
+        lk.optim._observe(
+            problem, evaluate(problem.x),
+            lambda ev, asm: rows.append(cli._trace_row(problem, optimizers, ev, asm)),
+        )
+        (row, figures), = rows
         ev = evaluate(problem.x)
         assert checks == []  # a library evaluation: neither the row's assemble nor its KKT
         assert lk.current_kkt_residual(problem, ev) == figures["kkt"]
@@ -1609,9 +1621,65 @@ class TestAssembleSlot:
             assert stored == [id(ev) for ev in made]  # one store per evaluation
         else:
             # each library evaluation underneath stores once, and the roll stores the
-            # x_{t+1} one it checked; assemble stores the x_t one's blocks with its record
+            # x_{t+1} one it checked; assemble stores the x_t one's blocks itself
             assert len(stores) == 6 + 3
             assert [i for i in stored if i in set(map(id, made))] == [id(ev) for ev in made[1::2]]
+
+
+class TestRollObserver:
+    """``roll`` hands its observer the evaluation at x_t and its record at m_t, before any write."""
+
+    @staticmethod
+    def state(problem, optimizers):
+        buffers = [
+            (name, np.asarray(buffer).tobytes())
+            for opt in [optimizers.primal, *optimizers.duals.values()]
+            for name, buffer in sorted(opt.buffer_state().items())
+        ]
+        multiplier = problem.group("ball").multiplier.values.tobytes()
+        return problem.x.tobytes(), multiplier, buffers, optimizers.step
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_record_is_the_opening_assembly_and_the_roll_is_unchanged(self, scheme):
+        runs = []
+        for observed in (False, True):
+            problem, optimizers = TestAssembleSlot.setup()
+            seen = []
+
+            def observer(ev, asm):
+                assert len(problem._slot) == 3 and problem._slot[2] is asm
+                seen.append((
+                    self.state(problem, optimizers), _assembled_bytes(asm),
+                    _assembled_bytes(TestAssembleSlot.fresh(problem, ev)),
+                ))
+
+            trajectory = []
+            for _ in range(4):
+                before = self.state(problem, optimizers)
+                out = roll(problem, optimizers, scheme, observer=observer if observed else None)
+                assert len(problem._slot) == 2  # the record is held only during the call
+                if observed:
+                    at_call, record, fresh = seen[-1]
+                    assert at_call == before and record == fresh
+                trajectory.append((out.primal_lagrangian, out.dual_lagrangian,
+                                   self.state(problem, optimizers)))
+            assert len(seen) == (4 if observed else 0)
+            runs.append(trajectory)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_an_observer_that_raises_commits_nothing(self, scheme):
+        problem, optimizers = TestAssembleSlot.setup()
+        roll(problem, optimizers, scheme)
+        before = self.state(problem, optimizers)
+
+        def observer(ev, asm):
+            raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            roll(problem, optimizers, scheme, observer=observer)
+        assert self.state(problem, optimizers) == before
+        assert len(problem._slot) == 2
 
 
 class TestIndexedGathers:

@@ -25,7 +25,7 @@ from lagrangekit import (
     two_gaussian_dataset,
 )
 from lagrangekit import cli
-from lagrangekit.optim import _store_blocks
+from lagrangekit.optim import _observe, _store_blocks
 from lagrangekit.problems import _kkt_pieces
 
 LN2 = 0.6931471805599453
@@ -337,7 +337,7 @@ def _residual_bytes(res):
 
 
 def _composed_residual(problem, evaluation):
-    """The residual composed afresh: the slot keeps the blocks and drops the record."""
+    """The residual composed afresh, from the blocks the slot keeps."""
     _store_blocks(problem, evaluation, problem._slot[1])
     return _kkt_pieces(problem, evaluation)
 
@@ -391,8 +391,15 @@ def _observed_problem(formulation, observations):
     return problem, Evaluation(state=state, grad_f=rng.normal(size=3), jacobians=jacobians)
 
 
+def _observed_residual(problem, evaluation):
+    """``current_kkt_residual`` as a roll's observer computes it: inside the call."""
+    residuals = []
+    _observe(problem, evaluation, lambda ev, _: residuals.append(current_kkt_residual(problem, ev)))
+    return residuals[0]
+
+
 class TestKKTResidualReusesTheAssembly:
-    """``current_kkt_residual`` after ``assemble`` reads the record's gradient
+    """``current_kkt_residual`` inside an observer call reads the record's gradient
     when every observed group is Lagrangian, with the bits of the composed sum."""
 
     @pytest.mark.parametrize("formulation", cli.FORMULATIONS)
@@ -405,9 +412,8 @@ class TestKKTResidualReusesTheAssembly:
         _load_multipliers(problem)
         problem.set_x(problem.x + 0.375)
         ev = problem.evaluate_with_gradients(problem.x)
-        assemble(problem, ev)
         calls = _counted_rows(monkeypatch, lk.problems)
-        res = current_kkt_residual(problem, ev)
+        res = _observed_residual(problem, ev)
         if formulation == "lagrangian":
             assert calls == []  # read from the record, not composed
         assert _residual_bytes(res) == _residual_bytes(_composed_residual(problem, ev))
@@ -418,11 +424,21 @@ class TestKKTResidualReusesTheAssembly:
         self, formulation, observations, monkeypatch
     ):
         problem, ev = _observed_problem(formulation, observations)
+        calls = _counted_rows(monkeypatch, lk.problems)
+        res = _observed_residual(problem, ev)
+        assert (calls == []) == (formulation is lk.Formulation.LAGRANGIAN)
+        assert _residual_bytes(res) == _residual_bytes(_composed_residual(problem, ev))
+
+    def test_outside_an_observer_call_the_residual_is_composed(self, monkeypatch):
+        # the slot holds the record only while the call runs
+        problem, ev = _observed_problem(lk.Formulation.LAGRANGIAN, ("part",))
+        inside = _observed_residual(problem, ev)
         assemble(problem, ev)
         calls = _counted_rows(monkeypatch, lk.problems)
         res = current_kkt_residual(problem, ev)
-        assert (calls == []) == (formulation is lk.Formulation.LAGRANGIAN)
-        assert _residual_bytes(res) == _residual_bytes(_composed_residual(problem, ev))
+        assert calls == ["lagrangekit.problems"] * 2
+        assert _residual_bytes(res) == _residual_bytes(inside)
+        assert len(problem._slot) == 2
 
     @pytest.mark.parametrize("name", PROBLEM_NAMES)
     def test_a_multiplier_written_after_assemble_is_composed(self, name):
@@ -430,7 +446,7 @@ class TestKKTResidualReusesTheAssembly:
         problem.set_x(problem.x + 0.375)
         ev = problem.evaluate_with_gradients(problem.x)
         assemble(problem, ev)
-        _load_multipliers(problem)  # moves the write stamp: the record is stale
+        _load_multipliers(problem)  # the residual composes at the values written now
         res = current_kkt_residual(problem, ev)
         pieces = {ctype: [g.multiplier.values for g in problem.groups.values()
                           if g.constraint_type is ctype] or [np.zeros(0)]
