@@ -368,10 +368,10 @@ class Evaluation:
 class ConstrainedMinimizationProblem:
     """Base class: registered constraint groups plus a primal point x.
 
-    Subclasses implement ``compute_cmp_state`` (and ``evaluate_with_gradients``
-    when driven by the optimizers). Group registration is open until the first
-    evaluation, after which the group set is frozen. A problem instance is
-    single-owner: one roll at a time.
+    Subclasses implement one evaluation hook, ``evaluate_with_gradients``.
+    Group registration is open until the first evaluation, after which the
+    group set is frozen. A problem instance is single-owner: one roll at a
+    time.
     """
 
     def __init__(self, dim: int, x0=None):
@@ -447,35 +447,15 @@ class ConstrainedMinimizationProblem:
 
     # -- evaluation ----------------------------------------------------------
 
-    def compute_cmp_state(self, x) -> CMPState:
-        """Evaluate loss and constraint violations at x. Pure; must be overridden."""
-        raise NotImplementedError
-
     def evaluate_with_gradients(self, x) -> Evaluation:
-        """Evaluate state plus objective gradient and per-group Jacobians."""
+        """State plus objective gradient and per-group Jacobians at x. Pure; must be overridden."""
         raise NotImplementedError
-
-    def check_state(self, state: CMPState) -> None:
-        """Validate a CMPState against the registered groups.
-
-        Every observed group must be registered; full observations must match
-        the group size and partial observations must stay in range.
-        """
-        for gid, cstate in state.observed_constraints.items():
-            self._checked_group(gid, cstate)
 
     def _checked_group(self, gid: str, cstate: ConstraintState) -> ConstraintGroup:
-        """Group ``gid``, once ``cstate`` fits it (``check_state`` for one group)."""
+        """Group ``gid``, once ``cstate`` fits it; the rolls' block pass asks for each group."""
         group = self.group(gid)
         group._check_fit(cstate)
         return group
-
-    def is_feasible(self, state: CMPState, tol: float = 0.0) -> bool:
-        """True iff every inequality violation <= tol and every |equality violation| <= tol."""
-        tol = float(tol)
-        if not tol >= 0:  # also refuses NaN
-            raise ValueError(f"tol must be >= 0, got {tol}")
-        return max(self._violation_maxima(state)) <= tol
 
     def _violation_maxima(self, state: CMPState) -> tuple[float, float]:
         """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none.

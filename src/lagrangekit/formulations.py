@@ -84,10 +84,6 @@ class PenaltyCoefficient:
     def is_scalar(self) -> bool:
         return isinstance(self._value, float)
 
-    def expand(self, size: int) -> np.ndarray:
-        """Full per-constraint vector of length ``size`` (a fresh copy)."""
-        return self._full(size).copy()
-
     def _full(self, size: int) -> np.ndarray:
         """The read-only full vector of length ``size``, built once per size."""
         if size not in self._full_cache:

@@ -35,8 +35,8 @@ class DifferentiableFunction:
     Parameters
     ----------
     eval : callable
-        x -> vector of function values, length ``output_size``; used where
-        values alone are needed (``compute_cmp_state``, finite differences).
+        x -> vector of function values, length ``output_size``; read only by
+        finite differences (``finite_difference_gradient``).
     val_jac : callable
         x -> (values, Jacobian of shape (output_size, dim)). Every roll and
         ``check_gradients`` read the Jacobian from here, so the gradient that

@@ -50,9 +50,9 @@ not O(size). ``Multiplier.values``, ``IndexedMultiplier.update_count`` and
 The committed x is read-only and trusted: it was checked as x_new. States
 the library builds go through ``ConstraintState._trusted`` and
 ``CMPState._trusted`` (checks of oracle output, no re-conversion). User-built
-states and the public entry points (``check_state``, ``*.step``,
-``preview_delta``, ``apply_dual_delta``, ``set_x``, ``group_contribution``)
-keep every check; a user's index list costs one sort.
+states and evaluations (checked by ``_checked_blocks``) and the public entry
+points (``*.step``, ``preview_delta``, ``apply_dual_delta``, ``set_x``,
+``group_contribution``) keep every check; a user's index list costs one sort.
 """
 
 from __future__ import annotations
@@ -268,6 +268,11 @@ class AdamLike(PrimalOptimizer):
         # bool is an int subclass; np.bool_ is not an np.integer
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
             raise _BadBuffer("t", f"adam step count must be an integer >= 0, got {t!r}")
+        absent = state["m"] is None
+        if absent != (state["v"] is None):
+            raise ValueError("adam: m and v must both be present or both absent")
+        if absent != (t == 0):  # a save holds moments exactly after a committed step
+            raise _BadBuffer("t", f"adam: t must be 0 exactly when m and v are absent, got {t!r}")
         # a finite gradient entry above ~1.3e154 squares to inf, and a roll
         # commits v = inf (the step there is 0); never NaN or a negative entry
         v = _staged_vector(state, "v", finite=False)

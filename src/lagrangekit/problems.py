@@ -140,9 +140,10 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
         self.set_x(self.feasible_start)
         self.certified_solution = certified_solution
         if certified_solution is not None:
-            res = kkt_residual(
-                self, certified_solution.x, certified_solution.lam, certified_solution.mu
-            )
+            cert = certified_solution
+            # the point first: where the loss overflows, the certificate's multipliers do too
+            evaluation = self.evaluate_with_gradients(cert.x)
+            res = _kkt_pieces(self, evaluation, _multiplier_pieces(self, cert.lam, cert.mu))
             worst = max(res)
             if not worst <= CERTIFICATE_TOL:
                 raise ValueError(
@@ -159,15 +160,6 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
             return ConstraintState._trusted(violation, strict, self._all_rows.get(gid))
         except EvaluationError as exc:
             raise EvaluationError(str(exc), group_id=gid) from None
-
-    def compute_cmp_state(self, x) -> CMPState:
-        x = self._check_point(x)
-        loss = float(self.objective.values(x)[0])
-        observed = {}
-        for gid, block in self._block_by_gid.items():
-            strict = None if block.strict_function is None else block.strict_function(x)
-            observed[gid] = self._observed(gid, block, block.function.values(x), strict)
-        return CMPState._trusted(loss, observed)
 
     def evaluate_with_gradients(self, x) -> Evaluation:
         """Evaluation at x, stored in the slot with its blocks; raises on a non-finite Jacobian.
@@ -236,11 +228,11 @@ def _split_concat(problem, vector, ctype, what):
     """Split a concatenated per-type multiplier vector into per-group pieces."""
     groups = [g for g in problem.groups.values() if g.constraint_type is ctype]
     total = sum(g.size for g in groups)
-    if vector is None:
-        vector = np.zeros(total, dtype=np.float64)
-    vector = np.asarray(vector, dtype=np.float64)
+    vector = np.zeros(total) if vector is None else np.asarray(vector, dtype=np.float64)
     if vector.shape != (total,):
         raise ValueError(f"{what} must have length {total}, got shape {vector.shape}")
+    if not _all_finite(vector):  # else the problem's gradient takes the blame
+        raise ValueError(f"{what} must be finite")
     pieces = {}
     offset = 0
     for g in groups:
@@ -293,13 +285,18 @@ def kkt_residual(problem, x, lam=None, mu=None) -> KKTResidual:
     feasibility ``max(max_i g_i clamped at 0, max_j |h_j|)``, and
     complementarity ``max_i |lam_i g_i|``.
     """
+    multipliers = _multiplier_pieces(problem, lam, mu)  # a caller's error before any evaluation
+    evaluation = problem.evaluate_with_gradients(np.asarray(x, dtype=np.float64))
+    return _kkt_pieces(problem, evaluation, multipliers)
+
+
+def _multiplier_pieces(problem, lam, mu) -> dict:
+    """``lam`` and ``mu`` per group id, each of its length and finite, and ``lam`` >= 0."""
     lam_pieces = _split_concat(problem, lam, ConstraintType.INEQUALITY, "lam")
     for gid, piece in lam_pieces.items():
         if piece.size and piece.min() < 0:
             raise ValueError(f"inequality multipliers must be >= 0 (group {gid!r})")
-    mu_pieces = _split_concat(problem, mu, ConstraintType.EQUALITY, "mu")
-    evaluation = problem.evaluate_with_gradients(np.asarray(x, dtype=np.float64))
-    return _kkt_pieces(problem, evaluation, {**lam_pieces, **mu_pieces})
+    return {**lam_pieces, **_split_concat(problem, mu, ConstraintType.EQUALITY, "mu")}
 
 
 def current_kkt_residual(problem, evaluation=None) -> KKTResidual:
@@ -323,6 +320,7 @@ def current_kkt_residual(problem, evaluation=None) -> KKTResidual:
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
     """First n outputs of the SplitMix64 stream for the given seed, as uint64."""
+    seed, n = _as_size(seed, "seed"), _as_size(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0 <= seed < 2**64:
@@ -336,6 +334,7 @@ def splitmix64(seed: int, n: int) -> np.ndarray:
 
 def normal_stream(seed: int, n: int) -> np.ndarray:
     """n standard normals via Box-Muller over SplitMix64 uniforms in (0, 1]."""
+    n = _as_size(n, "n")
     pairs = (n + 1) // 2
     bits = splitmix64(seed, 2 * pairs)
     u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53

@@ -222,7 +222,7 @@ def test_acceptance_04_gradient_consistency(capsys):
                     g = ev.state.observed_constraints[gid].violation
                     if formulation == "lagrangian":
                         continue
-                    c = group.penalty.expand(group.size)
+                    c = np.broadcast_to(group.penalty.value, group.size)
                     lam = (
                         np.zeros(group.size)
                         if group.multiplier is None
@@ -468,7 +468,7 @@ def test_acceptance_09_norm_constrained_logreg(capsys):
         roll(problem, optimizers, scheme="extragradient")
     elapsed = time.perf_counter() - start
 
-    state = problem.compute_cmp_state(problem.x)
+    state = problem.evaluate_with_gradients(problem.x).state
     violation = float(state.observed_constraints["norm"].violation[0])
     lam = float(problem.group("norm").multiplier.values[0])
     slack = abs(lam * violation)

@@ -169,7 +169,7 @@ class TestRoundTrip:
         checkpoint.load(path, fresh_problem, fresh_optimizers)
         pen = fresh_problem.group("ball").penalty
         assert not pen.is_scalar
-        assert pen.expand(1).tolist() == [2.5]
+        assert pen.value.tolist() == [2.5]
 
     def test_float_penalty_assigned_after_construction_round_trips(self, tmp_path):
         # the assignment stores a PenaltyCoefficient, so save can encode it
@@ -466,6 +466,9 @@ CORRUPTIONS = [
     ("momentum", "opt.dual.ball.seen", "iv 1 -1", "opt.dual.ball.seen"),
     ("adam", "opt.primal.t", "i -1", "opt.primal.t"),
     ("adam", "opt.primal.t", f"f {2.7.hex()}", "opt.primal.t"),
+    ("adam", "opt.primal.v", "absent", "opt.primal"),  # m without v
+    ("adam", "opt.primal.m", "absent", "opt.primal"),  # v without m
+    ("adam", "opt.primal.t", "i 0", "opt.primal.t"),  # moments before the first step
     ("momentum", "x", "v", "x"),  # no count
     ("momentum", "x", "v 1 0x1p+99999", "x"),  # beyond float64
     (
@@ -515,4 +518,30 @@ def test_corrupt_field_names_key_and_leaves_state_untouched(
     with pytest.raises(CheckpointError) as info:
         checkpoint.load(path, target, target_optimizers)
     assert repr(named) in str(info.value)
+    assert _state_bytes(target, target_optimizers) == before
+
+
+def test_adam_step_count_without_moments_is_corrupt(tmp_path):
+    # m and v are absent only before the first step, so a later step count names the file corrupt
+    def setup():
+        problem, optimizers = ball_setup()
+        return problem, PrimalDualOptimizers(primal=AdamLike(0.05), duals=optimizers.duals)
+
+    path = tmp_path / "state.ckpt"
+    source, source_optimizers = setup()
+    for _ in range(2):
+        roll(source, source_optimizers)
+    checkpoint.save(source, source_optimizers, path)
+    moments = ("opt.primal.m=", "opt.primal.v=")
+    lines = [line.split("=")[0] + "=absent" if line.startswith(moments) else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    target, target_optimizers = setup()
+    roll(target, target_optimizers)
+    before = _state_bytes(target, target_optimizers)
+    with pytest.raises(CheckpointError) as info:
+        checkpoint.load(path, target, target_optimizers)
+    assert str(info.value) == (
+        "corrupt section 'opt.primal.t': adam: t must be 0 exactly when m and v are absent, got 2"
+    )
     assert _state_bytes(target, target_optimizers) == before

@@ -249,35 +249,35 @@ class TestRegisterGroup:
             _problem().group("missing")
 
 
-class TestComputeCmpState:
+class TestEvaluationState:
     def test_logreg_analog_feasible_at_origin(self):
         problem = lk.problem_norm_constrained_logreg(0, 1.0)
-        state = problem.compute_cmp_state(np.zeros(6))
+        state = problem.evaluate_with_gradients(np.zeros(6)).state
         assert state.observed_constraints["norm"].violation.tolist() == [-1.0]
 
     def test_logreg_analog_violation_plus_one(self):
         # ||x||^2 = 2 against threshold 1
         problem = lk.problem_norm_constrained_logreg(0, 1.0)
         x = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        state = problem.compute_cmp_state(x)
+        state = problem.evaluate_with_gradients(x).state
         assert state.observed_constraints["norm"].violation.tolist() == [1.0]
 
     def test_equality_constraint_zero_at_root(self):
         problem = lk.problem_equality_qp(
             np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0])
         )
-        state = problem.compute_cmp_state(np.array([1.0, 1.0]))
+        state = problem.evaluate_with_gradients(np.array([1.0, 1.0])).state
         assert state.observed_constraints["linear"].violation.tolist() == [0.0]
 
     def test_wrong_dimension_is_hard_error(self):
         problem = lk.problem_projection_ball(np.array([3.0, 4.0]))
         with pytest.raises(ValueError):
-            problem.compute_cmp_state(np.zeros(3))
+            problem.evaluate_with_gradients(np.zeros(3))
 
     def test_non_finite_point_rejected(self):
         problem = lk.problem_projection_ball(np.array([3.0, 4.0]))
         with pytest.raises(EvaluationError):
-            problem.compute_cmp_state(np.array([np.nan, 0.0]))
+            problem.evaluate_with_gradients(np.array([np.nan, 0.0]))
 
     def test_set_x_rejects_non_finite_point_and_keeps_x(self):
         problem = lk.problem_projection_ball(np.array([3.0, 4.0]))
@@ -291,8 +291,8 @@ class TestComputeCmpState:
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = rng.normal(size=6)
-            s1 = problem.compute_cmp_state(x)
-            s2 = problem.compute_cmp_state(x)
+            s1 = problem.evaluate_with_gradients(x).state
+            s2 = problem.evaluate_with_gradients(x).state
             assert s1.loss == s2.loss
             assert (
                 s1.observed_constraints["norm"].violation.tobytes()
@@ -328,11 +328,24 @@ class TestErrorCarriesGroupId:
         )
         problem = lk.BenchmarkProblem("fragile", 1, objective, blocks=(block,))
         with pytest.raises(EvaluationError) as err:
-            problem.compute_cmp_state(np.zeros(1))
+            problem.evaluate_with_gradients(np.zeros(1))
         assert err.value.group_id == "frag"
 
 
-class TestIsFeasible:
+def _evaluation(problem, observed):
+    """A user-built evaluation of ``observed`` at loss 0, with zero gradients."""
+    return lk.Evaluation(
+        state=CMPState(loss=0.0, observed_constraints=observed),
+        grad_f=np.zeros(problem.dim),
+        jacobians={gid: np.zeros((c.violation.size, problem.dim)) for gid, c in observed.items()},
+    )
+
+
+def _feasibility(problem, observed):
+    return lk.current_kkt_residual(problem, _evaluation(problem, observed)).feasibility
+
+
+class TestFeasibility:
     def _with_groups(self):
         problem = _problem()
         problem.register_group(ConstraintGroup(name="ineq", constraint_type=INEQ, size=1))
@@ -341,81 +354,49 @@ class TestIsFeasible:
 
     def test_negative_inequality_feasible_at_zero_tol(self):
         problem = self._with_groups()
-        state = CMPState(
-            loss=0.0,
-            observed_constraints={"ineq": ConstraintState(violation=[-0.5])},
-        )
-        assert problem.is_feasible(state, 0.0)
+        assert _feasibility(problem, {"ineq": ConstraintState(violation=[-0.5])}) <= 0.0
 
     def test_small_positive_violation_infeasible_below_tol(self):
         problem = self._with_groups()
-        state = CMPState(
-            loss=0.0,
-            observed_constraints={"ineq": ConstraintState(violation=[1e-5])},
-        )
-        assert not problem.is_feasible(state, 1e-6)
+        assert not _feasibility(problem, {"ineq": ConstraintState(violation=[1e-5])}) <= 1e-6
 
     def test_equality_uses_absolute_value(self):
         problem = self._with_groups()
-        state = CMPState(
-            loss=0.0,
-            observed_constraints={"eq": ConstraintState(violation=[-1e-7])},
-        )
-        assert problem.is_feasible(state, 1e-6)
-
-    def test_negative_tol_rejected(self):
-        problem = self._with_groups()
-        state = CMPState(loss=0.0, observed_constraints={})
-        with pytest.raises(ValueError):
-            problem.is_feasible(state, -1.0)
-
-    def test_nan_tol_rejected(self):
-        problem = self._with_groups()
-        state = CMPState(
-            loss=0.0, observed_constraints={"ineq": ConstraintState(violation=[-0.5])}
-        )
-        with pytest.raises(ValueError, match="tol must be >= 0, got nan"):
-            problem.is_feasible(state, float("nan"))
+        assert _feasibility(problem, {"eq": ConstraintState(violation=[-1e-7])}) <= 1e-6
 
     def test_sign_convention_matches_mathematical_feasibility(self):
         problem = lk.problem_projection_ball(np.array([3.0, 4.0]))
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = rng.normal(scale=0.8, size=2)
-            state = problem.compute_cmp_state(x)
-            assert problem.is_feasible(state, 0.0) == (float(x @ x) <= 1.0)
+            feasible = lk.kkt_residual(problem, x).feasibility <= 0.0
+            assert feasible == (float(x @ x) <= 1.0)
 
 
-class TestCheckState:
+class TestEvaluationFit:
+    """A user-built evaluation whose state does not fit the registered groups is refused."""
+
     def test_unregistered_group_rejected(self):
         problem = _problem()
         problem.register_group(ConstraintGroup(name="g", constraint_type=INEQ, size=1))
-        state = CMPState(
-            loss=0.0, observed_constraints={"other": ConstraintState(violation=[0.0])}
-        )
-        with pytest.raises(ValueError):
-            problem.check_state(state)
+        with pytest.raises(ValueError) as info:
+            lk.assemble(problem, _evaluation(problem, {"other": ConstraintState(violation=[0.0])}))
+        assert str(info.value) == "unknown group id 'other'"
 
     def test_full_observation_must_match_group_size(self):
         problem = _problem()
         problem.register_group(ConstraintGroup(name="g", constraint_type=INEQ, size=2))
-        state = CMPState(
-            loss=0.0, observed_constraints={"g": ConstraintState(violation=[0.0])}
-        )
-        with pytest.raises(ValueError):
-            problem.check_state(state)
+        with pytest.raises(ValueError) as info:
+            lk.assemble(problem, _evaluation(problem, {"g": ConstraintState(violation=[0.0])}))
+        assert str(info.value) == "group 'g': violation length 1 != group size 2"
 
     def test_partial_observation_indices_in_range(self):
         problem = _problem()
         problem.register_group(ConstraintGroup(name="g", constraint_type=INEQ, size=2))
-        state = CMPState(
-            loss=0.0,
-            observed_constraints={
-                "g": ConstraintState(violation=[0.0], observed_indices=[3])
-            },
-        )
-        with pytest.raises(ValueError):
-            problem.check_state(state)
+        with pytest.raises(ValueError) as info:
+            observed = {"g": ConstraintState(violation=[0.0], observed_indices=[3])}
+            lk.assemble(problem, _evaluation(problem, observed))
+        assert str(info.value) == "group 'g': observed index 3 out of range for size 2"
 
 
 def _assert_read_only(x):

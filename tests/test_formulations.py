@@ -49,14 +49,18 @@ def qp_group(size=1, ctype=INEQ, c=1.0, name="g"):
 
 class TestPenaltyCoefficient:
     def test_scalar_expands_to_group_size(self):
-        assert PenaltyCoefficient(2.0).expand(3).tolist() == [2.0, 2.0, 2.0]
+        pair = group_contribution(qp_group(size=3, c=2.0), ConstraintState(violation=[1.0] * 3))
+        assert pair.primal_weights.tolist() == [2.0, 2.0, 2.0]
 
     def test_vector_kept_elementwise(self):
-        assert PenaltyCoefficient([1.0, 2.0]).expand(2).tolist() == [1.0, 2.0]
+        group = qp_group(size=2, c=np.array([1.0, 2.0]))
+        pair = group_contribution(group, ConstraintState(violation=[1.0, 1.0]))
+        assert pair.primal_weights.tolist() == [1.0, 2.0]
 
     def test_vector_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PenaltyCoefficient([1.0, 2.0]).expand(3)
+        with pytest.raises(ValueError) as info:
+            qp_group(size=3, c=np.array([1.0, 2.0]))
+        assert str(info.value) == "vector penalty length 2 != group size 3"
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -67,12 +71,6 @@ class TestPenaltyCoefficient:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             PenaltyCoefficient(np.inf)
-
-    def test_expand_returns_a_copy(self):
-        c = PenaltyCoefficient(np.array([3.0]))
-        out = c.expand(1)
-        out[0] = 7.0
-        assert c.expand(1).tolist() == [3.0]
 
 
 class TestLagrangianContribution:

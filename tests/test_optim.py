@@ -38,6 +38,8 @@ from lagrangekit import (
 from lagrangekit.problems import BenchmarkProblem
 
 INEQ = ConstraintType.INEQUALITY
+ADAM_PAIRED = "adam: m and v must both be present or both absent"
+ADAM_STEP_ZERO = "adam: t must be 0 exactly when m and v are absent"
 
 
 def bilinear_setup(lr=0.1):
@@ -187,6 +189,27 @@ class TestAdamLike:
         assert info.value.buffer == "t"
         assert opt.buffer_state()["t"] == 1
         assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"m": [1.0, 2.0], "v": None, "t": 3}, ADAM_PAIRED),
+            ({"m": None, "v": [1.0, 2.0], "t": 3}, ADAM_PAIRED),
+            ({"m": None, "v": None, "t": 7}, f"{ADAM_STEP_ZERO}, got 7"),
+            ({"m": [1.0, 2.0], "v": [1.0, 2.0], "t": 0}, f"{ADAM_STEP_ZERO}, got 0"),
+        ],
+        ids=["m-without-v", "v-without-m", "no-moments-at-step-7", "moments-at-step-0"],
+    )
+    def test_load_rejects_a_state_no_save_produces(self, state, message):
+        # m without v used to load, and the next step read v as zeros
+        opt = AdamLike(0.1)
+        descend(opt, np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+        before = {name: np.asarray(value).tobytes() for name, value in opt.buffer_state().items()}
+        with pytest.raises(ValueError) as info:
+            opt.load_buffer_state(state)
+        assert str(info.value) == message
+        after = {name: np.asarray(value).tobytes() for name, value in opt.buffer_state().items()}
+        assert after == before
 
     def test_hyperparameters_validated(self):
         with pytest.raises(ValueError):
@@ -827,19 +850,19 @@ class TestGroupFitCheck:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize(
-        "gid, cstate",
+        "gid, cstate, message",
         [
-            ("g", ConstraintState(violation=[0.5], observed_indices=[3])),
-            ("g", ConstraintState(violation=[0.5, 0.5])),
-            ("other", ConstraintState(violation=[0.5])),
+            ("g", ConstraintState(violation=[0.5], observed_indices=[3]),
+             "group 'g': observed index 3 out of range for size 3"),
+            ("g", ConstraintState(violation=[0.5, 0.5]),
+             "group 'g': violation length 2 != group size 3"),
+            ("other", ConstraintState(violation=[0.5]), "unknown group id 'other'"),
         ],
         ids=["index-out-of-range", "wrong-length", "unregistered"],
     )
-    def test_roll_raises_the_check_state_message(self, scheme, gid, cstate):
+    def test_roll_raises_the_group_fit_message(self, scheme, gid, cstate, message):
         problem = self.problem()
         state = lk.CMPState(loss=0.0, observed_constraints={gid: cstate})
-        with pytest.raises(ValueError) as expected:
-            problem.check_state(state)
         evaluation = lk.Evaluation(
             state=state, grad_f=np.zeros(1), jacobians={gid: np.ones((cstate.violation.size, 1))}
         )
@@ -849,7 +872,7 @@ class TestGroupFitCheck:
         )
         with pytest.raises(ValueError) as got:
             roll(problem, optimizers, scheme=scheme, evaluate=lambda x: evaluation)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == message
         assert problem.x.tolist() == [0.0] and optimizers.step == 0
 
 

@@ -52,14 +52,14 @@ class TestProjectionBall:
 
     def test_objective_and_constraint_values(self):
         problem = problem_projection_ball(np.array([3.0, 4.0]))
-        state = problem.compute_cmp_state(np.zeros(2))
+        state = problem.evaluate_with_gradients(np.zeros(2)).state
         assert state.loss == 25.0  # |x - a|^2 without a half factor
         assert state.observed_constraints["ball"].violation.tolist() == [-1.0]
 
     def test_feasible_start_is_origin(self):
         problem = problem_projection_ball(np.array([3.0, 4.0]))
         assert problem.x.tolist() == [0.0, 0.0]
-        assert problem.is_feasible(problem.compute_cmp_state(problem.x))
+        assert kkt_residual(problem, problem.x).feasibility <= 0.0
 
     def test_certificate_satisfies_kkt_to_tolerance(self):
         problem = problem_projection_ball(np.array([3.0, 4.0]))
@@ -125,8 +125,7 @@ class TestEqualityQP:
 
     def test_feasible_start_satisfies_constraints(self):
         problem = self.canonical()
-        state = problem.compute_cmp_state(problem.x)
-        assert problem.is_feasible(state, tol=1e-9)
+        assert kkt_residual(problem, problem.x).feasibility <= 1e-9
 
     def test_group_is_equality_type(self):
         from lagrangekit import ConstraintType
@@ -138,12 +137,12 @@ class TestEqualityQP:
 class TestNormConstrainedLogreg:
     def test_loss_at_origin_is_log_two(self):
         problem = problem_norm_constrained_logreg(0, 1.0)
-        state = problem.compute_cmp_state(np.zeros(6))
+        state = problem.evaluate_with_gradients(np.zeros(6)).state
         assert state.loss == pytest.approx(LN2, rel=1e-12)
 
     def test_violation_at_origin(self):
         problem = problem_norm_constrained_logreg(0, 1.0)
-        state = problem.compute_cmp_state(np.zeros(6))
+        state = problem.evaluate_with_gradients(np.zeros(6)).state
         assert state.observed_constraints["norm"].violation.tolist() == [-1.0]
 
     def test_dataset_shapes_and_labels(self):
@@ -180,9 +179,10 @@ class TestNormConstrainedLogreg:
         problem = problem_norm_constrained_logreg(3, 1.0, dim=20, n_points=n_points)
         x = normal_stream(11, problem.dim) * 0.5
         values, _ = problem.objective.val_jac(x)
+        loss = problem.evaluate_with_gradients(x).state.loss
         monkeypatch.setattr(lk.problems, "_logistic_loss_grad", None)
         assert problem.objective.eval(x).tobytes() == values.tobytes()
-        assert problem.compute_cmp_state(x).loss == float(values[0])
+        assert loss == float(values[0])
 
     @pytest.mark.parametrize("threshold", [np.inf, -np.inf, np.nan, 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
@@ -252,6 +252,18 @@ class TestKKTResidual:
         problem = problem_projection_ball(np.array([3.0, 4.0]))
         with pytest.raises(ValueError):
             kkt_residual(problem, np.zeros(2), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_multiplier_blamed_on_its_argument(self, value, monkeypatch):
+        # a caller's multiplier is refused before the problem is evaluated, not
+        # reported as the problem's non-finite gradient
+        ball = problem_projection_ball(np.array([3.0, 4.0]))
+        qp = problem_equality_qp(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]))
+        for problem, kwargs in ((ball, {"lam": [value]}), (qp, {"mu": [value]})):
+            monkeypatch.setattr(problem, "evaluate_with_gradients", None)
+            with pytest.raises(ValueError) as info:
+                kkt_residual(problem, np.zeros(2), **kwargs)
+            assert str(info.value) == f"{next(iter(kwargs))} must be finite"
 
     def test_equality_multiplier_routed_separately(self):
         problem = problem_equality_qp(
@@ -509,6 +521,25 @@ class TestSplitMix64:
         with pytest.raises(ValueError, match="seed"):
             splitmix64(seed, 1)
 
+    @pytest.mark.parametrize(
+        "seed, n, message",
+        [
+            (1.9, 2, "seed must be an integer, got 1.9"),
+            (True, 2, "seed must be an integer, got True"),
+            (0, 2.5, "n must be an integer, got 2.5"),
+        ],
+    )
+    def test_non_integer_seed_or_count_rejected(self, seed, n, message):
+        # 1.9 and True used to give seed 1's stream, and n = 2.5 three values
+        with pytest.raises(ValueError) as info:
+            splitmix64(seed, n)
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        assert splitmix64(np.uint64(2**64 - 1), np.int32(4)).tolist() == splitmix64(
+            2**64 - 1, 4
+        ).tolist()
+
 
 class TestNormalStream:
     def test_deterministic(self):
@@ -524,6 +555,22 @@ class TestNormalStream:
         z = normal_stream(5, 101)
         assert z.shape == (101,)
         assert np.isfinite(z).all()
+
+    @pytest.mark.parametrize(
+        "seed, n, message",
+        [(0, 2.5, "n must be an integer, got 2.5"), (1.5, 2, "seed must be an integer, got 1.5")],
+    )
+    def test_non_integer_seed_or_count_rejected(self, seed, n, message):
+        # n = 2.5 used to raise a TypeError from numpy, and seed 1.5 to give seed 1's normals
+        with pytest.raises(ValueError) as info:
+            normal_stream(seed, n)
+        assert str(info.value) == message
+
+    def test_logreg_dataset_seed_must_be_an_integer(self):
+        # a seed of 1.5 used to build seed 1's dataset silently
+        with pytest.raises(ValueError) as info:
+            problem_norm_constrained_logreg(1.5, 1.0)
+        assert str(info.value) == "seed must be an integer, got 1.5"
 
 
 class TestTwoGaussianDataset:
@@ -559,7 +606,7 @@ class TestEvaluationErrors:
     def test_non_finite_point_rejected(self):
         problem = problem_projection_ball(np.array([1.0, 1.0]))
         with pytest.raises(EvaluationError):
-            problem.compute_cmp_state(np.array([np.nan, 0.0]))
+            problem.evaluate_with_gradients(np.array([np.nan, 0.0]))
 
     def test_oracle_functions_exposed_for_checking(self):
         problem = problem_norm_constrained_logreg(0, 1.0)
