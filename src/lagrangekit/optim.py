@@ -278,7 +278,10 @@ class AdamLike(PrimalOptimizer):
         v = _staged_vector(state, "v", finite=False)
         if v is not None and not (v >= 0.0).all():
             raise _BadBuffer("v", "v entries must be >= 0 (inf allowed)")
-        return _staged_vector(state, "m"), v, int(t)
+        m = _staged_vector(state, "m")
+        if v is not None and m.shape != v.shape:
+            raise ValueError("adam: m and v shapes differ")
+        return m, v, int(t)
 
 
 # ---------------------------------------------------------------------------

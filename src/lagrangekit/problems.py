@@ -56,6 +56,7 @@ __all__ = [
 
 CERTIFICATE_TOL = 1e-10
 _FLOAT64 = np.dtype(np.float64)
+_BLOCK = 2**16  # values the seeded generators draw at a time; bounds their temporaries
 
 PROBLEM_NAMES = ("projection_ball", "equality_qp", "norm_logreg", "bilinear")
 
@@ -319,31 +320,47 @@ def current_kkt_residual(problem, evaluation=None) -> KKTResidual:
 
 
 def splitmix64(seed: int, n: int) -> np.ndarray:
-    """First n outputs of the SplitMix64 stream for the given seed, as uint64."""
+    """First n outputs of the SplitMix64 stream for the given seed, as uint64.
+
+    Written into the output block by block, so temporaries are bounded by one
+    block; each output depends only on seed and index, not on the block size.
+    """
     seed, n = _as_size(seed, "seed"), _as_size(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    counter = np.arange(1, n + 1, dtype=np.uint64)
-    z = np.uint64(seed) + counter * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    out = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, _BLOCK):
+        z = out[start:start + _BLOCK]
+        np.multiply(np.arange(start + 1, start + z.size + 1, dtype=np.uint64),
+                    np.uint64(0x9E3779B97F4A7C15), out=z)
+        z += np.uint64(seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return out
 
 
 def normal_stream(seed: int, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller over SplitMix64 uniforms in (0, 1]."""
+    """n standard normals via Box-Muller over SplitMix64 uniforms in (0, 1].
+
+    Each block of the stream's bits becomes its normals in place: temporaries are
+    bounded by one block, and the output does not depend on the block size.
+    """
     n = _as_size(n, "n")
-    pairs = (n + 1) // 2
-    bits = splitmix64(seed, 2 * pairs)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    if n < 0:  # before rounding up to pairs, which turns -1 into 0
+        raise ValueError("n must be >= 0")
+    out = splitmix64(seed, n + n % 2).view(np.float64)
+    for start in range(0, out.size, _BLOCK):  # _BLOCK is even, so no pair straddles two blocks
+        block = out[start:start + _BLOCK]
+        u = ((block.view(np.uint64) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+        r = np.sqrt(-2.0 * np.log(u[0::2]))
+        theta = (2.0 * math.pi) * u[1::2]
+        block[0::2] = r * np.cos(theta)
+        block[1::2] = r * np.sin(theta)
     return out[:n]
 
 
@@ -356,10 +373,9 @@ def two_gaussian_dataset(seed: int, n_points: int = 200, dim: int = 5):
     dim = _as_size(dim, "dim")
     if n_points < 1 or dim < 1:
         raise ValueError("n_points and dim must be >= 1")
-    center = np.ones(dim, dtype=np.float64) / math.sqrt(dim)
     labels = np.where(np.arange(n_points) % 2 == 0, 1.0, -1.0)
-    noise = normal_stream(seed, n_points * dim).reshape(n_points, dim)
-    features = labels[:, None] * center[None, :] + noise
+    features = normal_stream(seed, n_points * dim).reshape(n_points, dim)
+    features += labels[:, None] * (1.0 / math.sqrt(dim))  # each row's center, added in place
     return features, labels
 
 

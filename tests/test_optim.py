@@ -197,11 +197,14 @@ class TestAdamLike:
             ({"m": None, "v": [1.0, 2.0], "t": 3}, ADAM_PAIRED),
             ({"m": None, "v": None, "t": 7}, f"{ADAM_STEP_ZERO}, got 7"),
             ({"m": [1.0, 2.0], "v": [1.0, 2.0], "t": 0}, f"{ADAM_STEP_ZERO}, got 0"),
+            ({"m": [1.0, 2.0], "v": [1.0], "t": 1}, "adam: m and v shapes differ"),
         ],
-        ids=["m-without-v", "v-without-m", "no-moments-at-step-7", "moments-at-step-0"],
+        ids=["m-without-v", "v-without-m", "no-moments-at-step-7", "moments-at-step-0",
+             "m-and-v-lengths-differ"],
     )
     def test_load_rejects_a_state_no_save_produces(self, state, message):
-        # m without v used to load, and the next step read v as zeros
+        # m without v used to load, and the next step read v as zeros; m and v of
+        # different lengths loaded too, and the next step raised
         opt = AdamLike(0.1)
         descend(opt, np.array([1.0, 1.0]), np.array([1.0, -1.0]))
         before = {name: np.asarray(value).tobytes() for name, value in opt.buffer_state().items()}

@@ -1,5 +1,9 @@
 """Benchmark problems, KKT residuals, and the deterministic data stream."""
 
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +30,7 @@ from lagrangekit import (
 )
 from lagrangekit import cli
 from lagrangekit.optim import _observe, _store_blocks
-from lagrangekit.problems import _kkt_pieces
+from lagrangekit.problems import _BLOCK, _kkt_pieces
 
 LN2 = 0.6931471805599453
 
@@ -558,10 +562,16 @@ class TestNormalStream:
 
     @pytest.mark.parametrize(
         "seed, n, message",
-        [(0, 2.5, "n must be an integer, got 2.5"), (1.5, 2, "seed must be an integer, got 1.5")],
+        [
+            (0, 2.5, "n must be an integer, got 2.5"),
+            (1.5, 2, "seed must be an integer, got 1.5"),
+            (0, -1, "n must be >= 0"),
+            (-1, 0, "seed must be in [0, 2**64), got -1"),
+        ],
     )
     def test_non_integer_seed_or_count_rejected(self, seed, n, message):
-        # n = 2.5 used to raise a TypeError from numpy, and seed 1.5 to give seed 1's normals
+        # n = 2.5 used to raise a TypeError from numpy, seed 1.5 to give seed 1's normals,
+        # and n = -1 to round up to zero pairs and return an empty array
         with pytest.raises(ValueError) as info:
             normal_stream(seed, n)
         assert str(info.value) == message
@@ -600,6 +610,94 @@ class TestTwoGaussianDataset:
         features, labels = two_gaussian_dataset(11, n_points=np.int64(20), dim=np.int32(3))
         reference, _ = two_gaussian_dataset(11, n_points=20, dim=3)
         assert features.tobytes() == reference.tobytes() and labels.shape == (20,)
+
+
+def splitmix64_whole(seed, n):
+    # the whole-array formula the blocked generator replaced: one pass over n values
+    counter = np.arange(1, n + 1, dtype=np.uint64)
+    z = np.uint64(seed) + counter * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def normal_stream_whole(seed, n):
+    pairs = (n + 1) // 2
+    bits = splitmix64_whole(seed, 2 * pairs)
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+BLOCK_SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK]
+SEEDS = [0, 7, 2**64 - 1]
+
+
+class TestStreamBlocks:
+    """The generators fill their output block by block; the bytes are the whole-array formula's."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_splitmix64_equals_the_whole_array_formula(self, seed, n):
+        got = splitmix64(seed, n)
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert got.tobytes() == splitmix64_whole(seed, n).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_normal_stream_equals_the_whole_array_formula(self, seed, n):
+        got = normal_stream(seed, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == normal_stream_whole(seed, n).tobytes()
+
+    def test_pinned_digests(self):
+        # recorded from the whole-array formula; like the golden traces, they hold for
+        # one numpy SIMD level (the formula comparisons above hold at any)
+        normals = normal_stream(1001, 2_000_000)
+        features, _ = two_gaussian_dataset(3, n_points=10_000, dim=100)
+        assert hashlib.sha256(normals.tobytes()).hexdigest() == (
+            "2c01444625a1a45ecf8eb0793e83b4e9c23263a33bbee92a0d6cfbebaa5bb46a"
+        )
+        assert hashlib.sha256(features.tobytes()).hexdigest() == (
+            "0e8a0e584ac9777a330ddff6bc829ad602ef67a4ce1259f408b872f3f68ef9b8"
+        )
+
+    @pytest.mark.parametrize("n_points, dim", [(10_000, 100), (3, 5), (1, 1), (2 * _BLOCK + 1, 1)])
+    def test_gaussian_features_layout_and_centers(self, n_points, dim):
+        features, labels = two_gaussian_dataset(3, n_points=n_points, dim=dim)
+        assert features.dtype == np.float64 and features.shape == (n_points, dim)
+        assert features.flags.c_contiguous
+        # the centers were once added as a full (n, dim) product, in the other order
+        center = np.ones(dim) / math.sqrt(dim)
+        noise = normal_stream(3, n_points * dim).reshape(n_points, dim)
+        reference = labels[:, None] * center[None, :] + noise
+        assert features.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: normal_stream(5, 2_000_000),
+            lambda: splitmix64(5, 2_000_000),
+            lambda: two_gaussian_dataset(3, n_points=10_000, dim=100)[0],
+        ],
+        ids=["normal_stream", "splitmix64", "two_gaussian_dataset"],
+    )
+    def test_peak_memory_is_the_output_and_one_block(self, draw):
+        # numpy reports its allocations to tracemalloc; the whole-array formula peaked
+        # at 68.7 MiB for normal_stream's 16 MB of output
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = draw()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
 
 
 class TestEvaluationErrors:
