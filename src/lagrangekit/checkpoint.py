@@ -25,6 +25,7 @@ untouched.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from typing import Optional
@@ -46,6 +47,9 @@ __all__ = [
 
 MAGIC = "LAGRANGEKIT-CKPT v1"
 FORMAT_VERSION = 1
+# the characters ``save`` writes integers with: int() rejects a malformed token of them
+# itself, but also takes "+3", "0_3", " 3" and "\u0663"
+_DECIMAL = re.compile(r"[0-9 -]*")  # a class, not a group: a long line needs no stack
 
 
 class CheckpointError(ValueError):
@@ -68,9 +72,7 @@ def problem_signature(problem) -> str:
 def _encode_value(value) -> str:
     if value is None:
         return "absent"
-    if isinstance(value, (bool, np.bool_)):
-        return f"i {int(value)}"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return f"i {int(value)}"
     if isinstance(value, (float, np.floating)):
         return f"f {float(value).hex()}"
@@ -95,7 +97,7 @@ def _decode(key: str, rest: str):
                 raise ValueError("trailing payload")
             return None
         if tag == "i":
-            if len(tokens) != 2:
+            if len(tokens) != 2 or not _DECIMAL.fullmatch(tokens[1]):
                 raise ValueError("expected one integer")
             return int(tokens[1])
         if tag == "f":
@@ -105,6 +107,8 @@ def _decode(key: str, rest: str):
         if tag in ("v", "iv"):
             if len(tokens) < 2:
                 raise ValueError("missing count")
+            if not (_DECIMAL.fullmatch(rest, 3) if tag == "iv" else _DECIMAL.fullmatch(tokens[1])):
+                raise ValueError("expected decimal integers")
             n = int(tokens[1])
             if len(tokens) != 2 + n:
                 raise ValueError(f"expected {n} entries")

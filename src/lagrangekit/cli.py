@@ -17,7 +17,10 @@ RunConfig, each value of its field's type); flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional, get_args, get_type_hints
@@ -284,6 +287,12 @@ def cmd_run(config: RunConfig) -> int:
         for flag, path in (("trace", config.trace), ("checkpoint-out", config.checkpoint_out)):
             if path is not None and "\0" in str(path):  # open would reject it only mid-run
                 raise _ConfigError(f"{flag} path contains a null byte")
+        out = config.checkpoint_out  # checked now: a first save that fails names its temp file
+        if out is not None:
+            with contextlib.suppress(FileNotFoundError):  # any other error (too long) propagates
+                os.stat(out)
+            if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+                raise _ConfigError(f"checkpoint-out {out!r} is not a file in an existing directory")
         problem = _build_problem(config)
         optimizers = _build_optimizers(config, problem)
         if config.checkpoint_in is not None:
@@ -402,6 +411,7 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
+@functools.cache  # once per process: a parse leaves no state in the parser, and errors raise
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lagrangekit",

@@ -46,6 +46,13 @@ class EvaluationError(RuntimeError):
         self.group_id = group_id
 
 
+def _constant(value: float) -> np.ndarray:
+    """``value`` as a read-only float64 0-d array: a ufunc operand numpy need not convert."""
+    arr = np.array(value, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 class ConstraintType(Enum):
     """Constraint sign convention: g(x) <= 0 for INEQUALITY, h(x) = 0 for EQUALITY."""
 
@@ -66,6 +73,8 @@ class Formulation(Enum):
 _SMALL = 32
 
 _NO_MISC: Mapping[str, Any] = MappingProxyType({})
+_ZERO = _constant(0.0)  # the clamps' and projections' bound
+_TWO = _constant(2.0)  # the factor in the factories' Jacobians of squared norms
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -381,7 +390,7 @@ class ConstrainedMinimizationProblem:
         self._dim = dim
         self._groups: dict[str, ConstraintGroup] = {}
         self._frozen = False
-        self._maxima = None
+        self._maxima = self._x = None
         self._adopt(np.zeros(dim) if x0 is None else self._check_point(x0).copy())
 
     @property
@@ -402,11 +411,13 @@ class ConstrainedMinimizationProblem:
         Touches no cache: a problem's caches are keyed by what they were
         computed from (an evaluation, a state), never by x.
         """
-        x.flags.writeable = False
+        x.setflags(write=False)
         self._x = x
 
     def _check_point(self, x) -> np.ndarray:
-        """``x`` as a checked float vector of shape (dim,); may share memory with x."""
+        """``x`` as a checked float vector of shape (dim,), or the committed x itself."""
+        if x is self._x:  # read-only and checked when committed; None only while x0 is checked
+            return x
         arr = np.asarray(x, dtype=np.float64)
         if arr.shape != (self._dim,):
             raise ValueError(f"x must have shape ({self._dim},), got {arr.shape}")
@@ -486,7 +497,7 @@ class ConstrainedMinimizationProblem:
                 if v.size < _SMALL:
                     max_ineq = max(max_ineq, *v.tolist())
                 else:
-                    max_ineq = max(max_ineq, float(np.max(np.maximum(v, 0.0))))
+                    max_ineq = max(max_ineq, float(np.max(np.maximum(v, _ZERO))))
             else:
                 max_eq = max(max_eq, _max_abs(v))
         return max_ineq, max_eq

@@ -40,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import ConstraintGroup, ConstraintState, ConstraintType, EvaluationError, Formulation
-from .core import _all_finite
+from .core import _ZERO, _all_finite
 from .multipliers import Multiplier
 
 __all__ = [
@@ -112,21 +112,10 @@ class ContributionPair:
     primal_weights: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.primal_term):
-            raise EvaluationError(
-                f"non-finite primal term for group {self.group_id!r}",
-                group_id=self.group_id,
-            )
-        if not _all_finite(np.asarray(self.dual_signal)):
-            raise EvaluationError(
-                f"non-finite dual signal for group {self.group_id!r}",
-                group_id=self.group_id,
-            )
-        if not _all_finite(np.asarray(self.primal_weights)):
-            raise EvaluationError(
-                f"non-finite primal weights for group {self.group_id!r}",
-                group_id=self.group_id,
-            )
+        for name in ("primal_term", "dual_signal", "primal_weights"):
+            if not _all_finite(np.asarray(getattr(self, name))):
+                gid = self.group_id
+                raise EvaluationError(f"non-finite {name.replace('_', ' ')} for group {gid!r}", gid)
 
 
 def _gathered(full: np.ndarray, state: ConstraintState) -> np.ndarray:
@@ -168,12 +157,12 @@ def _terms(group: ConstraintGroup, state: ConstraintState, values, penalty):
     c = _gathered(penalty._full(group.size), state)
     if formulation is Formulation.QUADRATIC_PENALTY:
         if group.constraint_type is ConstraintType.INEQUALITY:
-            v = np.maximum(v, 0.0)
+            v = np.maximum(v, _ZERO)
         return 0.5 * np.add.reduce(c * v * v), np.empty(0), None, c
     m = _gathered(values, state)
     if group.constraint_type is ConstraintType.INEQUALITY:
         ratio = m / c
-        active = np.maximum(v + ratio, 0.0)
+        active = np.maximum(v + ratio, _ZERO)
         primal = 0.5 * np.add.reduce(c * (active * active - ratio * ratio))
     else:
         primal = m.dot(v) + 0.5 * np.add.reduce(c * v * v)
@@ -189,7 +178,7 @@ def _weights(group: ConstraintGroup, state: ConstraintState, m, c) -> np.ndarray
     if group.formulation is Formulation.LAGRANGIAN:
         return m
     if group.constraint_type is ConstraintType.INEQUALITY:
-        return c * np.maximum(v, 0.0) if m is None else np.maximum(c * v + m, 0.0)
+        return c * np.maximum(v, _ZERO) if m is None else np.maximum(c * v + m, _ZERO)
     return c * v if m is None else m + c * v
 
 

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintType, EvaluationError, _all_finite, _as_indices, _as_size, _index_scan
+from .core import ConstraintType, EvaluationError, _ZERO, _all_finite, _as_indices, _as_size
+from .core import _index_scan
 
 __all__ = [
     "Multiplier",
@@ -120,7 +121,7 @@ class Multiplier:
             gathered = self._values if indices is None else self._values[indices]
         updated = gathered + delta
         if self._constraint_type is ConstraintType.INEQUALITY:
-            updated = np.maximum(updated, 0.0)
+            updated = np.maximum(updated, _ZERO)
         if not _all_finite(updated):
             raise EvaluationError("dual update produced non-finite multiplier values")
         return updated

@@ -47,6 +47,12 @@ the commit writes them, and NuPI's buffer entries, in place: O(observed),
 not O(size). ``Multiplier.values``, ``IndexedMultiplier.update_count`` and
 ``NuPI.buffer_state()`` are therefore live arrays; copy them to keep them.
 
+Every ufunc on the step path takes array operands: numpy converts a Python
+float operand at each call (about 150 ns of a 500 ns multiply at n = 2) and
+takes a read-only float64 0-d array as it is, bit for bit the same. The clamps
+read ``core._ZERO``, the factory Jacobians ``core._TWO``, a step the twins of
+each coefficient, which ``_Coefficient`` stores at each assignment.
+
 The committed x is read-only and trusted: it was checked as x_new. States
 the library builds go through ``ConstraintState._trusted`` and
 ``CMPState._trusted`` (checks of oracle output, no re-conversion). User-built
@@ -64,7 +70,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
-from .core import _all_finite, _record
+from .core import _all_finite, _constant, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
 from .formulations import _checked_values, _terms, _weights
 from .formulations import assemble_lagrangian, group_contribution  # noqa: F401
@@ -87,22 +93,6 @@ __all__ = [
     "roll",
     "SCHEMES",
 ]
-
-def _check_learning_rate(lr: float) -> float:
-    lr = float(lr)
-    if not (np.isfinite(lr) and lr > 0):
-        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
-    return lr
-
-
-def _check_gradient(x: np.ndarray, grad) -> np.ndarray:
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != x.shape:
-        raise ValueError(f"gradient shape {grad.shape} != x shape {x.shape}")
-    if not _all_finite(grad):
-        raise EvaluationError("non-finite gradient")
-    return grad
-
 
 class _BadBuffer(ValueError):
     """A buffer rejected by ``_staged_buffers``; ``buffer`` names it."""
@@ -128,6 +118,19 @@ def _staged_vector(state: dict, name: str, finite: bool = True) -> Optional[np.n
     return vector
 
 
+class _Coefficient:
+    """A public float coefficient. Each assignment also stores the 0-d twins the steps read
+    (module docstring), ``_<name>`` and ``_1m<name>`` (1.0 - it); a read takes the float."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __set__(self, obj, value):
+        value = float(value)
+        obj.__dict__.update({self.name: value, "_" + self.name: _constant(value),
+                             "_1m" + self.name: _constant(1.0 - value)})
+
+
 class _Optimizer:
     """Learning rate plus the buffer protocol shared by primal and dual optimizers.
 
@@ -138,9 +141,12 @@ class _Optimizer:
     """
 
     kind = ""
+    learning_rate = _Coefficient()
 
     def __init__(self, learning_rate: float):
-        self.learning_rate = _check_learning_rate(learning_rate)
+        self.learning_rate = learning_rate
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
 
     def commit(self, staged) -> None:
         pass
@@ -171,8 +177,12 @@ class PrimalOptimizer(_Optimizer):
     """
 
     def step(self, x: np.ndarray, grad) -> tuple[np.ndarray, object]:
-        x = np.asarray(x, dtype=np.float64)
-        return self._step(x, _check_gradient(x, grad))
+        x, grad = np.asarray(x, dtype=np.float64), np.asarray(grad, dtype=np.float64)
+        if grad.shape != x.shape:
+            raise ValueError(f"gradient shape {grad.shape} != x shape {x.shape}")
+        if not _all_finite(grad):
+            raise EvaluationError("non-finite gradient")
+        return self._step(x, grad)
 
     def _step(self, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, object]:
         if type(self).step is PrimalOptimizer.step:
@@ -187,28 +197,28 @@ class GradientDescent(PrimalOptimizer):
     kind = "gd"
 
     def _step(self, x, grad):
-        return x - self.learning_rate * grad, None
+        return x - self._learning_rate * grad, None
 
 
 class Momentum(PrimalOptimizer):
     """Heavy-ball: v <- beta v + grad, x' = x - lr * v. beta=0 is exactly GD."""
 
     kind = "momentum"
+    beta = _Coefficient()
 
     def __init__(self, learning_rate: float, beta: float = 0.9):
         super().__init__(learning_rate)
-        beta = float(beta)
-        if not (0.0 <= beta < 1.0):
-            raise ValueError(f"momentum beta must be in [0, 1), got {beta}")
         self.beta = beta
+        if not (0.0 <= self.beta < 1.0):
+            raise ValueError(f"momentum beta must be in [0, 1), got {self.beta}")
         self.velocity: Optional[np.ndarray] = None
 
     def _step(self, x, grad):
         velocity = self.velocity if self.velocity is not None else np.zeros_like(x)
         if velocity.shape != x.shape:
             raise ValueError(f"velocity shape {velocity.shape} != x shape {x.shape}")
-        v_new = self.beta * velocity + grad
-        return x - self.learning_rate * v_new, v_new
+        v_new = self._beta * velocity + grad
+        return x - self._learning_rate * v_new, v_new
 
     def commit(self, staged):
         self.velocity = staged
@@ -224,6 +234,7 @@ class AdamLike(PrimalOptimizer):
     """Bias-corrected adaptive moments, descending."""
 
     kind = "adam"
+    beta1, beta2, eps = _Coefficient(), _Coefficient(), _Coefficient()
 
     def __init__(
         self,
@@ -237,9 +248,7 @@ class AdamLike(PrimalOptimizer):
             raise ValueError(f"adam betas must be in [0, 1), got {beta1}, {beta2}")
         if not (0 < eps < np.inf):
             raise ValueError(f"adam eps must be finite and > 0, got {eps}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
         self.t = 0
@@ -250,11 +259,11 @@ class AdamLike(PrimalOptimizer):
         if m.shape != x.shape or v.shape != x.shape:
             raise ValueError("adam buffers do not match x shape")
         t_new = self.t + 1
-        m_new = self.beta1 * m + (1.0 - self.beta1) * grad
-        v_new = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+        m_new = self._beta1 * m + self._1mbeta1 * grad
+        v_new = self._beta2 * v + self._1mbeta2 * grad * grad
         m_hat = m_new / (1.0 - self.beta1 ** t_new)
         v_hat = v_new / (1.0 - self.beta2 ** t_new)
-        x_new = x - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        x_new = x - self._learning_rate * m_hat / (np.sqrt(v_hat) + self._eps)
         return x_new, (m_new, v_new, t_new)
 
     def commit(self, staged):
@@ -318,7 +327,7 @@ class GradientAscent(DualOptimizer):
     kind = "gradient_ascent"
 
     def _step(self, signal, indices, size):
-        return self.learning_rate * signal, None
+        return self._learning_rate * signal, None
 
 
 class NuPI(DualOptimizer):
@@ -335,17 +344,15 @@ class NuPI(DualOptimizer):
     """
 
     kind = "nupi"
+    kappa_p, nu = _Coefficient(), _Coefficient()
 
     def __init__(self, learning_rate: float, kappa_p: float = 1.0, nu: float = 0.9):
         super().__init__(learning_rate)
-        kappa_p = float(kappa_p)
-        nu = float(nu)
-        if not (0.0 <= kappa_p < np.inf):
-            raise ValueError(f"kappa_p must be finite and >= 0, got {kappa_p}")
-        if not (0.0 <= nu < 1.0):
-            raise ValueError(f"nu must be in [0, 1), got {nu}")
-        self.kappa_p = kappa_p
-        self.nu = nu
+        self.kappa_p, self.nu = kappa_p, nu
+        if not (0.0 <= self.kappa_p < np.inf):
+            raise ValueError(f"kappa_p must be finite and >= 0, got {self.kappa_p}")
+        if not (0.0 <= self.nu < 1.0):
+            raise ValueError(f"nu must be in [0, 1), got {self.nu}")
         self.ema: Optional[np.ndarray] = None
         self.seen: Optional[np.ndarray] = None
         self._all_seen = False  # True only while every entry of ``seen`` is True
@@ -367,8 +374,8 @@ class NuPI(DualOptimizer):
                 raise ValueError(f"nupi buffer size {self.ema.size} != multiplier size {size}")
             full = indices is None and self._all_seen
             prev = self.ema if full else np.where(self.seen[idx], self.ema[idx], e)
-        new = self.nu * prev + (1.0 - self.nu) * e
-        delta = self.learning_rate * (e + self.kappa_p * (new - prev))
+        new = self._nu * prev + self._1mnu * e
+        delta = self._learning_rate * (e + self._kappa_p * (new - prev))
         if self.ema is not None and indices is not None:
             return delta, (new, None, indices)
         if prev is self.ema:
@@ -654,7 +661,7 @@ def _preview_duals(problem, optimizers, signals: dict, indices: dict, gathered=N
         optimizer = optimizers.duals.get(gid)
         if optimizer is None:
             raise ValueError(f"no dual optimizer bound for group {gid!r}")
-        multiplier = problem.group(gid).multiplier
+        multiplier = problem._groups[gid].multiplier
         stored = None if gathered is None else gathered[gid][0]
         idx = indices[gid]
         delta, staged = optimizer._step(signal, idx, multiplier.size)
@@ -781,7 +788,8 @@ def roll(
         raise ValueError(
             f"unknown scheme {scheme!r}; valid schemes: {', '.join(SCHEMES)}"
         ) from None
-    problem.freeze_registration()
+    if not problem._frozen:
+        problem.freeze_registration()
     if evaluate is None:
         evaluate = problem.evaluate_with_gradients
     ev = evaluate(problem.x)

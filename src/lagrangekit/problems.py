@@ -28,6 +28,8 @@ from .core import (
     EvaluationError,
     Formulation,
     _SMALL,
+    _TWO,
+    _ZERO,
     _all_finite,
     _as_size,
     _max_abs,
@@ -165,31 +167,32 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
     def evaluate_with_gradients(self, x) -> Evaluation:
         """Evaluation at x, stored in the slot with its blocks; raises on a non-finite Jacobian.
 
-        An oracle output that passes ``_passes`` goes into the records as returned;
-        only a miss runs the checks, to convert it or raise, state errors first.
+        An oracle output that ``_fits`` goes into the records as returned, a block's once
+        its outputs are ``_finite`` (the loss is checked with the state); only a miss runs
+        the checks, to convert it or raise, state errors first.
         """
-        if x is not self._x:  # the committed x is read-only and was checked when stored
-            x = self._check_point(x)
+        x = self._check_point(x)
         jac_shape, plan = self._plan
         obj_values, obj_jac = self.objective.val_jac(x)
         # no check of an evaluation reads grad_f's entries: a roll checks the composed gradient
-        if not (_passes(obj_values, (1,)) and _passes(obj_jac, jac_shape, finite=False)):
+        if not (_fits(obj_values, (1,)) and _fits(obj_jac, jac_shape)):
             obj_values = self.objective._checked_values(obj_values)
             obj_jac = self.objective._checked_jacobian(obj_jac, x.size)
         observed, jacobians, blocks, missed = {}, {}, [], []  # missed: Jacobians checked last
         for gid, block, val_jac, strict_function, group, shape, jac_shape, rows in plan:
             values, jac = val_jac(x)
-            hit = _passes(values, shape) and _passes(jac, jac_shape)
-            if not hit:
+            fits = _fits(values, shape) and _fits(jac, jac_shape)
+            if not fits:
                 values = block.function._checked_values(values)
                 jac = block.function._checked_jacobian(jac, x.size)
-                missed.append((gid, jac))
             strict = None if strict_function is None else strict_function(x)
-            if hit and (strict_function is None or _passes(strict, shape)):
+            if (fits and (strict_function is None or _fits(strict, shape))
+                    and _finite(values, jac, strict)):
                 cstate = _record(ConstraintState, {"violation": values, "strict_violation": strict,
                                                    "observed_indices": rows})
             else:
                 cstate = self._observed(gid, block, values, strict)
+                missed.append((gid, jac))
             observed[gid] = cstate
             jacobians[gid] = jac
             blocks.append((gid, cstate, group, jac))
@@ -209,16 +212,19 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
         return oracles
 
 
-def _passes(arr, shape, finite=True) -> bool:
-    """The fast test: True only if every check of an oracle output passes and returns ``arr``."""
-    if (type(arr) is not np.ndarray or arr.dtype is not _FLOAT64 or arr.shape != shape
-            or not arr.flags.c_contiguous):
-        return False
-    if not finite:
-        return True
-    if arr.size < _SMALL:  # a NaN or an infinite entry makes the sum non-finite
-        return math.isfinite(sum(arr.ravel().tolist()))
-    return _all_finite(arr)  # np.add.reduce would warn when the sum overflows
+def _fits(arr, shape) -> bool:
+    """True only if every check of an oracle output but finiteness passes and returns ``arr``."""
+    return (type(arr) is np.ndarray and arr.dtype is _FLOAT64 and arr.shape == shape
+            and arr.flags.c_contiguous)
+
+
+def _finite(values, jac, strict) -> bool:
+    """A block's one finiteness test: True only if every entry is finite. Below ``_SMALL``
+    entries it is a sum, which also misses where finite entries overflow; the checks clear that."""
+    if values.size + jac.size + (0 if strict is None else strict.size) < _SMALL:
+        total = sum(values.tolist()) + sum(jac.ravel().tolist())
+        return math.isfinite(total if strict is None else total + sum(strict.tolist()))
+    return _all_finite(values) and _all_finite(jac) and (strict is None or _all_finite(strict))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +425,7 @@ def problem_projection_ball(
 
     def obj_val_jac(x):
         d = x - a
-        return np.array([np.dot(d, d)]), (2.0 * d)[None, :]
+        return np.array([np.dot(d, d)]), (_TWO * d)[None, :]
 
     objective = DifferentiableFunction(
         eval=obj_values, val_jac=obj_val_jac, output_size=1, name="objective"
@@ -430,7 +436,7 @@ def problem_projection_ball(
 
     ball = DifferentiableFunction(
         eval=ball_values,
-        val_jac=lambda x: (np.array([np.dot(x, x) - 1.0]), (2.0 * x)[None, :]),
+        val_jac=lambda x: (np.array([np.dot(x, x) - 1.0]), (_TWO * x)[None, :]),
         output_size=1,
         name="ball",
     )
@@ -540,8 +546,8 @@ def _logistic_loss(features, labels, w, b):
     # log(1 + e^-m) and log(1 + e^m) are the shared tail log(1 + e^-|m|) plus max(-m, 0)
     # or max(m, 0), bit for bit: numpy's logaddexp(0, t) makes that one log1p(exp(.))
     # call and adds 0 or t exactly, so one pass over |m| serves both signs
-    tail = np.logaddexp(0.0, -np.abs(margins))
-    return np.add.reduce(tail + np.maximum(-margins, 0.0)) / features.shape[0], margins, tail
+    tail = np.logaddexp(_ZERO, -np.abs(margins))
+    return np.add.reduce(tail + np.maximum(-margins, _ZERO)) / features.shape[0], margins, tail
 
 
 def _logistic_loss_grad(features, labels, w, b):
@@ -549,7 +555,7 @@ def _logistic_loss_grad(features, labels, w, b):
     n = features.shape[0]
     # gz = -labels * sigma(-margin) / n without overflow; one buffer, which timed faster at
     # n = 200 and n = 10 000 (the other temporaries did not)
-    gz = np.maximum(margins, 0.0)
+    gz = np.maximum(margins, _ZERO)
     gz += tail
     np.negative(gz, out=gz)
     np.exp(gz, out=gz)
@@ -601,7 +607,7 @@ def problem_norm_constrained_logreg(
 
     norm = DifferentiableFunction(
         eval=lambda x: np.array([np.dot(x, x) - threshold]),
-        val_jac=lambda x: (np.array([np.dot(x, x) - threshold]), (2.0 * x)[None, :]),
+        val_jac=lambda x: (np.array([np.dot(x, x) - threshold]), (_TWO * x)[None, :]),
         output_size=1,
         name="norm",
     )

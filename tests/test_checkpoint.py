@@ -1,6 +1,7 @@
 """Checkpoint round trips, resume equivalence, and corruption handling."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,7 +477,32 @@ CORRUPTIONS = [
         "groups.ball.update_count",
     ),  # beyond int64
     ("momentum", "opt.dual.ball.ema", "absent", "opt.dual.ball"),
+    # spellings int() takes that save never writes: only ASCII -?[0-9]+ is an integer
+    ("momentum", "step", "i 0_3", "step"),
+    ("momentum", "step", "i +3", "step"),
+    ("momentum", "step", "i \u0663", "step"),  # an Arabic-Indic three
+    ("momentum", "step", "i 3\t", "step"),
+    ("momentum", "x", "v +2 0x0p+0 0x0p+0", "x"),
+    ("momentum", "x", "v \u0662 0x0p+0 0x0p+0", "x"),
+    ("momentum", "groups.ball.update_count", "iv 1 +1", "groups.ball.update_count"),
+    ("momentum", "groups.ball.update_count", "iv 1 0_1", "groups.ball.update_count"),
+    ("momentum", "groups.ball.update_count", "iv 1 \u0661", "groups.ball.update_count"),
+    ("momentum", "groups.ball.update_count", "iv +1 1", "groups.ball.update_count"),
+    ("momentum", "opt.dual.ball.seen", "iv 1 +1", "opt.dual.ball.seen"),
 ]
+
+
+def test_integer_check_of_a_long_line_allocates_nothing():
+    # one scan a line, by a character class: a regex group repeated per entry would
+    # hold about 4 MB of backtracking state for a 20 000-entry line
+    line = "iv 20000 " + " ".join(["12345"] * 20000)
+    tracemalloc.start()
+    try:
+        assert checkpoint._DECIMAL.fullmatch(line, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize(

@@ -588,7 +588,7 @@ class TestBoundedErrorLines:
         path = str(tmp_path / ("p" * 5000))
         self.one_short_line(["run", "--config", path], capsys, f"error: cannot read config '{path[:40]}")
 
-    @pytest.mark.parametrize("flag", ["--trace", "--checkpoint-in"])
+    @pytest.mark.parametrize("flag", ["--trace", "--checkpoint-in", "--checkpoint-out"])
     def test_long_trace_or_checkpoint_path(self, flag, tmp_path, capsys):
         path = str(tmp_path / ("p" * 5000))
         self.one_short_line(["run", "--steps", "1", flag, path], capsys, "error: [Errno 36] ")
@@ -674,6 +674,19 @@ class TestCheckpointFlags:
             multipliers = [g.multiplier.values.tolist() for g in problem.groups.values()]
             states.append((optimizers.step, problem.x.tolist(), multipliers))
         assert states[0] == states[1] and states[0][0] == steps
+
+    @pytest.mark.parametrize("where", ["nodir/c.ckpt", "."], ids=["missing-directory", "directory"])
+    def test_unusable_checkpoint_out_fails_before_the_run(self, where, tmp_path, capsys):
+        # checked with the configuration, before any row: not at the first save, 25 rows
+        # in, with an error that names the save's temporary file
+        path, trace = str(tmp_path / where), tmp_path / "t.csv"
+        argv = ["run", "--steps", "50", "--trace", str(trace), "--checkpoint-out", path]
+        assert run_cli(*argv, "--checkpoint-every", "25") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"checkpoint-out {path!r} is not a file in an existing directory"
+        assert captured.err == f"error: {message}\n"
+        assert not trace.exists()
 
     def test_checkpoint_every_requires_out(self, capsys):
         assert run_cli("run", "--steps", "2", "--checkpoint-every", "1") == 1
@@ -877,6 +890,28 @@ class TestEvaluateOnce:
         with pytest.raises(EvaluationError):
             evaluate(problem.x)
         assert len(calls) == 3
+
+
+class TestParserOncePerProcess:
+    def test_built_once_across_calls(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in (["list"], ["run", "--steps", "1"], ["run", "--nope"]):
+            cli.main(argv)
+        assert cli._build_parser.cache_info().misses == 1
+        capsys.readouterr()
+
+    def test_a_run_after_another_writes_what_it_writes_first(self, tmp_path, capsys):
+        # nothing of an earlier parse, its flags or its values, reaches a later one
+        outputs = []
+        for name in ("first", "later"):
+            cli._build_parser.cache_clear()
+            if name == "later":
+                assert run_cli("run", "--a=-1,2", "--scheme", "alt-dp", "--steps", "3") == 0
+                capsys.readouterr()
+            trace = tmp_path / f"{name}.csv"
+            assert run_cli("run", "--steps", "20", "--trace", str(trace)) == 0
+            outputs.append((capsys.readouterr(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestCheckGrad:

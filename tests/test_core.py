@@ -462,6 +462,16 @@ class TestReadOnlyX:
         copy = problem.x.copy()
         assert problem.evaluate_with_gradients(copy).state.loss == 25.0
 
+    @pytest.mark.parametrize("make", [_ball, lambda: ConstrainedMinimizationProblem(2)])
+    def test_check_point_returns_the_committed_x_and_checks_a_copy(self, make):
+        problem = make()
+        assert problem._check_point(problem.x) is problem.x
+        copy = problem.x.copy()
+        assert copy.flags.writeable
+        copy[0] = np.nan
+        with pytest.raises(EvaluationError, match="non-finite primal point"):
+            problem._check_point(copy)
+
 
 def test_backend_attribute_exposed():
     # perfbench/run.py prints lagrangekit.BACKEND on its environment line

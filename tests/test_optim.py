@@ -421,6 +421,47 @@ def test_nupi_buffer_of_another_size_rejected():
     assert dual.ema.tolist() == [0.0] * 3
 
 
+# (optimizer, constructor values, values assigned after construction)
+REASSIGNED = [
+    (GradientDescent, {"learning_rate": 0.3}, {"learning_rate": 0.05}),
+    (Momentum, {"learning_rate": 0.3, "beta": 0.5}, {"learning_rate": 0.05, "beta": 0.9}),
+    (
+        AdamLike,
+        {"learning_rate": 0.3, "beta1": 0.5, "beta2": 0.9, "eps": 1e-3},
+        {"learning_rate": 0.05, "beta1": 0.8, "beta2": 0.99, "eps": 1e-8},
+    ),
+    (GradientAscent, {"learning_rate": 0.3}, {"learning_rate": 0.05}),
+    (NuPI, {"learning_rate": 0.3, "kappa_p": 2.0, "nu": 0.5},
+     {"learning_rate": 0.05, "kappa_p": 0.5, "nu": 0.9}),
+]
+
+
+@pytest.mark.parametrize("cls, first, second", REASSIGNED, ids=[c.kind for c, *_ in REASSIGNED])
+def test_reassigned_coefficients_step_like_a_fresh_optimizer(cls, first, second):
+    # the steps read each coefficient's 0-d twin, which an assignment refreshes
+    reassigned = cls(**first)
+    for name, value in second.items():
+        setattr(reassigned, name, value)
+        assert type(getattr(reassigned, name)) is float and getattr(reassigned, name) == value
+    fresh = cls(**second)
+    grads = np.random.default_rng(3).standard_normal((4, 3))
+    x = np.array([0.5, -1.0, 2.0])
+    steps = {}
+    for optimizer in (reassigned, fresh):
+        out = []
+        for grad in grads:
+            if isinstance(optimizer, lk.DualOptimizer):
+                delta, staged = optimizer.step(grad, None, 3)
+            else:
+                delta, staged = optimizer.step(x, grad)
+            optimizer.commit(staged)
+            out.append(delta.tobytes())
+        out.append(sorted((k, None if v is None else np.asarray(v).tobytes())
+                          for k, v in optimizer.buffer_state().items()))
+        steps[optimizer is fresh] = out
+    assert steps[False] == steps[True]
+
+
 class TestMakeDualOptimizers:
     def test_one_instance_per_multiplier_group(self):
         problem = problem_projection_ball(np.array([3.0, 4.0]))

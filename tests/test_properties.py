@@ -18,6 +18,7 @@ from lagrangekit import (
     BenchmarkProblem,
     ConstraintBlock,
     DifferentiableFunction,
+    Momentum,
     NuPI,
     PrimalDualOptimizers,
     checkpoint,
@@ -29,6 +30,8 @@ from lagrangekit import (
 from lagrangekit.checkpoint import CheckpointError
 from lagrangekit.core import (
     _SMALL,
+    _TWO,
+    _ZERO,
     CMPState,
     ConstrainedMinimizationProblem,
     ConstraintGroup,
@@ -216,6 +219,52 @@ def test_logistic_loss_grad_is_pure():
     assert _bits(first[0]) == _bits(second[0]) and _bits(first[2]) == _bits(second[2])
     assert first[1].tobytes() == second[1].tobytes()
     assert first[1] is not second[1] and not np.shares_memory(first[1], w)
+
+
+_OPERAND_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308,
+                     -1e308, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(
+    arr=hnp.arrays(np.float64, st.integers(0, 70), elements=_OPERAND_ENTRIES),
+    rate=st.floats(1e-300, 1e300),
+    eps=st.floats(1e-300, 1e300),
+    kappa_p=st.floats(0.0, 1e300),
+    betas=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT),
+)
+@example(arr=np.array([np.nan, -0.0, 5e-324, np.inf]), rate=1e-300, eps=1e300, kappa_p=0.0,
+         betas=(0.0, 0.9, 0.999, 0.9999999999999999))
+def test_array_operands_equal_python_float_operands(arr, rate, eps, kappa_p, betas):
+    # the 0-d zero, two and coefficient twins against the Python-float expressions they
+    # replace, bit for bit; lengths up to 70 cover the SIMD loops' bodies and tails
+    beta, beta1, beta2, nu = betas
+    momentum = Momentum(rate, beta=beta)
+    adam = AdamLike(rate, beta1=beta1, beta2=beta2, eps=eps)
+    nupi = NuPI(rate, kappa_p=kappa_p, nu=nu)
+    with np.errstate(all="ignore"):
+        pairs = [
+            (np.maximum(arr, _ZERO), np.maximum(arr, 0.0)),
+            (np.logaddexp(_ZERO, arr), np.logaddexp(0.0, arr)),
+            (_TWO * arr, 2.0 * arr),
+            (momentum._learning_rate * arr, rate * arr),
+            (momentum._beta * arr, beta * arr),
+            (adam._beta1 * arr, beta1 * arr),
+            (adam._1mbeta1 * arr, (1.0 - beta1) * arr),
+            (adam._beta2 * arr, beta2 * arr),
+            (adam._1mbeta2 * arr, (1.0 - beta2) * arr),
+            (arr + adam._eps, arr + eps),
+            (nupi._nu * arr, nu * arr),
+            (nupi._1mnu * arr, (1.0 - nu) * arr),
+            (nupi._kappa_p * arr, kappa_p * arr),
+        ]
+    for got, expected in pairs:
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
 
 
 def _parent_state_checks(indices):
@@ -823,6 +872,15 @@ def _outcome(problem, evaluate, x):
     "objective": (np.array([1.0]), np.array([[1.0, 2.0]])),
     "g0": (np.array([1e308, 1e308]), np.array([[1.0, 2.0], [3.0, 4.0]])),  # the sum overflows
     "g0.strict": np.array([np.inf, -np.inf]),
+}), fresh_x=False)
+@example(case=(2, [(1, False, False)], {
+    "objective": (np.array([1.0]), np.array([[1.0, 2.0]])),
+    "g0": (np.array([1e308]), np.array([[1e308, 0.0]])),  # finite, but the one sum overflows
+}), fresh_x=False)
+@example(case=(1, [(1, False, True)], {
+    "objective": (np.array([1.0]), np.array([[1.0]])),
+    "g0": (np.array([0.5]), np.array([[1.0]])),
+    "g0.strict": None,  # a strict oracle that returns None is not a block without one
 }), fresh_x=False)
 @example(case=(33, [(1, True, False), (33, False, True)], {
     "objective": (np.array([1.0]), np.ones((1, 33))),
