@@ -68,8 +68,8 @@ class Formulation(Enum):
     QUADRATIC_PENALTY = "quadratic_penalty"
 
 
-# Below this many entries a Python loop over the values beats np.isfinite's
-# fixed cost (crossover measured at 32-48 entries on a 2-vCPU Xeon).
+# Below this many entries a Python loop beats numpy's fixed cost: crossover at 32-48
+# entries against np.isfinite, 12-16 against _all_finite's self-dot (2-vCPU Xeon).
 _SMALL = 32
 
 _NO_MISC: Mapping[str, Any] = MappingProxyType({})
@@ -78,9 +78,17 @@ _TWO = _constant(2.0)  # the factor in the factories' Jacobians of squared norms
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """``np.isfinite(arr).all()`` for a numeric array, without numpy's Python helpers."""
+    """``np.isfinite(arr).all()`` for a float64 array, without numpy's Python helpers.
+
+    From ``_SMALL`` entries a C-contiguous array is read once: its BLAS self-dot is finite
+    only if every entry is. Another layout, or a miss (squares overflow above ~1.3e154),
+    takes the exact scan. Squares of ~2e-162 to 1.5e-154 are subnormal: the dot is then
+    slow (about 20x the scan at 25 600 entries), not wrong.
+    """
     if arr.size < _SMALL:
         return all(map(math.isfinite, arr.ravel().tolist()))
+    if arr.flags.c_contiguous and math.isfinite(np.vdot(arr, arr)):
+        return True
     return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
 
 

@@ -187,6 +187,8 @@ class IndexedMultiplier(Multiplier):
             raise ValueError(f"update_count must be {self._size} integers")
         if arr.min() < 0:
             raise ValueError("update counts must be >= 0")
+        if int(arr.max()) > np.iinfo(np.int64).max:  # else the cast wraps it negative
+            raise ValueError("update counts must be < 2**63")
         return arr.astype(np.int64)
 
     def load_update_count(self, counts) -> None:

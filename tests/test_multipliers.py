@@ -175,6 +175,15 @@ class TestInitialization:
     def test_base_class_is_shared(self):
         assert isinstance(IndexedMultiplier(1, INEQ), Multiplier)
 
+    def test_update_count_above_int64_rejected(self):
+        # a uint64 count of 2**63 used to load as -2**63, past the ">= 0" check
+        m = IndexedMultiplier(2, INEQ)
+        m.load_update_count(np.array([2**63 - 1, 1], dtype=np.uint64))
+        assert m.update_count.tolist() == [2**63 - 1, 1]
+        with pytest.raises(ValueError, match=r"update counts must be < 2\*\*63"):
+            m.load_update_count(np.array([2**63, 1], dtype=np.uint64))
+        assert m.update_count.tolist() == [2**63 - 1, 1]
+
 
 class TestDenseIndexedEquivalence:
     def test_full_observation_trajectories_bitwise_identical(self):

@@ -6,9 +6,11 @@ import contextlib
 import io
 import json
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -69,6 +71,68 @@ def test_all_finite_equals_numpy(arr):
     # both sides of _SMALL; 1e308 entries make any sum overflow
     assert _all_finite(arr) == bool(np.isfinite(arr).all())
     assert _all_finite(arr.T) == bool(np.isfinite(arr.T).all())
+
+
+def _at_size(fill, *edits):
+    """A 256 x 100 array of ``fill`` (the Jacobian of a partial_rows roll) with edits."""
+    arr = np.full((256, 100), fill)
+    for index, value in edits:
+        arr.flat[index] = value
+    return arr
+
+
+_LARGE = _at_size(1.0)
+_AT_SIZE = {
+    "ones": _LARGE,
+    "inf-first": _at_size(1.0, (0, np.inf)),
+    "inf-last": _at_size(1.0, (-1, np.inf)),
+    "nan-first": _at_size(1.0, (0, np.nan)),
+    "nan-last": _at_size(1.0, (-1, np.nan)),
+    "minus-inf-last": _at_size(-1.0, (-1, -np.inf)),
+    "1e308": _at_size(1e308),  # the squares overflow: the exact scan answers
+    "1e308-nan-last": _at_size(1e308, (-1, np.nan)),
+    "1e-158": _at_size(1e-158),  # subnormal squares
+    "1e-158-inf-last": _at_size(1e-158, (-1, np.inf)),
+    "subnormal": _at_size(5e-324),
+    "fortran": np.asfortranarray(_LARGE),
+    "fortran-nan": np.asfortranarray(_at_size(1.0, (-1, np.nan))),
+    "strided": _LARGE[:, ::3],
+    "strided-inf": _at_size(1.0, (3, np.inf))[:, ::3],
+    "transposed-row": _at_size(1.0, (-1, np.inf)).T[-1],
+    "first-size": np.full(_SMALL, 1e-158),
+}
+
+
+@pytest.mark.parametrize("arr", _AT_SIZE.values(), ids=_AT_SIZE.keys())
+def test_all_finite_at_size_equals_numpy(arr):
+    # no overflow or underflow of the self-dot raises, warns or changes the answer
+    with np.errstate(all="raise"):
+        assert _all_finite(arr) == bool(np.isfinite(arr).all())
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(
+    st.sampled_from([1.0, -2.5, 1e-158, 5e-324, 1e200, -1e308]),
+    st.lists(st.tuples(st.integers(0, 256 * 100 - 1), _EDGE_VALUES), max_size=3),
+    st.sampled_from(["C", "F", "strided"]),
+)
+def test_all_finite_at_size_equals_numpy_with_edits(fill, edits, layout):
+    arr = _at_size(fill, *edits)
+    arr = {"C": arr, "F": np.asfortranarray(arr), "strided": arr[::2]}[layout]
+    with np.errstate(all="raise"):
+        assert _all_finite(arr) == bool(np.isfinite(arr).all())
+
+
+def test_all_finite_checks_a_large_array_without_a_temporary():
+    # one read by the self-dot: no 25.6 kB bool array from np.isfinite
+    _all_finite(_LARGE)
+    tracemalloc.start()
+    try:
+        assert _all_finite(_LARGE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
 
 
 def _bits(value) -> bytes:
