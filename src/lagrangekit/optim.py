@@ -26,12 +26,12 @@ Each value is checked once, then trusted:
   with each group's fit (present, finite, (k, dim) unless k = 0). A library
   output takes one fast test; the full checks run only to explain a miss;
 - what one loop over the blocks, ``_dual_pass``, derives at given
-  multipliers: the primal Lagrangian, a dual signal c * v and, for
-  ``assemble``, the gradient on a copy of grad_f whose shape is compared
-  (checked after the Lagrangian, which covers grad_f). alt-dp composes in
-  ``_composed``, from the (m, c) the loop gathered, which the previews read
-  too. A gradient a scheme does not use (alt-pd's at x_{t+1}; alt-dp's at
-  m_t, unless an observer takes it) is not composed;
+  multipliers: the primal Lagrangian and a dual signal c * v. The gradient
+  is composed after it, only in ``_composed``, from the (m, c) the loop
+  gathered, which the previews read too, on a copy of grad_f whose shape is
+  compared there (so after the Lagrangian, which covers grad_f). A gradient
+  a scheme does not use (alt-pd's at x_{t+1}; alt-dp's at m_t, unless an
+  observer takes it) is not composed;
 - proposals before commit: x_new and each multiplier preview.
 
 The problem's slot holds one evaluation object's checked blocks, put there
@@ -173,7 +173,9 @@ class PrimalOptimizer(_Optimizer):
 
     ``step`` is pure: it returns the new point and the staged buffer update
     without touching the optimizer. It checks the gradient, then runs
-    ``_step``, which the rolls call directly. Subclasses implement either.
+    ``_step(x, grad)``, the one method a subclass implements and the rolls
+    call: both arrive checked, float64 arrays of one shape, and it returns
+    ``(x_new, staged)``, x_new a new float64 array of that shape (unconverted).
     """
 
     def step(self, x: np.ndarray, grad) -> tuple[np.ndarray, object]:
@@ -185,10 +187,7 @@ class PrimalOptimizer(_Optimizer):
         return self._step(x, grad)
 
     def _step(self, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, object]:
-        if type(self).step is PrimalOptimizer.step:
-            raise NotImplementedError
-        x_new, staged = self.step(x, grad)  # a subclass that overrides only step
-        return np.array(x_new, dtype=np.float64).reshape(x.shape), staged
+        raise NotImplementedError
 
 
 class GradientDescent(PrimalOptimizer):
@@ -302,7 +301,9 @@ class DualOptimizer(_Optimizer):
 
     ``step`` checks the indices and the signal (a finite float vector, one
     entry per index, or ``size`` entries without indices), then runs
-    ``_step``, which the rolls call directly. Subclasses implement either.
+    ``_step(signal, indices, size)``, the one method a subclass implements and
+    the rolls call: the signal arrives checked, as float64, and it returns
+    ``(delta, staged)``, delta a new float64 array of its shape (unconverted).
     """
 
     def step(self, signal: np.ndarray, indices, size: int) -> tuple[np.ndarray, object]:
@@ -316,9 +317,7 @@ class DualOptimizer(_Optimizer):
         return self._step(signal, idx, size)
 
     def _step(self, signal, indices, size):
-        if type(self).step is DualOptimizer.step:
-            raise NotImplementedError
-        return self.step(signal, indices, size)  # a subclass that overrides only step
+        raise NotImplementedError
 
 
 class GradientAscent(DualOptimizer):
@@ -476,14 +475,13 @@ def assemble(
             if values is not None
         }
     blocks = _blocks_for(problem, evaluation)
-    gradient = _grad_f_copy(problem, evaluation)
-    primal_lagrangian, dual_lagrangian, signals, indices, _ = _dual_pass(
-        problem, evaluation, blocks, multiplier_values, gradient
+    primal_lagrangian, dual_lagrangian, signals, indices, gathered = _dual_pass(
+        problem, evaluation, blocks, multiplier_values
     )
     assembled = _record(AssembledLagrangian, {
         "primal_lagrangian": primal_lagrangian,
         "dual_lagrangian": dual_lagrangian,
-        "gradient": _checked_gradient(problem, evaluation, gradient),
+        "gradient": _composed(problem, evaluation, blocks, gathered),
         "dual_signals": signals,
         "observed_indices": indices,
     })
@@ -556,14 +554,13 @@ def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluat
     return blocks
 
 
-def _dual_pass(problem, evaluation, blocks: list, multiplier_values=None, gradient=None) -> tuple:
+def _dual_pass(problem, evaluation, blocks: list, multiplier_values=None) -> tuple:
     """The scalars and dual signals of ``_checked_blocks(problem, evaluation)``.
 
     Returns ``(primal_lagrangian, dual_lagrangian, dual_signals,
     observed_indices, gathered)``, ``gathered`` each block's ``(m, c)`` from
-    ``_terms`` by id, and checks the primal Lagrangian and a dual signal c * v.
-    Only when given ``gradient``, a ``_grad_f_copy``, does the same loop take
-    each block's weights (m itself on a Lagrangian group) and add its rows.
+    ``_terms`` by id, which ``_composed`` and the dual previews read, and
+    checks the primal Lagrangian and a dual signal c * v.
     """
     primal_lagrangian = evaluation.state.loss
     dual_lagrangian = 0.0
@@ -577,9 +574,6 @@ def _dual_pass(problem, evaluation, blocks: list, multiplier_values=None, gradie
         term, signal, m, c = _terms(group, cstate, values, group.penalty)
         primal_lagrangian += term
         gathered[gid] = m, c
-        if gradient is not None:
-            weights = m if c is None else _weights(group, cstate, m, c)
-            _add_weighted_rows(gradient, weights, jacobian)
         if m is not None:
             # a derived signal (c * v) can overflow to -inf, which the projection
             # would clamp to 0; the plain signal is the checked violation itself
@@ -596,20 +590,16 @@ def _dual_pass(problem, evaluation, blocks: list, multiplier_values=None, gradie
     return primal_lagrangian, dual_lagrangian, signals, indices, gathered
 
 
-def _grad_f_copy(problem, evaluation: Evaluation) -> Optional[np.ndarray]:
-    """A float copy of grad_f to compose on, or None (``_checked_gradient`` raises) if not (dim,)."""
-    try:
-        gradient = np.array(evaluation.grad_f, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return gradient if gradient.shape == (problem.dim,) else None
+def _grad_f_copy(problem, evaluation: Evaluation) -> np.ndarray:
+    """A float copy of grad_f to compose on; raises the conversion's error, or if not (dim,)."""
+    gradient = np.array(evaluation.grad_f, dtype=np.float64)
+    if gradient.shape != (problem.dim,):
+        raise ValueError(f"grad_f shape {gradient.shape} != ({problem.dim},)")
+    return gradient
 
 
-def _checked_gradient(problem, evaluation: Evaluation, gradient) -> np.ndarray:
-    """The composed ``gradient``, checked: grad_f's shape, then the finiteness of the sum."""
-    if gradient is None:
-        shape = np.array(evaluation.grad_f, dtype=np.float64).shape  # or the conversion's error
-        raise ValueError(f"grad_f shape {shape} != ({problem.dim},)")
+def _checked_gradient(evaluation: Evaluation, gradient: np.ndarray) -> np.ndarray:
+    """The composed ``gradient``, checked finite; a non-finite grad_f takes the blame first."""
     # a non-finite entry of grad_f stays non-finite in the sum
     if not _all_finite(gradient):
         if not _all_finite(np.asarray(evaluation.grad_f, dtype=np.float64)):
@@ -726,10 +716,8 @@ def _composed(problem, ev, blocks: list, gathered: dict, dual_updates=()) -> np.
         if gid in dual_updates:
             # the preview holds the entries at this evaluation's indices, in their order
             *_, m = dual_updates[gid]
-        if gradient is not None:
-            weights = m if c is None else _weights(group, cstate, m, c)
-            _add_weighted_rows(gradient, weights, jacobian)
-    return _checked_gradient(problem, ev, gradient)
+        _add_weighted_rows(gradient, m if c is None else _weights(group, cstate, m, c), jacobian)
+    return _checked_gradient(ev, gradient)
 
 
 def _roll_extragradient(problem, optimizers, evaluate, ev, observer):

@@ -35,7 +35,7 @@ from .core import (
     _max_abs,
     _record,
 )
-from .formulations import PenaltyCoefficient, _gathered
+from .formulations import _gathered
 from .gradients import DifferentiableFunction, _add_weighted_rows
 from .optim import _blocks_for, _checked_gradient, _grad_f_copy, _jacobian_error, _store_blocks
 
@@ -276,7 +276,7 @@ def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
             _add_weighted_rows(gradient, values, jacobian)
         if group.constraint_type is ConstraintType.INEQUALITY:
             complementarity = max(complementarity, _max_abs(values * cstate.violation))
-    gradient = slot[2].gradient if reuse else _checked_gradient(problem, evaluation, gradient)
+    gradient = slot[2].gradient if reuse else _checked_gradient(evaluation, gradient)
     stationarity = _max_abs(gradient)
     feasibility = max(problem._violation_maxima(evaluation.state))
     return KKTResidual(stationarity, feasibility, complementarity)
@@ -393,14 +393,9 @@ def _as_formulation(formulation) -> Formulation:
     return formulation if isinstance(formulation, Formulation) else Formulation(formulation)
 
 
-def _as_penalty(formulation: Formulation, penalty) -> Optional[PenaltyCoefficient]:
-    if formulation is Formulation.LAGRANGIAN:
-        if penalty is not None:
-            raise ValueError("plain Lagrangian takes no penalty coefficient")
-        return None
-    if penalty is None:
-        return PenaltyCoefficient(1.0)
-    return penalty if isinstance(penalty, PenaltyCoefficient) else PenaltyCoefficient(penalty)
+def _as_penalty(formulation: Formulation, penalty):
+    """1.0 for a missing penalty where the formulation needs one; the group checks the rest."""
+    return 1.0 if penalty is None and formulation is not Formulation.LAGRANGIAN else penalty
 
 
 def problem_projection_ball(
@@ -486,6 +481,9 @@ def problem_equality_qp(
     m = A.shape[0]
     if c.shape != (m,):
         raise ValueError(f"c must have shape ({m},)")
+    for name, value in (("Q", Q), ("b", b), ("A", A), ("c", c)):
+        if not _all_finite(value):
+            raise ValueError(f"{name} must be finite")
     if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
         raise ValueError("Q must be symmetric")
     try:

@@ -7,7 +7,6 @@ scalar reference implementation of the standard bias-corrected update.
 """
 
 import dataclasses
-import inspect
 
 import numpy as np
 import pytest
@@ -610,14 +609,14 @@ class TestSchemes:
             direct.set_x(x_new)
             assert snapshot(direct, direct_opt) == snapshot(rolled, rolled_opt)
 
-    def test_subclasses_overriding_only_step_roll_like_builtins(self):
-        # the rolls call _step; the base _step must route to an overridden step
-        class ListDescent(lk.PrimalOptimizer):
-            def step(self, x, grad):
-                return list(x - self.learning_rate * grad), None
+    def test_subclasses_implementing_only_private_step_roll_like_builtins(self):
+        # _step is the one extension point: the rolls call it, and step checks, then calls it
+        class PlainDescent(lk.PrimalOptimizer):
+            def _step(self, x, grad):
+                return x - self.learning_rate * grad, None
 
         class PlainAscent(lk.DualOptimizer):
-            def step(self, signal, indices, size):
+            def _step(self, signal, indices, size):
                 return self.learning_rate * signal, None
 
         def trajectory(primal, dual):
@@ -630,12 +629,43 @@ class TestSchemes:
             mult = problem.group("box").multiplier
             return problem.x.tobytes(), mult.values.tobytes(), mult.update_count.tobytes()
 
-        custom = trajectory(ListDescent(0.1), lambda: PlainAscent(0.2))
+        custom = trajectory(PlainDescent(0.1), lambda: PlainAscent(0.2))
         assert custom == trajectory(GradientDescent(0.1), lambda: GradientAscent(0.2))
+        x, grad = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+        assert PlainDescent(0.1).step(x, grad)[0].tobytes() == (x - 0.1 * grad).tobytes()
         with pytest.raises(NotImplementedError):
             lk.PrimalOptimizer(0.1).step(np.zeros(1), np.zeros(1))
         with pytest.raises(NotImplementedError):
             lk.DualOptimizer(0.1).step(np.zeros(1), None, 1)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    def test_a_subclass_overriding_only_step_is_not_rolled(self, side, scheme):
+        # step is the checked public call, not an extension point: a roll never calls it
+        class StepDescent(lk.PrimalOptimizer):
+            def step(self, x, grad):
+                return x - self.learning_rate * grad, None
+
+        class StepAscent(lk.DualOptimizer):
+            def step(self, signal, indices, size):
+                return self.learning_rate * signal, None
+
+        problem = SubsetBoxProblem()
+        primal = StepDescent(0.1) if side == "primal" else GradientDescent(0.1)
+        dual = StepAscent if side == "dual" else GradientAscent
+        optimizers = PrimalDualOptimizers(
+            primal=primal, duals=make_dual_optimizers(problem, lambda: dual(0.2))
+        )
+        mult = problem.group("box").multiplier
+
+        def state():
+            return [problem.x.tobytes(), mult.values.tobytes(), mult.update_count.tobytes(),
+                    optimizers.step]
+
+        before = state()
+        with pytest.raises(NotImplementedError):
+            roll(problem, optimizers, scheme=scheme)
+        assert state() == before
 
     def test_unknown_scheme_rejected_with_valid_names(self):
         problem, optimizers = bilinear_setup()
@@ -1298,7 +1328,7 @@ class TestTwoPasses:
 
 
 class TestOneLoop:
-    """``assemble`` composes the gradient in its dual pass, with every check in its old order."""
+    """``assemble`` composes the gradient after its dual pass, with every check in its old order."""
 
     @staticmethod
     def problem(*groups):
@@ -1521,20 +1551,17 @@ class TestAssembleSlot:
         Given a list ``made``, the problem's evaluations are rebuilt as user-built
         ``Evaluation`` objects, each appended to ``made``.
         """
-        # "composing" counts the dual passes that add the gradient in their loop
+        # "composing" counts the calls of _composed, the one site that adds Jacobian rows
         counts = {
             "_checked_blocks": 0, "_dual_pass": 0, "composing": 0, "_checked_gradient": 0,
             "maxima": 0,
         }
         checked = []
-        for name in ("_checked_blocks", "_dual_pass", "_checked_gradient"):
+        for name in ("_checked_blocks", "_dual_pass", "_composed", "_checked_gradient"):
             original = getattr(lk.optim, name)
 
             def counted(*args, _original=original, _name=name):
-                counts[_name] += 1
-                if _name == "_dual_pass":
-                    bound = inspect.signature(_original).bind(*args)
-                    counts["composing"] += bound.arguments.get("gradient") is not None
+                counts["composing" if _name == "_composed" else _name] += 1
                 if _name == "_checked_blocks":
                     checked.append(args[1])
                 return _original(*args)
@@ -1579,7 +1606,7 @@ class TestAssembleSlot:
         counts, _ = self.counted_run(monkeypatch, tmp_path, "alt-pd", n)
         # x_0, then one evaluation per step, each checked where it is made; a
         # dual pass at x_{t+1} in the roll and at m_{t+1} in the row; the row's
-        # gradient, composed in its dual pass, is the next roll's; each row's
+        # gradient, composed after its dual pass, is the next roll's; each row's
         # violation maxima are computed once
         assert counts == {
             "_checked_blocks": 0, "_dual_pass": 2 * n + 1, "composing": n + 1,
@@ -1599,10 +1626,10 @@ class TestAssembleSlot:
         counts, _ = self.counted_run(monkeypatch, tmp_path, "alt-dp", n)
         # one dual pass per evaluation: each roll's at (x_t, m_t) gives the row
         # before it, whose gradient at m_t is composed from the entries that pass
-        # gathered; each roll composes at m_{t+1} in a loop of its own; the last
-        # row assembles at x_n
+        # gathered (n - 1 rows: the first roll has none); each roll composes at
+        # m_{t+1}; the last row assembles at x_n
         assert counts == {
-            "_checked_blocks": 0, "_dual_pass": n + 1, "composing": 1,
+            "_checked_blocks": 0, "_dual_pass": n + 1, "composing": 2 * n,
             "_checked_gradient": 2 * n, "maxima": n,
         }
 

@@ -137,6 +137,18 @@ class TestEqualityQP:
         problem = self.canonical()
         assert problem.group("linear").constraint_type is ConstraintType.EQUALITY
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["Q", "b", "A", "c"])
+    def test_non_finite_input_blamed_on_its_argument(self, name, value, capfd):
+        # refused before the symmetry check, the certificate solve and the feasible start
+        args = {"Q": np.eye(2), "b": np.zeros(2), "A": np.array([[1.0, 1.0]]), "c": np.array([2.0])}
+        args[name] = args[name].copy()
+        args[name][(0,) * args[name].ndim] = value
+        with pytest.raises(ValueError) as info:
+            problem_equality_qp(**args)
+        assert str(info.value) == f"{name} must be finite"
+        assert capfd.readouterr().err == ""
+
 
 class TestNormConstrainedLogreg:
     def test_loss_at_origin_is_log_two(self):
@@ -493,6 +505,37 @@ class TestProblemNames:
             "norm_logreg",
             "bilinear",
         )
+
+
+FACTORIES = {
+    "ball": lambda **kw: problem_projection_ball([3.0, 4.0], **kw),
+    "linear": lambda **kw: problem_equality_qp(
+        np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]), **kw
+    ),
+    "norm": lambda **kw: problem_norm_constrained_logreg(0, 1.0, n_points=8, **kw),
+    "level": lambda **kw: problem_bilinear_game(**kw),
+}
+
+
+class TestFactoryPenalty:
+    """A factory defaults a missing penalty to 1.0; its group checks every other rule."""
+
+    @pytest.mark.parametrize("group", FACTORIES)
+    def test_lagrangian_group_refuses_a_penalty(self, group):
+        for penalty in (1.0, lk.PenaltyCoefficient(1.0)):
+            with pytest.raises(ValueError) as info:
+                FACTORIES[group](penalty=penalty)
+            assert str(info.value) == f"group {group!r}: Lagrangian groups have no penalty"
+
+    @pytest.mark.parametrize("group", FACTORIES)
+    @pytest.mark.parametrize("formulation", ["augmented_lagrangian", "quadratic_penalty"])
+    def test_penalty_defaults_to_one_and_is_wrapped(self, group, formulation):
+        problem = FACTORIES[group](formulation=formulation)
+        assert problem.group(group).penalty.value == 1.0
+        penalty = FACTORIES[group](formulation=formulation, penalty=2.5).group(group).penalty
+        assert isinstance(penalty, lk.PenaltyCoefficient) and penalty.value == 2.5
+        with pytest.raises(ValueError, match=r"penalty must be finite and > 0, got -1.0"):
+            FACTORIES[group](formulation=formulation, penalty=-1.0)
 
 
 def splitmix64_scalar(seed, n):

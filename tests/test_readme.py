@@ -37,3 +37,12 @@ def test_custom_problem_projects_onto_the_half_plane(namespaces):
     assert isinstance(problem, namespace["ConstrainedMinimizationProblem"])
     assert problem.x == pytest.approx([1.0, 0.0], abs=1e-9)
     assert problem.group("sum").multiplier.values == pytest.approx([2.0], abs=1e-9)
+
+
+def test_custom_optimizer_solves_the_equality_qp(namespaces):
+    namespace = _namespace(namespaces, "def _step(")
+    problem = namespace["problem"]
+    assert problem.x == pytest.approx([1.5, 0.5], abs=1e-9)
+    assert problem.group("linear").multiplier.values == pytest.approx([-0.5], abs=1e-9)
+    x_new, staged = namespace["ClippedDescent"](0.5).step([1.0, 1.0], [4.0, -0.5])
+    assert x_new.tolist() == [0.5, 1.25] and staged is None
