@@ -44,6 +44,7 @@ from .optim import (
 )
 from .problems import (
     PROBLEM_NAMES,
+    KKTResidual,
     current_kkt_residual,
     problem_bilinear_game,
     problem_equality_qp,
@@ -240,19 +241,19 @@ def _evaluator(problem):
     return evaluate
 
 
-def _trace_row(problem, optimizers, evaluation, assembled) -> tuple[str, dict]:
-    """A roll observer's record at (x_t, m_t) as a trace row, plus the summary figures."""
+def _trace_row(problem, optimizers, evaluation, assembled) -> tuple[str, KKTResidual]:
+    """A roll observer's record at (x_t, m_t) as a trace row, plus the row's KKT residual.
+
+    ``current_kkt_residual`` reads the blocks and the record from the slot and
+    leaves the violation maxima in ``problem._maxima``, where the row reads them;
+    the multiplier ∞-norm reads each group's stored values.
+    """
     kkt = current_kkt_residual(problem, evaluation)
-    max_ineq, max_eq = problem._violation_maxima(evaluation.state)
+    max_ineq, max_eq = problem._maxima[1]
     mult_linf = 0.0
-    for group in problem.groups.values():
-        if group.multiplier is not None and group.multiplier.size:
-            mult_linf = max(mult_linf, _max_abs(group.multiplier.values))
-    figures = {
-        "loss": evaluation.state.loss,
-        "max_violation": max(max_ineq, max_eq),
-        "kkt": kkt,
-    }
+    for group in problem._groups.values():
+        if group.multiplier is not None:  # a group, so its multiplier, has >= 1 entry
+            mult_linf = max(mult_linf, _max_abs(group.multiplier._values))
     row = _ROW % (
         optimizers.step,
         evaluation.state.loss,
@@ -264,7 +265,7 @@ def _trace_row(problem, optimizers, evaluation, assembled) -> tuple[str, dict]:
         kkt.stationarity,
         kkt.complementarity,
     )
-    return row, figures
+    return row, kkt
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -303,15 +304,15 @@ def cmd_run(config: RunConfig) -> int:
 
     evaluate = _evaluator(problem)
     every = config.checkpoint_every
-    trace_handle = figures = None
+    trace_handle = kkt = None
 
     def due():
         return every is not None and optimizers.step % every == 0
 
     def on_record(evaluation, assembled):
-        # at (x_t, m_t), before any preview: the figures, then row t and checkpoint t
-        nonlocal figures
-        row, figures = _trace_row(problem, optimizers, evaluation, assembled)
+        # at (x_t, m_t), before any preview: the residual, then row t and checkpoint t
+        nonlocal kkt
+        row, kkt = _trace_row(problem, optimizers, evaluation, assembled)
         if trace_handle is not None:
             trace_handle.write(row + "\n")
             if due():
@@ -328,7 +329,8 @@ def cmd_run(config: RunConfig) -> int:
             if trace_handle is None and due():
                 ckpt.save(problem, optimizers, config.checkpoint_out)
         # the last row, at x_N; without a trace only the summary needs it
-        _observe(problem, evaluate(problem.x), on_record)
+        last = evaluate(problem.x)
+        _observe(problem, last, on_record)
         if config.checkpoint_out is not None and not due():  # else the last step's save holds it
             ckpt.save(problem, optimizers, config.checkpoint_out)
     except EvaluationError as exc:
@@ -340,11 +342,10 @@ def cmd_run(config: RunConfig) -> int:
     finally:
         if trace_handle is not None:
             trace_handle.close()
-    kkt = figures["kkt"]
-    print(
+    print(  # max_violation is the last row's KKT feasibility
         "final:"
-        f" loss={_fmt(figures['loss'])}"
-        f" max_violation={_fmt(figures['max_violation'])}"
+        f" loss={_fmt(last.state.loss)}"
+        f" max_violation={_fmt(kkt.feasibility)}"
         f" kkt_stationarity={_fmt(kkt.stationarity)}"
         f" kkt_feasibility={_fmt(kkt.feasibility)}"
         f" kkt_complementarity={_fmt(kkt.complementarity)}"

@@ -119,6 +119,12 @@ def _as_size(value, what: str) -> int:
     return int(value)
 
 
+def _check_real(value, what: str) -> None:
+    """Raise ValueError if ``value`` holds a bool or text (numpy's too): a coefficient is real."""
+    if np.asarray(value).dtype.kind in "bUS":
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def _as_indices(indices, what: str) -> np.ndarray:
     """``indices`` as a 1-d int64 array; a non-empty list must hold integers."""
     idx = np.asarray(indices)
@@ -398,6 +404,8 @@ class ConstrainedMinimizationProblem:
         self._dim = dim
         self._groups: dict[str, ConstraintGroup] = {}
         self._frozen = False
+        # (state, (max inequality violation clamped at 0, max |equality violation|)) of
+        # the last KKT residual (``problems._kkt_pieces``); a trace row reads it
         self._maxima = self._x = None
         self._adopt(np.zeros(dim) if x0 is None else self._check_point(x0).copy())
 
@@ -475,37 +483,3 @@ class ConstrainedMinimizationProblem:
         group = self.group(gid)
         group._check_fit(cstate)
         return group
-
-    def _violation_maxima(self, state: CMPState) -> tuple[float, float]:
-        """(max inequality violation clamped at 0, max |equality violation|); 0.0 if none.
-
-        Cached for the last state asked for: a trace row and its KKT
-        residual ask for the same one.
-        """
-        cached = self._maxima
-        if cached is not None and cached[0] is state:
-            return cached[1]
-        maxima = self._computed_maxima(state)
-        self._maxima = (state, maxima)
-        return maxima
-
-    def _computed_maxima(self, state: CMPState) -> tuple[float, float]:
-        """``_violation_maxima`` without the cache.
-
-        A ConstraintState's violations are finite, so a plain ``max`` over a
-        small group agrees with numpy's clamped maximum.
-        """
-        max_ineq = 0.0
-        max_eq = 0.0
-        for gid, cstate in state.observed_constraints.items():
-            v = cstate.violation
-            if not v.size:
-                continue
-            if self.group(gid).constraint_type is ConstraintType.INEQUALITY:
-                if v.size < _SMALL:
-                    max_ineq = max(max_ineq, *v.tolist())
-                else:
-                    max_ineq = max(max_ineq, float(np.max(np.maximum(v, _ZERO))))
-            else:
-                max_eq = max(max_eq, _max_abs(v))
-        return max_ineq, max_eq

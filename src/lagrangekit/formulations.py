@@ -40,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import ConstraintGroup, ConstraintState, ConstraintType, EvaluationError, Formulation
-from .core import _ZERO, _all_finite
+from .core import _ZERO, _all_finite, _check_real
 from .multipliers import Multiplier
 
 __all__ = [
@@ -60,6 +60,7 @@ class PenaltyCoefficient:
     """
 
     def __init__(self, value: Union[float, np.ndarray]):
+        _check_real(value, "penalty")
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
             if not np.isfinite(arr) or arr <= 0.0:

@@ -70,7 +70,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import CMPState, ConstrainedMinimizationProblem, Evaluation, EvaluationError
-from .core import _all_finite, _constant, _record
+from .core import _all_finite, _check_real, _constant, _record
 # the public checked functions stay importable here: perfbench/tracing.py wraps them
 from .formulations import _checked_values, _terms, _weights
 from .formulations import assemble_lagrangian, group_contribution  # noqa: F401
@@ -126,6 +126,7 @@ class _Coefficient:
         self.name = name
 
     def __set__(self, obj, value):
+        _check_real(value, self.name)
         value = float(value)
         obj.__dict__.update({self.name: value, "_" + self.name: _constant(value),
                              "_1m" + self.name: _constant(1.0 - value)})
@@ -243,11 +244,11 @@ class AdamLike(PrimalOptimizer):
         eps: float = 1e-8,
     ):
         super().__init__(learning_rate)
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"adam betas must be in [0, 1), got {beta1}, {beta2}")
-        if not (0 < eps < np.inf):
-            raise ValueError(f"adam eps must be finite and > 0, got {eps}")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"adam betas must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not (0 < self.eps < np.inf):
+            raise ValueError(f"adam eps must be finite and > 0, got {self.eps}")
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
         self.t = 0

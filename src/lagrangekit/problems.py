@@ -13,6 +13,7 @@ platforms and processes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -35,7 +36,6 @@ from .core import (
     _max_abs,
     _record,
 )
-from .formulations import _gathered
 from .gradients import DifferentiableFunction, _add_weighted_rows
 from .optim import _blocks_for, _checked_gradient, _grad_f_copy, _jacobian_error, _store_blocks
 
@@ -251,35 +251,53 @@ def _split_concat(problem, vector, ctype, what):
 def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
     """The residual at ``evaluation``; ``values_by_gid`` None means the stored multipliers.
 
-    Reads the oracle output as the rolls do, through ``optim._blocks_for``
-    (a trace row's blocks come from the slot), and composes grad_f + sum m J
-    with their helpers, so it makes their checks and none of its own; or,
-    where ``current_kkt_residual`` says, reads that sum from the record that
-    the slot holds while an observer call runs (``optim._hand_on``).
+    One pass over the blocks takes the violation maxima and the complementarity,
+    on Python floats below ``_SMALL`` entries. During an observer call
+    (``optim._hand_on``) the blocks and the record come straight from the slot,
+    and with every group Lagrangian the stationarity reads the record's checked
+    gradient; otherwise the blocks come from ``optim._blocks_for`` and grad_f +
+    sum m J is composed with the rolls' helpers, so it makes their checks and
+    none of its own. Leaves ``(state, (max_ineq, max_eq))`` in ``problem._maxima``.
     """
-    blocks = _blocks_for(problem, evaluation)
-    slot = getattr(problem, "_slot", ()) if values_by_gid is None else ()
-    reuse = len(slot) == 3 and slot[0] is evaluation and all(
-        block[2].formulation is Formulation.LAGRANGIAN for block in blocks
-    )
-    gradient = None if reuse else _grad_f_copy(problem, evaluation)
-    complementarity = 0.0
+    slot = getattr(problem, "_slot", ())
+    if values_by_gid is None and len(slot) == 3 and slot[0] is evaluation:
+        blocks, record = slot[1], slot[2]
+        for block in blocks:
+            if block[2].formulation is not Formulation.LAGRANGIAN:
+                record = None  # the record's gradient is not grad f + sum m J
+                break
+    else:
+        blocks, record = _blocks_for(problem, evaluation), None
+    gradient = None if record is not None else _grad_f_copy(problem, evaluation)
+    max_ineq = max_eq = complementarity = 0.0
     for gid, cstate, group, jacobian in blocks:
+        v = cstate.violation
+        if not v.size:
+            continue
         if values_by_gid is None:
-            values = None if group.multiplier is None else group.multiplier.values
+            values = None if group.multiplier is None else group.multiplier._values
         else:
             values = values_by_gid.get(gid)
-        if values is None or not cstate.violation.size:
-            continue  # a zero or empty multiplier adds nothing
-        values = _gathered(values, cstate)
-        if gradient is not None:
-            _add_weighted_rows(gradient, values, jacobian)
-        if group.constraint_type is ConstraintType.INEQUALITY:
-            complementarity = max(complementarity, _max_abs(values * cstate.violation))
-    gradient = slot[2].gradient if reuse else _checked_gradient(evaluation, gradient)
-    stationarity = _max_abs(gradient)
-    feasibility = max(problem._violation_maxima(evaluation.state))
-    return KKTResidual(stationarity, feasibility, complementarity)
+        if values is not None:  # a quadratic-penalty group counts only in the maxima
+            if cstate.observed_indices is not None:
+                values = values[cstate.observed_indices]
+            if gradient is not None:
+                _add_weighted_rows(gradient, values, jacobian)
+        if group.constraint_type is not ConstraintType.INEQUALITY:
+            max_eq = max(max_eq, _max_abs(v))
+        elif v.size < _SMALL:  # |m_i v_i| as Python floats: the IEEE product numpy makes
+            entries = v.tolist()
+            max_ineq = max(max_ineq, *entries)
+            if values is not None:
+                products = map(operator.mul, values.tolist(), entries)
+                complementarity = max(complementarity, *map(abs, products))
+        else:
+            max_ineq = max(max_ineq, float(np.max(np.maximum(v, _ZERO))))
+            if values is not None:
+                complementarity = max(complementarity, _max_abs(values * v))
+    gradient = record.gradient if gradient is None else _checked_gradient(evaluation, gradient)
+    problem._maxima = (evaluation.state, (max_ineq, max_eq))
+    return KKTResidual(_max_abs(gradient), max(max_ineq, max_eq), complementarity)
 
 
 def kkt_residual(problem, x, lam=None, mu=None) -> KKTResidual:
@@ -311,10 +329,12 @@ def current_kkt_residual(problem, evaluation=None) -> KKTResidual:
 
     Groups without multipliers (quadratic penalty) count as zero multipliers.
     Reuses ``evaluation`` when the caller already has one for the current x.
-    Called from a ``roll`` observer with the evaluation it was handed, when
-    every observed group is Lagrangian, the stationarity reads the record's
-    gradient, already checked, instead of composing grad f + sum m J again:
-    the same rows added in the same order.
+    Called from a ``roll`` observer with the evaluation it was handed, it reads
+    the blocks and the record from the slot; when every observed group is
+    Lagrangian, the stationarity reads the record's gradient, already checked,
+    instead of composing grad f + sum m J again: the same rows added in the
+    same order. The violation maxima behind ``feasibility`` stay in the
+    problem's one-entry cache, ``problem._maxima``, for the trace row.
     """
     if evaluation is None:
         evaluation = problem.evaluate_with_gradients(problem.x)

@@ -333,6 +333,8 @@ class TestRun:
             part.split("=") for part in final.removeprefix("final: ").split()
         )
         assert float(figures["max_violation"]) <= 1e-2
+        # max_violation is the last row's KKT feasibility, max(max_ineq, max_eq)
+        assert figures["max_violation"] == figures["kkt_feasibility"]
 
 
 class TestConfigFile:

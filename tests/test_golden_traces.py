@@ -3,7 +3,8 @@
 Each case runs ``lagrangekit run`` in-process for 50 steps at seed 3 and
 hashes the CSV trace bytes followed by stdout (the final summary line). The
 digests in ``golden_traces.json`` pin the library's numerics bit for bit; a
-refactor that changes any float anywhere in a run changes a digest.
+refactor that changes any float anywhere in a run changes a digest. They hold in
+the numeric environment of ``golden_environment.json``, which a failure names.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from lagrangekit import PROBLEM_NAMES, SCHEMES, cli
+from numeric_environment import RECORDED, current, mismatch_note
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_traces.json").read_text())
 
@@ -48,4 +50,10 @@ def test_golden_cases_cover_the_product():
 
 @pytest.mark.parametrize("case", CASES)
 def test_trace_matches_golden(case, tmp_path):
-    assert trace_digest(case, tmp_path / "trace.csv") == GOLDEN[case]
+    assert trace_digest(case, tmp_path / "trace.csv") == GOLDEN[case], mismatch_note()
+
+
+def test_golden_environment_is_recorded_field_for_field():
+    assert sorted(RECORDED) == sorted([*current(), "description"])
+    note = mismatch_note()
+    assert str(current()) in note and repr(RECORDED["openblas_core"]) in note

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import lagrangekit as lk
 from lagrangekit import checkpoint
+from numeric_environment import mismatch_note
 
 DIM = 5
 STEPS = 25
@@ -176,7 +177,7 @@ def test_indexed_trajectory_is_pinned(scheme, dual, formulation):
         # every row was observed at some step, and some row more than once
         assert group.multiplier.update_count.min() >= 1, gid
         assert group.multiplier.update_count.max() > 1, gid
-    assert state_digest(problem, optimizers) == PINS[(scheme, dual, formulation)]
+    assert state_digest(problem, optimizers) == PINS[(scheme, dual, formulation)], mismatch_note()
 
 
 @pytest.mark.parametrize("dual", sorted(DUALS))

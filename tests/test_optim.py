@@ -7,6 +7,7 @@ scalar reference implementation of the standard bias-corrected update.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +460,41 @@ def test_reassigned_coefficients_step_like_a_fresh_optimizer(cls, first, second)
                           for k, v in optimizer.buffer_state().items()))
         steps[optimizer is fresh] = out
     assert steps[False] == steps[True]
+
+
+COEFFICIENTS = [(cls, name) for cls, first, _ in REASSIGNED for name in first] + [
+    (lk.PenaltyCoefficient, "penalty")
+]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5"], ids=["bool", "np.bool_", "str"])
+@pytest.mark.parametrize(
+    "cls, name", COEFFICIENTS, ids=[f"{getattr(c, 'kind', 'penalty')}-{n}" for c, n in COEFFICIENTS]
+)
+def test_a_coefficient_is_a_real_number(cls, name, value):
+    message = f"{name} must be a real number, got {value!r}"
+    if cls is lk.PenaltyCoefficient:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lk.PenaltyCoefficient(value)
+        group = ConstraintGroup("g", INEQ, 2, Formulation.AUGMENTED_LAGRANGIAN, penalty=1.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            group.penalty = value
+        assert group.penalty.value == 1.0
+        for accepted in (2, np.float32(0.5), np.int64(3)):
+            assert lk.PenaltyCoefficient(accepted).value == float(accepted)
+        return
+    first = dict(next(f for c, f, _ in REASSIGNED if c is cls))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(**{**first, name: value})
+    optimizer = cls(**first)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        setattr(optimizer, name, value)
+    assert getattr(optimizer, name) == first[name]
+    # ints and numpy floats in range are still taken, as floats
+    for accepted in (0 if name in ("beta", "beta1", "beta2", "nu") else 1, np.float32(0.5)):
+        optimizer = cls(**{**first, name: accepted})
+        assert type(getattr(optimizer, name)) is float
+        assert getattr(optimizer, name) == float(accepted)
 
 
 class TestMakeDualOptimizers:
@@ -1567,13 +1603,14 @@ class TestAssembleSlot:
                 return _original(*args)
 
             monkeypatch.setattr(lk.optim, name, counted)
-        maxima = lk.ConstrainedMinimizationProblem._computed_maxima
+        # the violation maxima are computed only in the KKT residual's one pass over the blocks
+        kkt_pieces = lk.problems._kkt_pieces
 
-        def counted_maxima(self, state):
+        def counted_maxima(*args):
             counts["maxima"] += 1
-            return maxima(self, state)
+            return kkt_pieces(*args)
 
-        monkeypatch.setattr(lk.ConstrainedMinimizationProblem, "_computed_maxima", counted_maxima)
+        monkeypatch.setattr(lk.problems, "_kkt_pieces", counted_maxima)
         if made is not None:
             build = cli._build_problem
 
@@ -1669,20 +1706,24 @@ class TestAssembleSlot:
             problem, evaluate(problem.x),
             lambda ev, asm: rows.append(cli._trace_row(problem, optimizers, ev, asm)),
         )
-        (row, figures), = rows
+        (row, kkt), = rows
         ev = evaluate(problem.x)
         assert checks == []  # a library evaluation: neither the row's assemble nor its KKT
-        assert lk.current_kkt_residual(problem, ev) == figures["kkt"]
+        # the row's maxima are the ones its residual's pass left in the cache
+        assert problem._maxima[0] is ev.state
+        assert [float(f) for f in row.split(",")[4:6]] == list(problem._maxima[1])
+        assert max(problem._maxima[1]) == kkt.feasibility
+        assert lk.current_kkt_residual(problem, ev) == kkt
         assert checks == []
         # a user-built evaluation of the same point: the row's assemble checks
         # it, and the KKT residual takes those blocks from the slot
         other = lk.Evaluation(state=ev.state, grad_f=ev.grad_f, jacobians=ev.jacobians)
         assert lk.assemble(problem, other).primal_lagrangian == float(row.split(",")[2])
-        assert lk.current_kkt_residual(problem, other) == figures["kkt"]
+        assert lk.current_kkt_residual(problem, other) == kkt
         assert len(checks) == 1 and checks[0][1] is other
         # one the slot does not hold is checked afresh
         another = lk.Evaluation(state=ev.state, grad_f=ev.grad_f, jacobians=ev.jacobians)
-        assert lk.current_kkt_residual(problem, another) == figures["kkt"]
+        assert lk.current_kkt_residual(problem, another) == kkt
         assert len(checks) == 2 and checks[1][1] is another
 
     @pytest.mark.parametrize("user_built", [False, True], ids=["library", "user-built"])

@@ -7,6 +7,7 @@ import io
 import json
 import struct
 import tracemalloc
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -41,13 +42,20 @@ from lagrangekit.core import (
     ConstraintType,
     Evaluation,
     EvaluationError,
+    Formulation,
     _all_finite,
     _as_indices,
     _max_abs,
 )
 from lagrangekit.multipliers import _check_indices
-from lagrangekit.optim import SCHEMES, _jacobian_error, _store_blocks
-from lagrangekit.problems import PROBLEM_NAMES, _logistic_loss_grad, two_gaussian_dataset
+from lagrangekit.optim import SCHEMES, _checked_blocks, _hand_on, _jacobian_error, _store_blocks
+from lagrangekit.problems import (
+    PROBLEM_NAMES,
+    _kkt_pieces,
+    _logistic_loss_grad,
+    current_kkt_residual,
+    two_gaussian_dataset,
+)
 from test_checkpoint import _state_bytes
 
 _EDGE_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0])
@@ -176,31 +184,147 @@ def _parent_violation_maxima(problem, state):
     return max_ineq, max_eq
 
 
-_VIOLATIONS = st.lists(
-    st.one_of(
-        st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324]),
-        st.floats(allow_nan=False, allow_infinity=False),
-    ),
-    max_size=2 * _SMALL,
+_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
+_KKT_DIM = 2
 
 
-@settings(derandomize=True, max_examples=200, database=None, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), _VIOLATIONS), min_size=1, max_size=4))
-@example([(True, [-0.0]), (False, [-0.0])])
-@example([(True, [-1.0, -0.0]), (True, []), (False, [-2.0, 0.0])])
-@example([(True, [-1.0] * _SMALL + [3.0]), (False, [-5.0] * _SMALL)])
-def test_violation_maxima_equals_numpy(groups):
-    problem = ConstrainedMinimizationProblem(1)
-    observed = {}
-    for i, (inequality, values) in enumerate(groups):
+@st.composite
+def _kkt_groups(draw):
+    """Groups of 0 to 2 * _SMALL observed entries, each with its multiplier and Jacobian.
+
+    Each group is ``(inequality, formulation, indexed, dense, v, m, jacobian)``: an
+    observation that is not dense names the first ``len(v)`` entries of a group one
+    larger in reverse, and ``m`` has one entry per constraint of the group.
+    """
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, 2 * _SMALL))
+        formulation = draw(st.sampled_from(list(Formulation)))
+        indexed = formulation is not Formulation.QUADRATIC_PENALTY and draw(st.booleans())
+        dense = k > 0 and draw(st.booleans())
+        size = k if dense else k + 1
+        groups.append((
+            draw(st.booleans()), formulation, indexed, dense,
+            draw(st.lists(_ENTRIES, min_size=k, max_size=k)),
+            draw(st.lists(_ENTRIES, min_size=size, max_size=size)),
+            draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e308]),
+                          min_size=k * _KKT_DIM, max_size=k * _KKT_DIM)),
+        ))
+    return groups, draw(st.lists(_ENTRIES, min_size=_KKT_DIM, max_size=_KKT_DIM))
+
+
+def _kkt_problem(groups, grad_f):
+    """A problem over ``groups`` and a user-built evaluation of them."""
+    problem = ConstrainedMinimizationProblem(_KKT_DIM)
+    observed, jacobians = {}, {}
+    for i, (inequality, formulation, indexed, dense, v, m, jac) in enumerate(groups):
         kind = ConstraintType.INEQUALITY if inequality else ConstraintType.EQUALITY
-        problem.register_group(ConstraintGroup(f"g{i}", kind, max(1, len(values))))
-        observed[f"g{i}"] = ConstraintState(np.array(values, dtype=np.float64))
+        m = np.array(m)
+        if inequality:
+            m = np.where(m < 0, -m, m)  # keeps a -0.0
+        lagrangian = formulation is Formulation.LAGRANGIAN
+        problem.register_group(ConstraintGroup(
+            f"g{i}", kind, m.size, formulation, penalty=None if lagrangian else 1.0,
+            indexed=indexed,
+            initial_multiplier=None if formulation is Formulation.QUADRATIC_PENALTY else m,
+        ))
+        indices = None if dense else np.arange(len(v))[::-1]
+        observed[f"g{i}"] = ConstraintState(np.array(v, dtype=np.float64), None, indices)
+        jacobians[f"g{i}"] = np.array(jac, dtype=np.float64).reshape(len(v), _KKT_DIM)
     state = CMPState(loss=0.0, observed_constraints=observed)
-    got = problem._violation_maxima(state)
-    expected = _parent_violation_maxima(problem, state)
-    assert [_bits(v) for v in got] == [_bits(v) for v in expected]
+    return problem, Evaluation(state=state, grad_f=np.array(grad_f), jacobians=jacobians)
+
+
+def _reference_residual(problem, evaluation):
+    """(grad f + sum m J, the violation maxima, complementarity) at the stored multipliers."""
+    gradient = np.array(evaluation.grad_f)
+    complementarity = 0.0
+    for gid, cstate in evaluation.state.observed_constraints.items():
+        group = problem.group(gid)
+        v = cstate.violation
+        if group.multiplier is None or not v.size:
+            continue
+        m = group.multiplier.values
+        m = m if cstate.observed_indices is None else m[cstate.observed_indices]
+        gradient += m.dot(evaluation.jacobians[gid])
+        if group.constraint_type is ConstraintType.INEQUALITY:
+            complementarity = max(complementarity, float(np.max(np.abs(m * v))))
+    return gradient, _parent_violation_maxima(problem, evaluation.state), complementarity
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_kkt_groups())
+@example(([(True, Formulation.LAGRANGIAN, False, True, [-0.0], [-0.0], [0.0, -0.0]),
+           (False, Formulation.LAGRANGIAN, False, True, [-0.0], [-0.0], [-0.0, 0.0])],
+          [0.0, -0.0]))
+@example(([(True, Formulation.LAGRANGIAN, True, True, [-1.0, -0.0], [0.0, 2.0],
+            [1.0, 0.0, 0.0, 1.0]),
+           (True, Formulation.AUGMENTED_LAGRANGIAN, True, False, [], [1.0], []),
+           (False, Formulation.QUADRATIC_PENALTY, False, True, [-2.0, 0.0], [0.0, 0.0],
+            [1.0] * 4)],
+          [1.0, -1.0]))
+@example(([(True, Formulation.LAGRANGIAN, False, True, [-1.0] * _SMALL + [3.0],
+            [0.5] * (_SMALL + 1), [0.5] * (2 * _SMALL + 2)),
+           (False, Formulation.LAGRANGIAN, True, False, [-5.0] * _SMALL, [1.0] * (_SMALL + 1),
+            [-1.0] * (2 * _SMALL))],
+          [0.0, 1.0]))
+@example(([(True, Formulation.LAGRANGIAN, False, True, [1e308], [1e308], [0.0, 0.0]),
+           (True, Formulation.LAGRANGIAN, False, True, [1e308] * _SMALL, [1e308] * _SMALL,
+            [0.0] * (2 * _SMALL))],
+          [0.0, 0.0]))  # products that overflow, beside a finite gradient
+def test_violation_maxima_equals_numpy(case):
+    """The KKT residual's one pass: maxima, complementarity and stationarity, bit for bit.
+
+    Inside an observer call the blocks come from the slot, and the record's gradient
+    (here the reference's, which a roll would have checked) is read when every group is
+    Lagrangian; outside it, and with explicit multipliers, grad f + sum m J is composed.
+    """
+    problem, evaluation = _kkt_problem(*case)
+    # an overflowing product or sum warns from numpy, which the residual's larger groups use
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_kkt_residual(problem, evaluation)
+
+
+def _check_kkt_residual(problem, evaluation):
+    """Each way of asking for the residual against ``_reference_residual``."""
+    gradient, maxima, complementarity = _reference_residual(problem, evaluation)
+    finite = bool(np.isfinite(gradient).all())
+    stationarity = float(np.max(np.abs(gradient))) if finite else None
+    expected = [_bits(v) for v in (stationarity, max(maxima), complementarity)] if finite else []
+    stored = {gid: g.multiplier.values.copy()
+              for gid, g in problem.groups.items() if g.multiplier is not None}
+    residuals = []
+    if finite:  # a roll hands on only a record whose gradient it checked
+        lagrangian = all(g.formulation is Formulation.LAGRANGIAN for g in problem.groups.values())
+        # a record the residual must not read holds None, which _max_abs cannot take
+        record = types.SimpleNamespace(gradient=gradient if lagrangian else None)
+        blocks = _checked_blocks(problem, evaluation)
+        _hand_on(problem, evaluation, blocks, record,
+                 lambda ev, asm: residuals.append(current_kkt_residual(problem, ev)))
+        assert len(problem._slot) == 2 and len(residuals) == 1
+
+    def afresh():
+        vars(problem).pop("_slot", None)
+        return current_kkt_residual(problem, evaluation)
+
+    # outside an observer call: with the blocks the call left in the slot, with none,
+    # and at explicit multipliers
+    for residual in (lambda: current_kkt_residual(problem, evaluation), afresh,
+                     lambda: _kkt_pieces(problem, evaluation, stored)):
+        if not finite:
+            with pytest.raises(EvaluationError, match="non-finite primal gradient"):
+                residual()
+            continue
+        residuals.append(residual())
+    for residual in residuals:
+        assert [_bits(v) for v in residual] == expected
+    if residuals:
+        assert problem._maxima[0] is evaluation.state
+        assert [_bits(v) for v in problem._maxima[1]] == [_bits(v) for v in maxima]
 
 
 def _parent_logistic_loss_grad(features, labels, w, b):
