@@ -104,8 +104,9 @@ def _max_abs(arr: np.ndarray) -> float:
 def _record(cls, fields: dict):
     """An instance of frozen dataclass ``cls`` over ``fields``, one entry per field.
 
-    Skips the generated ``__init__``; the record takes over ``fields``, which
-    must be a fresh dict. Equality, repr and frozenness stay the dataclass's.
+    How the library builds a record of output it has checked; any other record goes
+    through the public constructor, which makes every check. The record takes over
+    ``fields``, a fresh dict. Equality, repr and frozenness stay the dataclass's.
     """
     record = object.__new__(cls)
     object.__setattr__(record, "__dict__", fields)
@@ -120,8 +121,14 @@ def _as_size(value, what: str) -> int:
 
 
 def _check_real(value, what: str) -> None:
-    """Raise ValueError if ``value`` holds a bool or text (numpy's too): a coefficient is real."""
-    if np.asarray(value).dtype.kind in "bUS":
+    """Raise ValueError if ``value`` holds a bool or text (numpy's too): a number is real.
+
+    An ndarray is judged by its dtype, anything else entry by entry: numpy reads
+    ``[1.0, True]`` as float64.
+    """
+    if (value.dtype.kind in "bUS" if isinstance(value, np.ndarray) else any(
+            isinstance(entry, (bool, np.bool_, str, bytes))
+            for entry in np.asarray(value, dtype=object).flat)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
@@ -169,25 +176,7 @@ class ConstraintState:
         strict, idx = self.strict_violation, self.observed_indices
         strict = None if strict is None else np.asarray(strict, dtype=np.float64)
         idx = None if idx is None else _as_indices(idx, "observed_indices")
-        self._set_fields(np.asarray(self.violation, dtype=np.float64), strict, idx)
-        if idx is not None and idx.size:
-            duplicates, lowest, _ = _index_scan(idx)
-            if duplicates:
-                raise ValueError("observed_indices contains duplicates")
-            if lowest < 0:
-                raise ValueError("observed_indices contains negative indices")
-
-    @classmethod
-    def _trusted(cls, violation, strict, indices) -> "ConstraintState":
-        """A state over float64 arrays the library built, with distinct indices >= 0.
-
-        Skips the conversions and the index scan, not the checks of oracle output.
-        """
-        state = object.__new__(cls)
-        state._set_fields(violation, strict, indices)
-        return state
-
-    def _set_fields(self, violation, strict, idx) -> None:
+        violation = np.asarray(self.violation, dtype=np.float64)
         if violation.ndim != 1:
             raise ValueError(f"violation must be a 1-d vector, got shape {violation.shape}")
         if not _all_finite(violation):
@@ -208,6 +197,12 @@ class ConstraintState:
             raise ValueError(
                 f"observed_indices length {idx.size} != violation length {violation.size}"
             )
+        if idx is not None and idx.size:
+            duplicates, lowest, _ = _index_scan(idx)
+            if duplicates:
+                raise ValueError("observed_indices contains duplicates")
+            if lowest < 0:
+                raise ValueError("observed_indices contains negative indices")
         object.__setattr__(self, "violation", violation)
         object.__setattr__(self, "strict_violation", strict)
         object.__setattr__(self, "observed_indices", idx)
@@ -362,17 +357,6 @@ class CMPState:
         object.__setattr__(self, "observed_constraints", MappingProxyType(constraints))
         object.__setattr__(self, "misc", MappingProxyType(dict(self.misc)))
 
-    @classmethod
-    def _trusted(cls, loss: float, observed: dict) -> "CMPState":
-        """A state over a fresh dict of ConstraintStates the library built; no misc."""
-        if not math.isfinite(loss):
-            raise EvaluationError(f"non-finite loss {loss}")
-        state = object.__new__(cls)
-        object.__setattr__(state, "loss", loss)
-        object.__setattr__(state, "observed_constraints", MappingProxyType(observed))
-        object.__setattr__(state, "misc", _NO_MISC)
-        return state
-
 
 @dataclass(frozen=True, eq=False)
 class Evaluation:
@@ -477,9 +461,3 @@ class ConstrainedMinimizationProblem:
     def evaluate_with_gradients(self, x) -> Evaluation:
         """State plus objective gradient and per-group Jacobians at x. Pure; must be overridden."""
         raise NotImplementedError
-
-    def _checked_group(self, gid: str, cstate: ConstraintState) -> ConstraintGroup:
-        """Group ``gid``, once ``cstate`` fits it; the rolls' block pass asks for each group."""
-        group = self.group(gid)
-        group._check_fit(cstate)
-        return group

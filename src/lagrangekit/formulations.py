@@ -132,6 +132,7 @@ def _checked_values(group: ConstraintGroup, values) -> np.ndarray:
     """Multiplier values a caller passes in for ``group`` (an array or a Multiplier), checked."""
     if isinstance(values, Multiplier):
         values = values.values
+    _check_real(values, f"group {group.name!r}: multiplier values")
     full = np.asarray(values, dtype=np.float64)
     if full.shape != (group.size,):
         raise ValueError(

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ConstraintType, EvaluationError, _ZERO, _all_finite, _as_indices, _as_size
-from .core import _index_scan
+from .core import _check_real, _index_scan
 
 __all__ = [
     "Multiplier",
@@ -73,6 +73,7 @@ class Multiplier:
 
     def _checked(self, values) -> np.ndarray:
         """A validated float copy of ``values``; the multiplier is not touched."""
+        _check_real(values, "multiplier values")
         arr = np.asarray(values, dtype=np.float64).copy()
         if arr.shape != (self._size,):
             raise ValueError(f"values shape {arr.shape} != ({self._size},)")

@@ -53,9 +53,7 @@ takes a read-only float64 0-d array as it is, bit for bit the same. The clamps
 read ``core._ZERO``, the factory Jacobians ``core._TWO``, a step the twins of
 each coefficient, which ``_Coefficient`` stores at each assignment.
 
-The committed x is read-only and trusted: it was checked as x_new. States
-the library builds go through ``ConstraintState._trusted`` and
-``CMPState._trusted`` (checks of oracle output, no re-conversion). User-built
+The committed x is read-only and trusted: it was checked as x_new. User-built
 states and evaluations (checked by ``_checked_blocks``) and the public entry
 points (``*.step``, ``preview_delta``, ``apply_dual_delta``, ``set_x``,
 ``group_contribution``) keep every check; a user's index list costs one sort.
@@ -542,7 +540,8 @@ def _checked_blocks(problem: ConstrainedMinimizationProblem, evaluation: Evaluat
     """
     blocks = []
     for gid, cstate in evaluation.state.observed_constraints.items():
-        group = problem._checked_group(gid, cstate)
+        group = problem.group(gid)
+        group._check_fit(cstate)
         jacobian = evaluation.jacobians.get(gid)
         if jacobian is None:
             raise ValueError(f"evaluation has no Jacobian for group {gid!r}")

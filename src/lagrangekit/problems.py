@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -28,11 +29,13 @@ from .core import (
     Evaluation,
     EvaluationError,
     Formulation,
+    _NO_MISC,
     _SMALL,
     _TWO,
     _ZERO,
     _all_finite,
     _as_size,
+    _check_real,
     _max_abs,
     _record,
 )
@@ -156,20 +159,12 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
                     f"complementarity={res.complementarity:.3e}"
                 )
 
-    def _observed(self, gid, block, violation, strict):
-        if block.strict_function is not None:
-            strict = np.asarray(strict, dtype=np.float64)
-        try:
-            return ConstraintState._trusted(violation, strict, self._all_rows.get(gid))
-        except EvaluationError as exc:
-            raise EvaluationError(str(exc), group_id=gid) from None
-
     def evaluate_with_gradients(self, x) -> Evaluation:
         """Evaluation at x, stored in the slot with its blocks; raises on a non-finite Jacobian.
 
         An oracle output that ``_fits`` goes into the records as returned, a block's once
-        its outputs are ``_finite`` (the loss is checked with the state); only a miss runs
-        the checks, to convert it or raise, state errors first.
+        its outputs are ``_finite``, the loss once it is finite; a miss goes through the
+        public ``ConstraintState``, which converts it or raises, state errors first.
         """
         x = self._check_point(x)
         jac_shape, plan = self._plan
@@ -190,13 +185,22 @@ class BenchmarkProblem(ConstrainedMinimizationProblem):
                     and _finite(values, jac, strict)):
                 cstate = _record(ConstraintState, {"violation": values, "strict_violation": strict,
                                                    "observed_indices": rows})
-            else:
-                cstate = self._observed(gid, block, values, strict)
+            else:  # a strict oracle's None is no vector, not "no strict"
+                if strict_function is not None:
+                    strict = np.asarray(strict, dtype=np.float64)
+                try:
+                    cstate = ConstraintState(values, strict, rows)
+                except EvaluationError as exc:
+                    raise EvaluationError(str(exc), group_id=gid) from None
                 missed.append((gid, jac))
             observed[gid] = cstate
             jacobians[gid] = jac
             blocks.append((gid, cstate, group, jac))
-        state = CMPState._trusted(float(obj_values[0]), observed)
+        loss = float(obj_values[0])
+        if not math.isfinite(loss):
+            raise EvaluationError(f"non-finite loss {loss}")
+        state = _record(CMPState, {"loss": loss, "observed_constraints": MappingProxyType(observed),
+                                   "misc": _NO_MISC})
         for gid, jac in missed:  # after the state, whose errors come first
             if not _all_finite(jac):
                 raise _jacobian_error(gid)
@@ -235,6 +239,7 @@ def _split_concat(problem, vector, ctype, what):
     """Split a concatenated per-type multiplier vector into per-group pieces."""
     groups = [g for g in problem.groups.values() if g.constraint_type is ctype]
     total = sum(g.size for g in groups)
+    _check_real(vector, what)  # None holds no bool or text
     vector = np.zeros(total) if vector is None else np.asarray(vector, dtype=np.float64)
     if vector.shape != (total,):
         raise ValueError(f"{what} must have length {total}, got shape {vector.shape}")
@@ -294,7 +299,8 @@ def _kkt_pieces(problem, evaluation, values_by_gid=None) -> KKTResidual:
         else:
             max_ineq = max(max_ineq, float(np.max(np.maximum(v, _ZERO))))
             if values is not None:
-                complementarity = max(complementarity, _max_abs(values * v))
+                with np.errstate(over="ignore"):  # an overflowing |m_i v_i| is inf, as on floats
+                    complementarity = max(complementarity, _max_abs(values * v))
     gradient = record.gradient if gradient is None else _checked_gradient(evaluation, gradient)
     problem._maxima = (evaluation.state, (max_ineq, max_eq))
     return KKTResidual(_max_abs(gradient), max(max_ineq, max_eq), complementarity)

@@ -497,6 +497,54 @@ def test_a_coefficient_is_a_real_number(cls, name, value):
         assert getattr(optimizer, name) == float(accepted)
 
 
+def _box_problem(size):
+    """min ||x||^2 subject to x_i <= 1: one inequality group of ``size`` entries."""
+    box = DifferentiableFunction(
+        eval=lambda x: x - 1.0, val_jac=lambda x: (x - 1.0, np.eye(size)), output_size=size
+    )
+    objective = DifferentiableFunction(
+        eval=lambda x: np.array([x @ x]),
+        val_jac=lambda x: (np.array([x @ x]), 2.0 * x[None, :]), output_size=1,
+    )
+    group = ConstraintGroup("box", INEQ, size)
+    return BenchmarkProblem("box", size, objective, blocks=(ConstraintBlock(group, box),))
+
+
+def _assembled_at(values):
+    problem = _box_problem(len(values))
+    ev = problem.evaluate_with_gradients(problem.x)
+    return lk.assemble(problem, ev, multiplier_values={"box": values})
+
+
+MULTIPLIER_ENTRIES = {
+    "initial_multiplier": lambda values: ConstraintGroup(
+        "g", INEQ, len(values), initial_multiplier=values
+    ),
+    "load_values": lambda values: ConstraintGroup(
+        "g", INEQ, len(values)
+    ).multiplier.load_values(values),
+    "assemble": _assembled_at,
+    "kkt_residual": lambda values: lk.kkt_residual(
+        _box_problem(len(values)), np.zeros(len(values)), lam=values
+    ),
+    "PenaltyCoefficient": lk.PenaltyCoefficient,
+}
+
+
+@pytest.mark.parametrize(
+    "value", [["0.5"], [True], np.array([True]), [1.0, True]],
+    ids=["str", "bool", "bool-array", "float-and-bool"],
+)
+@pytest.mark.parametrize("entry", list(MULTIPLIER_ENTRIES))
+def test_a_multiplier_value_is_a_real_number(entry, value):
+    # numpy reads [1.0, True] as float64, so a sequence is judged entry by entry
+    with pytest.raises(ValueError, match=re.escape(f"must be a real number, got {value!r}")):
+        MULTIPLIER_ENTRIES[entry](value)
+    # ints, numpy floats and int arrays are still taken
+    for accepted in ([1] * len(value), [np.float32(0.5)] * len(value), np.ones(len(value), int)):
+        MULTIPLIER_ENTRIES[entry](accepted)
+
+
 class TestMakeDualOptimizers:
     def test_one_instance_per_multiplier_group(self):
         problem = problem_projection_ball(np.array([3.0, 4.0]))
@@ -1032,9 +1080,10 @@ class SubsetBoxProblem(lk.ConstrainedMinimizationProblem):
 class FullBoxProblem(lk.ConstrainedMinimizationProblem):
     """Three box constraints x_i <= 1, all observed at every evaluation."""
 
-    def __init__(self, indexed):
+    def __init__(self, indexed, formulation=Formulation.LAGRANGIAN):
         super().__init__(3, x0=[2.0, 3.0, 4.0])
-        self.register_group(ConstraintGroup("box", INEQ, 3, indexed=indexed))
+        penalty = None if formulation is Formulation.LAGRANGIAN else 1.0
+        self.register_group(ConstraintGroup("box", INEQ, 3, formulation, penalty, indexed))
         self.freeze_registration()
 
     def evaluate_with_gradients(self, x):
@@ -1044,26 +1093,51 @@ class FullBoxProblem(lk.ConstrainedMinimizationProblem):
         return lk.Evaluation(state=state, grad_f=x.copy(), jacobians={"box": np.eye(3)})
 
 
+FULL_OBSERVATIONS = {  # (indexed, formulation) -> a problem whose one group is observed in full
+    "no-indices": FullBoxProblem,
+    "every-index": lambda indexed, formulation: problem_projection_ball(
+        np.array([3.0, 4.0]), formulation=formulation, indexed=indexed
+    ),
+}
+# rates at which every multiplier entry is positive after five rolls: no comparison of zeros
+PRIMALS = {
+    "gd": lambda: GradientDescent(0.1), "momentum": lambda: Momentum(0.05),
+    "adam": lambda: AdamLike(0.3),
+}
+DUALS = {"gradient_ascent": lambda: GradientAscent(0.3), "nupi": lambda: NuPI(0.3)}
+
+
+@pytest.mark.parametrize("dual", DUALS)
+@pytest.mark.parametrize("primal", PRIMALS)
+@pytest.mark.parametrize(
+    "formulation", [Formulation.LAGRANGIAN, Formulation.AUGMENTED_LAGRANGIAN],
+    ids=["lagrangian", "augmented"],
+)
+@pytest.mark.parametrize("observation", FULL_OBSERVATIONS)
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_indexed_group_observed_in_full_rolls_like_a_plain_one(scheme):
-    # a full observation commits the whole vector: IndexedMultiplier._store with no indices
+def test_indexed_group_observed_in_full_rolls_like_a_plain_one(
+    scheme, observation, formulation, primal, dual
+):
+    # a full observation commits the whole vector: IndexedMultiplier._store with no indices,
+    # whether the state lists no indices or, as a factory's does, every one of them
     trajectories = []
     for indexed in (False, True):
-        problem = FullBoxProblem(indexed)
+        problem = FULL_OBSERVATIONS[observation](indexed, formulation)
+        (gid, group), = problem.groups.items()
         optimizers = PrimalDualOptimizers(
-            primal=GradientDescent(0.1), duals=make_dual_optimizers(problem, lambda: NuPI(0.3))
+            primal=PRIMALS[primal](), duals=make_dual_optimizers(problem, DUALS[dual])
         )
-        multiplier = problem.group("box").multiplier
+        multiplier = group.multiplier
         trajectory = []
         for step in range(1, 6):
             roll(problem, optimizers, scheme=scheme)
-            buffers = optimizers.duals["box"].buffer_state()
+            buffers = optimizers.duals[gid].buffer_state()
             trajectory.append((
                 problem.x.tobytes(), multiplier.values.tobytes(),
-                buffers["ema"].tobytes(), buffers["seen"].tobytes(),
+                *(buffers[name].tobytes() for name in sorted(buffers)),
             ))
             if indexed:
-                assert multiplier.update_count.tolist() == [step] * 3
+                assert multiplier.update_count.tolist() == [step] * group.size
         trajectories.append(trajectory)
     assert trajectories[0] == trajectories[1]
     assert multiplier.values.min() > 0.0
@@ -1188,21 +1262,19 @@ class TestAltDpChecksOracleOutputOnce:
             duals=make_dual_optimizers(problem, lambda: NuPI(0.1)),
         )
         counts = {"fit": 0, "jacobian": 0}
-        checked_group = lk.ConstrainedMinimizationProblem._checked_group
+        check_fit = ConstraintGroup._check_fit
         all_finite = lk.optim._all_finite
 
-        def counting_checked_group(self, gid, cstate):
+        def counting_check_fit(self, cstate):
             counts["fit"] += 1
-            return checked_group(self, gid, cstate)
+            return check_fit(self, cstate)
 
         def counting_all_finite(arr):
             # the only 2-d arrays the roll checks are Jacobians
             counts["jacobian"] += np.ndim(arr) == 2
             return all_finite(arr)
 
-        monkeypatch.setattr(
-            lk.ConstrainedMinimizationProblem, "_checked_group", counting_checked_group
-        )
+        monkeypatch.setattr(ConstraintGroup, "_check_fit", counting_check_fit)
         monkeypatch.setattr(lk.optim, "_all_finite", counting_all_finite)
         roll(problem, optimizers, scheme="alt-dp")
         assert optimizers.step == 1

@@ -281,6 +281,22 @@ class TestKKTResidual:
                 kkt_residual(problem, np.zeros(2), **kwargs)
             assert str(info.value) == f"{next(iter(kwargs))} must be finite"
 
+    @pytest.mark.parametrize("size", [31, 32, 33])
+    def test_an_overflowing_complementarity_is_inf_without_a_warning(self, size):
+        # 1e308 * 1e308 on Python floats below _SMALL (32) entries and in numpy from there on
+        huge = np.full(size, 1e308)
+        level = lk.DifferentiableFunction(
+            eval=lambda x: huge.copy(), val_jac=lambda x: (huge.copy(), np.zeros((size, 1))),
+            output_size=size,
+        )
+        zero = lk.DifferentiableFunction(
+            eval=lambda x: np.zeros(1), val_jac=lambda x: (np.zeros(1), np.zeros((1, 1))),
+            output_size=1,
+        )
+        group = lk.ConstraintGroup("level", lk.ConstraintType.INEQUALITY, size)
+        problem = lk.BenchmarkProblem("huge", 1, zero, blocks=(lk.ConstraintBlock(group, level),))
+        assert kkt_residual(problem, np.zeros(1), lam=huge) == (0.0, 1e308, math.inf)
+
     def test_equality_multiplier_routed_separately(self):
         problem = problem_equality_qp(
             np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0])

@@ -1021,7 +1021,8 @@ def _evaluation_bits(problem, ev):
 
 
 def _parent_evaluate_with_gradients(problem, x):
-    """``BenchmarkProblem.evaluate_with_gradients`` as it was, every check on every output."""
+    """``BenchmarkProblem.evaluate_with_gradients`` with every check on every output, its
+    records built by the public constructors."""
     if x is not problem.x:
         x = problem._check_point(x)
     obj_values, obj_jac = problem.objective.value_and_jacobian(x)
@@ -1032,13 +1033,13 @@ def _parent_evaluate_with_gradients(problem, x):
         if block.strict_function is not None:
             strict = np.asarray(block.strict_function(x), dtype=np.float64)
         try:
-            cstate = ConstraintState._trusted(values, strict, problem._all_rows.get(gid))
+            cstate = ConstraintState(values, strict, problem._all_rows.get(gid))
         except EvaluationError as exc:
             raise EvaluationError(str(exc), group_id=gid) from None
         observed[gid] = cstate
         jacobians[gid] = jac
         blocks.append((gid, cstate, block.group, jac))
-    state = CMPState._trusted(float(obj_values[0]), observed)
+    state = CMPState(float(obj_values[0]), observed)
     for gid, _, _, jac in blocks:
         if not _all_finite(jac):
             raise _jacobian_error(gid)
