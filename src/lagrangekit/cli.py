@@ -209,6 +209,7 @@ def _build_optimizers(config: RunConfig, problem) -> PrimalDualOptimizers:
         factory = lambda: GradientAscent(config.lr_dual)
     else:
         factory = lambda: NuPI(config.lr_dual, kappa_p=config.kappa_p, nu=config.nu)
+    factory()  # its settings are checked even when no group has a multiplier
     return PrimalDualOptimizers(primal=primal, duals=make_dual_optimizers(problem, factory))
 
 

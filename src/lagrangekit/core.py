@@ -113,22 +113,24 @@ def _record(cls, fields: dict):
     return record
 
 
-def _as_size(value, what: str) -> int:
-    """``value``, a Python or NumPy integer but not a bool, as an int; else ValueError."""
+def _as_size(value, what: str, least: Optional[int] = None) -> int:
+    """``value``, an int or NumPy integer (not a bool) of at least ``least`` if given, as an int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return int(value)
 
 
 def _check_real(value, what: str) -> None:
     """Raise ValueError if ``value`` holds a bool or text (numpy's too): a number is real.
 
-    An ndarray is judged by its dtype, anything else entry by entry: numpy reads
-    ``[1.0, True]`` as float64.
+    An ndarray of numbers is judged by its dtype, anything else (an object array too)
+    entry by entry: numpy reads ``[1.0, True]`` as float64.
     """
-    if (value.dtype.kind in "bUS" if isinstance(value, np.ndarray) else any(
-            isinstance(entry, (bool, np.bool_, str, bytes))
-            for entry in np.asarray(value, dtype=object).flat)):
+    kind = value.dtype.kind if isinstance(value, np.ndarray) else "O"
+    if kind in "bUS" or kind == "O" and any(isinstance(entry, (bool, np.bool_, str, bytes))
+                                            for entry in np.asarray(value, dtype=object).flat):
         raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
@@ -266,9 +268,7 @@ class ConstraintGroup:
             raise ValueError("constraint_type must be a ConstraintType")
         if not isinstance(formulation, Formulation):
             raise ValueError("formulation must be a Formulation")
-        size = _as_size(size, "group size")
-        if size <= 0:
-            raise ValueError(f"group size must be positive, got {size}")
+        size = _as_size(size, "group size", least=1)
 
         if formulation is Formulation.QUADRATIC_PENALTY and (
             initial_multiplier is not None or indexed
@@ -382,9 +382,7 @@ class ConstrainedMinimizationProblem:
     """
 
     def __init__(self, dim: int, x0=None):
-        dim = _as_size(dim, "problem dimension")
-        if dim < 1:
-            raise ValueError(f"problem dimension must be >= 1, got {dim}")
+        dim = _as_size(dim, "problem dimension", least=1)
         self._dim = dim
         self._groups: dict[str, ConstraintGroup] = {}
         self._frozen = False

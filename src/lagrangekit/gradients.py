@@ -51,9 +51,7 @@ class DifferentiableFunction:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "output_size", _as_size(self.output_size, "output_size"))
-        if self.output_size < 1:
-            raise ValueError(f"output_size must be >= 1, got {self.output_size}")
+        object.__setattr__(self, "output_size", _as_size(self.output_size, "output_size", least=1))
 
     def values(self, x) -> np.ndarray:
         return self._checked_values(self.eval(np.asarray(x, dtype=np.float64)))

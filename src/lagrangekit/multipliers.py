@@ -36,13 +36,21 @@ def _check_indices(indices, size: int) -> np.ndarray:
     return idx
 
 
+def _addressed(vector, indices, size: int, what: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(float64 ``vector``, checked ``indices`` or None): ``size`` entries, or one per index."""
+    idx = None if indices is None else _check_indices(indices, size)
+    vector = np.asarray(vector, dtype=np.float64)
+    expected = (size,) if idx is None else idx.shape
+    if vector.shape != expected:
+        raise ValueError(f"{what} shape {vector.shape} != {expected}")
+    return vector, idx
+
+
 class Multiplier:
     """A dual-variable vector, updated in full or at explicit indices."""
 
     def __init__(self, size: int, constraint_type: ConstraintType, values=None):
-        size = _as_size(size, "multiplier size")
-        if size < 1:
-            raise ValueError(f"multiplier size must be >= 1, got {size}")
+        size = _as_size(size, "multiplier size", least=1)
         if not isinstance(constraint_type, ConstraintType):
             raise ValueError("constraint_type must be a ConstraintType")
         self._size = size
@@ -90,25 +98,8 @@ class Multiplier:
         with partial indices only the addressed entries change and
         unaddressed entries keep their exact bits.
         """
-        delta, indices = self._checked_delta(delta, indices)
+        delta, indices = _addressed(delta, indices, self._size, "delta")
         return self._merged(self._preview(delta, indices), indices)
-
-    def _checked_delta(self, delta, indices) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.ndim != 1:
-            raise ValueError("delta must be a 1-d vector")
-        if indices is None:
-            if delta.size != self._size:
-                raise ValueError(
-                    f"delta length {delta.size} != multiplier size {self._size}"
-                )
-        else:
-            indices = _check_indices(indices, self._size)
-            if delta.size != indices.size:
-                raise ValueError(
-                    f"delta length {delta.size} != indices length {indices.size}"
-                )
-        return delta, indices
 
     def _preview(self, delta, indices: Optional[np.ndarray], gathered=None) -> np.ndarray:
         """The updated entries for a fitting delta at distinct in-range indices.
@@ -137,7 +128,7 @@ class Multiplier:
 
     def apply_dual_delta(self, delta, indices=None) -> "Multiplier":
         """Add delta at the addressed positions, then project. Returns self."""
-        delta, indices = self._checked_delta(delta, indices)
+        delta, indices = _addressed(delta, indices, self._size, "delta")
         self._store(self._preview(delta, indices), indices)
         return self
 

@@ -73,7 +73,7 @@ from .core import _all_finite, _check_real, _constant, _record
 from .formulations import _checked_values, _terms, _weights
 from .formulations import assemble_lagrangian, group_contribution  # noqa: F401
 from .gradients import _add_weighted_rows, _check_rows, compose_primal_gradient  # noqa: F401
-from .multipliers import _check_indices, multiplier_values_for  # noqa: F401
+from .multipliers import _addressed, multiplier_values_for  # noqa: F401
 
 __all__ = [
     "PrimalOptimizer",
@@ -117,8 +117,13 @@ def _staged_vector(state: dict, name: str, finite: bool = True) -> Optional[np.n
 
 
 class _Coefficient:
-    """A public float coefficient. Each assignment also stores the 0-d twins the steps read
-    (module docstring), ``_<name>`` and ``_1m<name>`` (1.0 - it); a read takes the float."""
+    """A public float coefficient in ``interval``, "(low, high)" or "[low, high)". An assignment
+    checks it, then stores it with the 0-d twins the steps read (module docstring), ``_<name>``
+    and ``_1m<name>`` (1.0 - it), so a refused value leaves all three. A read takes the float."""
+
+    def __init__(self, interval: str):
+        self.interval = interval
+        self.low, self.high = map(float, interval[1:-1].split(", "))
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -126,6 +131,8 @@ class _Coefficient:
     def __set__(self, obj, value):
         _check_real(value, self.name)
         value = float(value)
+        if not (self.low < value < self.high or value == self.low and self.interval[0] == "["):
+            raise ValueError(f"{obj.kind} {self.name} must be in {self.interval}, got {value}")
         obj.__dict__.update({self.name: value, "_" + self.name: _constant(value),
                              "_1m" + self.name: _constant(1.0 - value)})
 
@@ -140,12 +147,10 @@ class _Optimizer:
     """
 
     kind = ""
-    learning_rate = _Coefficient()
+    learning_rate = _Coefficient("(0, inf)")
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
 
     def commit(self, staged) -> None:
         pass
@@ -202,13 +207,11 @@ class Momentum(PrimalOptimizer):
     """Heavy-ball: v <- beta v + grad, x' = x - lr * v. beta=0 is exactly GD."""
 
     kind = "momentum"
-    beta = _Coefficient()
+    beta = _Coefficient("[0, 1)")
 
     def __init__(self, learning_rate: float, beta: float = 0.9):
         super().__init__(learning_rate)
         self.beta = beta
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError(f"momentum beta must be in [0, 1), got {self.beta}")
         self.velocity: Optional[np.ndarray] = None
 
     def _step(self, x, grad):
@@ -232,7 +235,7 @@ class AdamLike(PrimalOptimizer):
     """Bias-corrected adaptive moments, descending."""
 
     kind = "adam"
-    beta1, beta2, eps = _Coefficient(), _Coefficient(), _Coefficient()
+    beta1, beta2, eps = _Coefficient("[0, 1)"), _Coefficient("[0, 1)"), _Coefficient("(0, inf)")
 
     def __init__(
         self,
@@ -243,10 +246,6 @@ class AdamLike(PrimalOptimizer):
     ):
         super().__init__(learning_rate)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"adam betas must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if not (0 < self.eps < np.inf):
-            raise ValueError(f"adam eps must be finite and > 0, got {self.eps}")
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
         self.t = 0
@@ -306,11 +305,7 @@ class DualOptimizer(_Optimizer):
     """
 
     def step(self, signal: np.ndarray, indices, size: int) -> tuple[np.ndarray, object]:
-        idx = None if indices is None else _check_indices(indices, size)
-        signal = np.asarray(signal, dtype=np.float64)
-        expected = (size,) if idx is None else idx.shape
-        if signal.shape != expected:
-            raise ValueError(f"dual signal shape {signal.shape} != {expected}")
+        signal, idx = _addressed(signal, indices, size, "dual signal")
         if not _all_finite(signal):
             raise EvaluationError("non-finite dual signal")
         return self._step(signal, idx, size)
@@ -342,15 +337,11 @@ class NuPI(DualOptimizer):
     """
 
     kind = "nupi"
-    kappa_p, nu = _Coefficient(), _Coefficient()
+    kappa_p, nu = _Coefficient("[0, inf)"), _Coefficient("[0, 1)")
 
     def __init__(self, learning_rate: float, kappa_p: float = 1.0, nu: float = 0.9):
         super().__init__(learning_rate)
         self.kappa_p, self.nu = kappa_p, nu
-        if not (0.0 <= self.kappa_p < np.inf):
-            raise ValueError(f"kappa_p must be finite and >= 0, got {self.kappa_p}")
-        if not (0.0 <= self.nu < 1.0):
-            raise ValueError(f"nu must be in [0, 1), got {self.nu}")
         self.ema: Optional[np.ndarray] = None
         self.seen: Optional[np.ndarray] = None
         self._all_seen = False  # True only while every entry of ``seen`` is True

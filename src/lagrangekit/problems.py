@@ -401,10 +401,7 @@ def two_gaussian_dataset(seed: int, n_points: int = 200, dim: int = 5):
 
     Returns (features, labels) with shapes (n_points, dim) and (n_points,).
     """
-    n_points = _as_size(n_points, "n_points")
-    dim = _as_size(dim, "dim")
-    if n_points < 1 or dim < 1:
-        raise ValueError("n_points and dim must be >= 1")
+    n_points, dim = _as_size(n_points, "n_points", least=1), _as_size(dim, "dim", least=1)
     labels = np.where(np.arange(n_points) % 2 == 0, 1.0, -1.0)
     features = normal_stream(seed, n_points * dim).reshape(n_points, dim)
     features += labels[:, None] * (1.0 / math.sqrt(dim))  # each row's center, added in place

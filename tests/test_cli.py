@@ -111,6 +111,7 @@ class TestRun:
             ("--dual-optimizer", "nupi", "--kappa-p", "inf"),
             ("--primal-optimizer", "adam", "--eps", "inf"),
             ("--primal-optimizer", "adam", "--eps", "nan"),
+            ("--formulation", "quadratic_penalty", "--dual-optimizer", "nupi", "--kappa-p", "nan"),
         ],
     )
     def test_non_finite_hyperparameter_exits_one(self, flags, capsys):

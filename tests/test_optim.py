@@ -7,10 +7,13 @@ scalar reference implementation of the standard bias-corrected update.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lagrangekit as lk
 from lagrangekit import (
@@ -242,7 +245,7 @@ class TestGradientAscent:
         m = lk.Multiplier(2, INEQ)
         with pytest.raises(ValueError, match=r"dual signal shape \(1,\) != \(2,\)"):
             ascend(GradientAscent(0.1), m, np.array([1.0]))
-        with pytest.raises(ValueError, match="delta length"):
+        with pytest.raises(ValueError, match=r"delta shape \(1,\) != \(2,\)"):
             m.apply_dual_delta(np.array([0.1]))
 
     def test_non_finite_signal_rejected(self):
@@ -467,7 +470,10 @@ COEFFICIENTS = [(cls, name) for cls, first, _ in REASSIGNED for name in first] +
 ]
 
 
-@pytest.mark.parametrize("value", [True, np.True_, "0.5"], ids=["bool", "np.bool_", "str"])
+@pytest.mark.parametrize(
+    "value", [True, np.True_, "0.5", np.array(True, dtype=object)],
+    ids=["bool", "np.bool_", "str", "object-array"],
+)
 @pytest.mark.parametrize(
     "cls, name", COEFFICIENTS, ids=[f"{getattr(c, 'kind', 'penalty')}-{n}" for c, n in COEFFICIENTS]
 )
@@ -495,6 +501,51 @@ def test_a_coefficient_is_a_real_number(cls, name, value):
         optimizer = cls(**{**first, name: accepted})
         assert type(getattr(optimizer, name)) is float
         assert getattr(optimizer, name) == float(accepted)
+
+
+OPTIMIZER_COEFFICIENTS = [(cls, name) for cls, name in COEFFICIENTS if cls is not lk.PenaltyCoefficient]
+
+
+def _refusal(call):
+    """The message of the ValueError ``call()`` raises, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "cls, name", OPTIMIZER_COEFFICIENTS, ids=[f"{c.kind}-{n}" for c, n in OPTIMIZER_COEFFICIENTS]
+)
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(value=st.one_of(st.floats(), st.integers(-3, 3)))
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=0.0)
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=1 - 2**-53)
+@example(value=1.0)
+@example(value=-1.0)
+@example(value=0)
+@example(value=1)
+def test_construction_and_assignment_take_the_same_coefficients(cls, name, value):
+    # a coefficient's domain is checked where it is stored, so a constructor and an
+    # assignment agree, and a refused assignment leaves the float and both 0-d twins
+    first = next(f for c, f, _ in REASSIGNED if c is cls)
+    built = _refusal(lambda: cls(**{**first, name: value}))
+    optimizer = cls(**first)
+    stored = (name, "_" + name, "_1m" + name)
+    before = [np.float64(optimizer.__dict__[key]).tobytes() for key in stored]
+    assert _refusal(lambda: setattr(optimizer, name, value)) == built
+    if built is None:
+        assert type(getattr(optimizer, name)) is float and getattr(optimizer, name) == float(value)
+        assert cls(**{**first, name: value}).__dict__["_" + name] == float(value)
+    else:
+        assert built.startswith(f"{cls.kind} {name} must be in ")
+        assert [np.float64(optimizer.__dict__[key]).tobytes() for key in stored] == before
 
 
 def _box_problem(size):
@@ -532,8 +583,9 @@ MULTIPLIER_ENTRIES = {
 
 
 @pytest.mark.parametrize(
-    "value", [["0.5"], [True], np.array([True]), [1.0, True]],
-    ids=["str", "bool", "bool-array", "float-and-bool"],
+    "value",
+    [["0.5"], [True], np.array([True]), [1.0, True], np.array([1.0, True], dtype=object)],
+    ids=["str", "bool", "bool-array", "float-and-bool", "object-array"],
 )
 @pytest.mark.parametrize("entry", list(MULTIPLIER_ENTRIES))
 def test_a_multiplier_value_is_a_real_number(entry, value):
